@@ -4,8 +4,9 @@ verification suite.
 Subcommands: discord, sweep, flux, verify.  Every numeric path is a thin
 adapter over the library; CSV output is RFC-4180 with 12 significant digits
 and is byte-stable for a fixed configuration and seed.  Exit codes: 0 on
-success, 1 on verification failure, 2 on configuration errors.  The
-environment variable MDISCORD_THREADS caps the sweep worker count.
+success, 1 on verification failure, 2 on bad input (configuration errors and
+inputs the library rejects).  The environment variable MDISCORD_THREADS caps
+the sweep worker count.  Run as ``mdiscord`` or ``python -m mdiscord.cli``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from . import entropy_flux as flux
 from . import oracle, states
+from .entropy_flux import _format_value
 from .discord import discord, result_to_json
 from .measure import params_from_json, tree_from_params
 from .optimizer import OptimizerConfig
@@ -32,12 +34,6 @@ VERIFY_COLUMNS = ("check", "samples", "max_violation", "tolerance", "pass")
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x: float) -> str:
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.12g}"
 
 
 def _csv_text(header, rows) -> str:
@@ -137,8 +133,8 @@ def _sweep_point(family: str, mu: float, optimizer_kwargs: dict) -> list[str]:
     state = states.build(states.StateSpec(family=family, mu=mu))
     result = discord(state, level=3, config=OptimizerConfig(**optimizer_kwargs))
     decomposition = result.decomposition
-    return [_fmt(mu), _fmt(result.value)] + [
-        _fmt(decomposition[key]) for key in SWEEP_COLUMNS[2:]
+    return [_format_value(mu), _format_value(result.value)] + [
+        _format_value(decomposition[key]) for key in SWEEP_COLUMNS[2:]
     ]
 
 
@@ -205,11 +201,13 @@ def cmd_flux(args) -> int:
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
     samples = _setting(args, config, "samples", 100)
+    if not isinstance(samples, int) or samples < 1:
+        raise ConfigError(f"samples must be a positive integer, got {samples!r}")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     reports = oracle.verification_suite(seed=seed, samples=samples)
     rows = [
-        [report.name, str(report.samples), _fmt(report.max_violation),
-         _fmt(report.tolerance), "1" if report.passed else "0"]
+        [report.name, str(report.samples), _format_value(report.max_violation),
+         _format_value(report.tolerance), "1" if report.passed else "0"]
         for report in reports
     ]
     _emit(_csv_text(VERIFY_COLUMNS, rows), _setting(args, config, "out"))
@@ -266,7 +264,14 @@ def main(argv=None) -> int:
     except ConfigError as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return 2
+    except ValueError as error:  # StructuralError and other rejected input
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 def run():  # console entry point
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

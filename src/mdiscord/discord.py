@@ -8,13 +8,15 @@ The discord of an N-party state for the measurement ordering A_1 -> A_2 ->
 which is non-negative for every tree and zero exactly on measured states.
 ``objective_*`` evaluate that quantity for a given tree through the readable
 :mod:`mdiscord.entropy_flux` path; :func:`discord` minimizes it with a
-dedicated batched evaluator that contracts branch states directly (the
-optimizer calls it millions of times on the larger grids).
+dedicated batched evaluator that contracts branch states directly and
+values a whole grid from per-branch terms (the grid scan values millions of
+points on the larger grids).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -29,14 +31,20 @@ from .measure import (
     params_to_json,
     tree_from_params,
 )
-from .optimizer import OptimizerConfig, optimize, simplex_refine
+from .optimizer import (
+    _GRID_CHUNK,
+    OptimizerConfig,
+    _angle_grids,
+    optimize,
+    simplex_refine,
+)
 from .qstate import (
-    ENTROPY_EIGENVALUE_CLAMP,
     QState,
     StructuralError,
     entropy,
     permute_subsystems,
     subsystem_entropy,
+    x_log2_x,
 )
 
 _POLISH_PASSES = 2
@@ -107,14 +115,9 @@ def objective_bipartite_two_meas(state: QState, tree: MeasurementTree) -> float:
     return flux.cond_entropy(rho2, (1,), (0,)) - flux.cond_entropy(state, (1,), (0,))
 
 
-def _x_log2_x(values: np.ndarray) -> np.ndarray:
-    keep = values > ENTROPY_EIGENVALUE_CLAMP
-    return np.where(keep, values * np.log2(np.where(keep, values, 1.0)), 0.0)
-
-
-def _avg_entropy_qubit(blocks: np.ndarray) -> np.ndarray:
-    """sum over branches of p * S(block / p) for unnormalized 2x2 blocks,
-    via closed-form eigenvalues."""
+def _branch_entropy_qubit(blocks: np.ndarray) -> np.ndarray:
+    """p * S(block / p) for every unnormalized 2x2 block, via closed-form
+    eigenvalues."""
     a = blocks[..., 0, 0].real
     d = blocks[..., 1, 1].real
     off = blocks[..., 0, 1]
@@ -123,24 +126,33 @@ def _avg_entropy_qubit(blocks: np.ndarray) -> np.ndarray:
     disc = np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))
     hi = (trace + disc) / 2.0
     lo = (trace - disc) / 2.0
-    per_branch = _x_log2_x(trace) - _x_log2_x(hi) - _x_log2_x(lo)
-    return per_branch.sum(axis=-1)
+    return x_log2_x(trace) - x_log2_x(hi) - x_log2_x(lo)
 
 
-def _avg_entropy_block(blocks: np.ndarray) -> np.ndarray:
-    """Same as :func:`_avg_entropy_qubit` for unnormalized blocks of any size."""
+def _branch_entropy_block(blocks: np.ndarray) -> np.ndarray:
+    """Same as :func:`_branch_entropy_qubit` for unnormalized blocks of any
+    size."""
     vals = np.linalg.eigvalsh(blocks)
     trace = vals.sum(axis=-1)
-    return (_x_log2_x(trace) - _x_log2_x(vals).sum(axis=-1)).sum(axis=-1)
+    return x_log2_x(trace) - x_log2_x(vals).sum(axis=-1)
 
 
-def _node_vectors(chunk: np.ndarray, depth: int) -> np.ndarray:
-    """Basis vectors (outcome x component) for every depth-``depth`` node,
-    batched over the parameter rows of ``chunk``."""
-    n_paths = 2 ** depth
-    idx = (n_paths - 1) + np.arange(n_paths)
-    theta = chunk[:, 2 * idx]
-    phi = chunk[:, 2 * idx + 1]
+def _branch_terms(branches: np.ndarray, last: bool) -> np.ndarray:
+    """Per-branch entropy terms (rows x branches) after one measurement step:
+    of the next qubit alone at an intermediate step, of the whole unmeasured
+    tail at the last one."""
+    half = branches.shape[-1]
+    if not last:
+        quarter = half // 2
+        six = branches.reshape(len(branches), -1, 2, quarter, 2, quarter)
+        return _branch_entropy_qubit(np.einsum("npacbc->npab", six))
+    if half == 2:
+        return _branch_entropy_qubit(branches)
+    return _branch_entropy_block(branches)
+
+
+def _basis_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Basis vectors (outcome x component) for arrays of node angles."""
     phase = np.exp(1j * phi)
     cos, sin = np.cos(theta), np.sin(theta)
     vectors = np.empty(theta.shape + (2, 2), dtype=complex)
@@ -149,6 +161,14 @@ def _node_vectors(chunk: np.ndarray, depth: int) -> np.ndarray:
     vectors[..., 1, 0] = sin
     vectors[..., 1, 1] = -phase * cos
     return vectors
+
+
+def _node_vectors(chunk: np.ndarray, depth: int) -> np.ndarray:
+    """Basis vectors (outcome x component) for every depth-``depth`` node,
+    batched over the parameter rows of ``chunk``."""
+    n_paths = 2 ** depth
+    idx = (n_paths - 1) + np.arange(n_paths)
+    return _basis_vectors(chunk[:, 2 * idx], chunk[:, 2 * idx + 1])
 
 
 _STEP_SUBSCRIPTS = "npjm,npmrls,npjl->npjrs"
@@ -220,17 +240,93 @@ class _MeasuredEntropyObjective:
         branches = np.broadcast_to(self.rho, (nb, 1) + self.rho.shape)
         for step in range(1, self.level):
             branches = _measure_step(branches, _node_vectors(chunk, step - 1))
-            half = branches.shape[-1]
-            if step < self.level - 1:
-                quarter = half // 2
-                six = branches.reshape(nb, -1, 2, quarter, 2, quarter)
-                marginals = np.einsum("npacbc->npab", six)
-                value += _avg_entropy_qubit(marginals)
-            elif half == 2:
-                value += _avg_entropy_qubit(branches)
-            else:
-                value += _avg_entropy_block(branches)
+            value += _branch_terms(branches, step == self.level - 1).sum(axis=-1)
         return value
+
+    def grid_values(self, points: int) -> np.ndarray:
+        """The integrand on :func:`grid_scan`'s full angle grid with
+        ``points`` values per angle, flat in its lexicographic order.
+
+        A branch depends only on the nodes along its path, so each node's
+        incoming branches are projected once per combination of ancestor
+        cells (theta, phi grid pairs), not once per grid point.  The
+        per-branch terms are then gathered back to every grid point and
+        summed exactly as :meth:`_chunk` sums them, so each value equals
+        the brute-force one bit for bit.
+        """
+        theta_grid, phi_grid = _angle_grids(1, points)
+        cells = points * points
+        cell_vectors = _basis_vectors(
+            np.repeat(theta_grid, points), np.tile(phi_grid, points)
+        )
+        # tables[s - 1][c_0, ..., c_{s-1}, b]: term of branch b after step s
+        # when its ancestor node at depth d sits in cell c_d.  Incoming rows
+        # meet every cell in blocks of about _EVAL_CHUNK projections, which
+        # bounds the temporaries as in evaluate_many.
+        tables = []
+        branches = np.broadcast_to(self.rho, (1, 1) + self.rho.shape)
+        block = max(1, _EVAL_CHUNK // cells)
+        for step in range(1, self.level):
+            last = step == self.level - 1
+            n_paths = branches.shape[1]
+            projected, terms = [], []
+            for first in range(0, len(branches), block):
+                part = branches[first:first + block]
+                count = len(part) * cells
+                incoming = np.broadcast_to(
+                    part[:, None], (len(part), cells) + part.shape[1:]
+                )
+                vectors = np.broadcast_to(
+                    cell_vectors[None, :, None], (len(part), cells, n_paths, 2, 2)
+                )
+                outcomes = _measure_step(
+                    incoming.reshape((count,) + part.shape[1:]),
+                    vectors.reshape(count, n_paths, 2, 2),
+                )
+                terms.append(_branch_terms(outcomes, last))
+                if not last:
+                    projected.append(outcomes)
+            if not last:
+                branches = np.concatenate(projected)
+            tables.append(
+                np.concatenate(terms).reshape((cells,) * step + (2 * n_paths,))
+            )
+
+        # Slabs fix the cells of the leading ``fixed_nodes`` nodes; the rest
+        # vary over the slab in lexicographic order.
+        n_nodes = self.n_nodes
+        fixed_nodes = next(
+            k for k in range(n_nodes + 1) if cells ** (n_nodes - k) <= _GRID_CHUNK
+        )
+        free_shape = (cells,) * (n_nodes - fixed_nodes)
+        slab = cells ** (n_nodes - fixed_nodes)
+        # Per step, per sibling pair q: the pair's fixed ancestors and the
+        # broadcast shape of its terms over the free nodes.
+        gathers = []
+        for step in range(1, self.level):
+            pairs = []
+            for q in range(2 ** (step - 1)):
+                ancestors = [2 ** d - 1 + (q >> (step - 1 - d)) for d in range(step)]
+                shape = tuple(
+                    cells if node in ancestors else 1
+                    for node in range(fixed_nodes, n_nodes)
+                )
+                fixed = [node for node in ancestors if node < fixed_nodes]
+                pairs.append((fixed, shape + (2,)))
+            gathers.append((pairs, np.empty(free_shape + (2 ** step,))))
+
+        values = np.empty(cells ** n_nodes)
+        prefixes = itertools.product(range(cells), repeat=fixed_nodes)
+        for start, prefix in zip(range(0, len(values), slab), prefixes):
+            out = values[start:start + slab]
+            out[:] = self.base
+            for table, (pairs, gathered) in zip(tables, gathers):
+                for q, (fixed, shape) in enumerate(pairs):
+                    index = tuple(prefix[node] for node in fixed)
+                    pair = slice(2 * q, 2 * q + 2)
+                    gathered[..., pair] = table[index + (..., pair)].reshape(shape)
+                out += gathered.reshape(slab, -1).sum(axis=-1)
+        return values
 
 
 class _TwoMeasurementObjective:
@@ -257,8 +353,8 @@ class _TwoMeasurementObjective:
         for step in (1, 2):
             branches = _measure_step(branches, _node_vectors(chunk, step - 1))
             probs.append(np.trace(branches, axis1=-2, axis2=-1).real)
-        shannon_joint = -_x_log2_x(probs[1]).sum(axis=-1)
-        shannon_first = -_x_log2_x(probs[0]).sum(axis=-1)
+        shannon_joint = -x_log2_x(probs[1]).sum(axis=-1)
+        shannon_first = -x_log2_x(probs[0]).sum(axis=-1)
         return shannon_joint - shannon_first + self.base
 
 

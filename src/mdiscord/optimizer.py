@@ -6,10 +6,13 @@ enumerated lexicographically, value ties keep enumeration order, and the
 simplex uses no randomness.
 
 Objectives map a flat angle vector (theta, phi alternating, node-major) to a
-scalar.  An objective exposing an ``evaluate_many(params_matrix)`` method is
-evaluated in batches during the grid scan, which is orders of magnitude
-faster for the larger grids, and for the simplex points that do not depend
-on one another (initial and rebuilt simplices, shrinks, probes).
+scalar.  An objective exposing a ``grid_values(points)`` method supplies the
+whole grid value array itself (the discord integrand factors over outcome
+branches, so it need not evaluate each point from scratch).  Otherwise an
+objective exposing an ``evaluate_many(params_matrix)`` method is evaluated
+in batches during the grid scan, which is orders of magnitude faster for the
+larger grids.  ``evaluate_many`` also takes the simplex points that do not
+depend on one another (initial and rebuilt simplices, shrinks, probes).
 """
 
 from __future__ import annotations
@@ -118,7 +121,11 @@ def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResul
     theta points include both endpoints of [0, pi/2]; phi points exclude
     2 pi.  The first parameter varies slowest, so flat index order is
     lexicographic parameter order, and the stable sort below therefore breaks
-    value ties lexicographically.
+    value ties lexicographically.  An objective with a
+    ``grid_values(points)`` method returns the whole flat value array in that
+    order; any other objective is evaluated chunk by chunk, through
+    ``evaluate_many`` when it has one.  Either way every grid point is
+    valued, so ``evaluations`` is the grid size.
     """
     grids = tuple(_angle_grids(n_nodes, config.grid_points_per_angle))
     total = int(np.prod([len(g) for g in grids], dtype=np.int64))
@@ -126,15 +133,23 @@ def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResul
         raise ValueError(
             f"grid of {total} points is too large; lower grid_points_per_angle"
         )
-    values = np.empty(total)
-    batch = getattr(objective, "evaluate_many", None)
-    for start in range(0, total, _GRID_CHUNK):
-        stop = min(start + _GRID_CHUNK, total)
-        chunk = _decode(np.arange(start, stop), grids)
-        if batch is not None:
-            values[start:stop] = batch(chunk)
-        else:
-            values[start:stop] = [objective(row) for row in chunk]
+    whole_grid = getattr(objective, "grid_values", None)
+    if whole_grid is not None:
+        values = whole_grid(config.grid_points_per_angle)
+        if values.shape != (total,):
+            raise ValueError(
+                f"objective grid has shape {values.shape}, expected ({total},)"
+            )
+    else:
+        values = np.empty(total)
+        batch = getattr(objective, "evaluate_many", None)
+        for start in range(0, total, _GRID_CHUNK):
+            stop = min(start + _GRID_CHUNK, total)
+            chunk = _decode(np.arange(start, stop), grids)
+            if batch is not None:
+                values[start:stop] = batch(chunk)
+            else:
+                values[start:stop] = [objective(row) for row in chunk]
     order = np.argsort(values, kind="stable")
     return GridScanResult(
         values=values[order],

@@ -216,10 +216,11 @@ def eig_hermitian(state: QState, return_vectors: bool = False):
     return sorted_vals
 
 
-def _sum_x_log2_x(values: np.ndarray) -> float:
-    clipped = np.where(values > ENTROPY_EIGENVALUE_CLAMP, values, 1.0)
-    return float(np.sum(np.where(values > ENTROPY_EIGENVALUE_CLAMP,
-                                 values * np.log2(clipped), 0.0)))
+def x_log2_x(values: np.ndarray) -> np.ndarray:
+    """Elementwise x log2 x, with entries at or below
+    ``ENTROPY_EIGENVALUE_CLAMP`` contributing exactly 0."""
+    keep = values > ENTROPY_EIGENVALUE_CLAMP
+    return np.where(keep, values * np.log2(np.where(keep, values, 1.0)), 0.0)
 
 
 def entropy(state: QState) -> float:
@@ -228,7 +229,7 @@ def entropy(state: QState) -> float:
     Eigenvalues below ``ENTROPY_EIGENVALUE_CLAMP`` are treated as exact zeros.
     """
     vals = np.linalg.eigvalsh(state.matrix)
-    return -_sum_x_log2_x(vals)
+    return -float(np.sum(x_log2_x(vals)))
 
 
 def subsystem_entropy(state: QState, subset: SubsetSpec | Iterable[int]) -> float:

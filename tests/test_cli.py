@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from numpy.testing import assert_allclose
 
 from mdiscord import OptimizerConfig, discord, random_state
@@ -191,3 +196,28 @@ class TestParserErrors:
         }))
         code, _ = run(capsys, ["sweep", "--config", str(config)])
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["discord", "--family", "werner_ghz", "--mu", "0.5", "--level", "7"],
+    ["discord", "--family", "werner_ghz", "--mu", "0.5", "--order", "0,0"],
+    ["discord", "--family", "werner_ghz", "--mu", "0.5", "--grid-points", "40"],
+    ["verify", "--samples", "0"],
+])
+def test_rejected_input_exits_two_with_one_line(capsys, argv):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_module_entry_point(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "mdiscord.cli", "verify", "--samples", "1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "check,samples,max_violation,tolerance,pass"

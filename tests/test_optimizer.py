@@ -14,7 +14,7 @@ from mdiscord import (
     simplex_refine,
 )
 from mdiscord.discord import _MeasuredEntropyObjective
-from mdiscord.optimizer import fold_angles
+from mdiscord.optimizer import _angle_grids, _decode, fold_angles
 from mdiscord.measure import projector_pair_from_angles
 
 from conftest import random_qubits, random_tree
@@ -102,6 +102,22 @@ class TestGridScan:
         assert_allclose(best[1], 0.0)
         worst = scan.params_at(len(scan) - 1)
         assert worst[1] < 2 * np.pi  # 2 pi itself is never on the grid
+
+    @pytest.mark.parametrize("dims, level, points", [
+        ((2, 2), 2, 6),
+        ((2, 2, 2), 3, 6),
+        ((2, 2, 2), 3, 10),
+        ((2, 2, 2, 2), 3, 6),   # 2-qubit unmeasured tail: eigvalsh block path
+        ((2, 2, 3), 3, 6),      # qutrit tail
+        ((2, 2, 2, 2), 4, 2),   # 16,384 points
+    ])
+    def test_factored_grid_equals_brute_force(self, dims, level, points):
+        objective = _MeasuredEntropyObjective(random_state(dims, 3, 17), level)
+        grids = _angle_grids(objective.n_nodes, points)
+        rows = _decode(np.arange(points ** (2 * objective.n_nodes)), grids)
+        assert np.array_equal(
+            objective.grid_values(points), objective.evaluate_many(rows)
+        )
 
 
 class TestSimplexRefine:
