@@ -145,6 +145,8 @@ def cmd_sweep(args) -> int:
     if family not in states.MU_FAMILIES:
         raise ConfigError(f"sweep needs a mu-parameterized family, got {family!r}")
     points = args.points if args.points is not None else sweep_block.get("points", 21)
+    if isinstance(points, bool) or not isinstance(points, int):
+        raise ConfigError(f"sweep points must be an integer, got {points!r}")
     start = float(sweep_block.get("start", 0.0))
     stop = float(sweep_block.get("stop", 1.0))
     if not (0.0 <= start <= stop <= 1.0) or points < 2:
@@ -201,7 +203,7 @@ def cmd_flux(args) -> int:
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
     samples = _setting(args, config, "samples", 100)
-    if not isinstance(samples, int) or samples < 1:
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ConfigError(f"samples must be a positive integer, got {samples!r}")
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     reports = oracle.verification_suite(seed=seed, samples=samples)

@@ -8,7 +8,9 @@ stage suffixes m1 and m2.
 
 Every "delta" is computed two independent ways, as a difference of mutual
 informations across a measurement and as a combination of unminimized
-discords; :func:`flux_report` cross-checks the two routes on every call.
+discords; :func:`flux_report` cross-checks the two routes on every call.  It
+measures each stage once: both routes read the same once- and twice-measured
+states and depth-1 branches.
 """
 
 from __future__ import annotations
@@ -90,6 +92,12 @@ def cond_entropy_measured(
     if target is not None:
         target = as_subset(target, state.n_subsystems)
     _, branches = apply_tree(state, tree, depth)
+    return _branch_average(branches, target)
+
+
+def _branch_average(branches, target) -> float:
+    """Probability-weighted entropy of the branch states (restricted to
+    ``target`` unless it is None); branches below PROB_EPS contribute zero."""
     total = 0.0
     for branch in branches:
         if branch.probability < PROB_EPS or branch.post_state is None:
@@ -99,6 +107,12 @@ def cond_entropy_measured(
         else:
             total += branch.probability * subsystem_entropy(branch.post_state, target)
     return total
+
+
+def _d_first(state: QState, branches, rest) -> float:
+    """d_unminimized of the measured subsystem 0 against ``rest``, from the
+    depth-1 branches the tree already produced."""
+    return _branch_average(branches, rest) - cond_entropy(state, rest, (0,))
 
 
 def mutual_info(
@@ -259,7 +273,8 @@ def _check(label: str, first: float, second: float):
 
 
 def _tripartite_reports(state, tree) -> tuple[FluxReport, ...]:
-    rho1, rho2 = _measured_states(state, tree)
+    rho1, branches = apply_tree(state, tree, 1)
+    rho2, _ = apply_tree(state, tree, 2)
 
     def ledger(rho):
         entries = {
@@ -272,12 +287,15 @@ def _tripartite_reports(state, tree) -> tuple[FluxReport, ...]:
 
     pre, m1, m2 = ledger(state), ledger(rho1), ledger(rho2)
 
-    d_a_b = d_unminimized(state, tree, (0,), (1,))
-    d_a_c = d_unminimized(state, tree, (0,), (2,))
-    d_a_bc = d_unminimized(state, tree, (0,), (1, 2))
-    delta_ab_c, delta_ac_b = delta_cond_discord(state, tree)
-    delta_abc = delta_monogamy(state, tree)
-    delta_bc_pia = delta_post_discord(state, tree)
+    d_a_b = _d_first(state, branches, (1,))
+    d_a_c = _d_first(state, branches, (2,))
+    d_a_bc = _d_first(state, branches, (1, 2))
+    # The mutual information route: the same differences delta_cond_discord,
+    # delta_monogamy and delta_post_discord take, read off the ledgers.
+    delta_ab_c = pre["I_AB_C"] - m1["I_AB_C"]
+    delta_ac_b = pre["I_AC_B"] - m1["I_AC_B"]
+    delta_abc = pre["I_ABC"] - m1["I_ABC"]
+    delta_bc_pia = m1["I_BC_A"] - m2["I_BC_A"]
     delta_bpiac = m1["I_ABC"] - m2["I_ABC"]
     ds_pia = subsystem_entropy(rho1, (0,)) - subsystem_entropy(state, (0,))
     ds_b_pia = cond_entropy(rho2, (1,), (0,)) - cond_entropy(rho1, (1,), (0,))
@@ -319,7 +337,7 @@ def _tripartite_reports(state, tree) -> tuple[FluxReport, ...]:
 
 
 def _bipartite_reports(state, tree) -> tuple[FluxReport, ...]:
-    rho1, _ = apply_tree(state, tree, 1)
+    rho1, branches = apply_tree(state, tree, 1)
 
     def ledger(rho):
         return {
@@ -329,7 +347,7 @@ def _bipartite_reports(state, tree) -> tuple[FluxReport, ...]:
         }
 
     pre, m1 = ledger(state), ledger(rho1)
-    d_a_b = d_unminimized(state, tree, (0,), (1,))
+    d_a_b = _d_first(state, branches, (1,))
     ds_pia = subsystem_entropy(rho1, (0,)) - subsystem_entropy(state, (0,))
     ds_pia_b = m1["S_A_B"] - pre["S_A_B"]
     _check("dS_PiA_B", ds_pia_b, d_a_b + ds_pia)

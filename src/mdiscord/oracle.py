@@ -21,6 +21,7 @@ from .qstate import QState, random_state
 _CLAMP = 1e-12
 _ZERO_PROB = 1e-12
 IDENTITY_TOL = 1e-9
+_QUBITS = (2, 2, 2)  # the random samples of the verification checks
 
 
 def _reduce_matrix(matrix: np.ndarray, dims, keep) -> np.ndarray:
@@ -62,13 +63,46 @@ def _basis_vectors(theta: float, phi: float):
     )
 
 
-def _project(matrix: np.ndarray, dims, position: int, vector: np.ndarray) -> np.ndarray:
-    factors = [
-        np.outer(vector, vector.conj()) if pos == position else np.eye(d)
-        for pos, d in enumerate(dims)
-    ]
+def _sandwich(matrix: np.ndarray, dims, position: int, projector: np.ndarray) -> np.ndarray:
+    """Pi rho Pi with ``projector`` at ``position`` and identities elsewhere."""
+    factors = [projector if pos == position else np.eye(d)
+               for pos, d in enumerate(dims)]
     proj = reduce(np.kron, factors)
     return proj @ matrix @ proj
+
+
+def _branch_walk(matrix: np.ndarray, dims, tree: MeasurementTree, depth: int):
+    """Unnormalized branches of the first ``depth`` tree levels: entry k-1
+    lists the depth-k branches in outcome-path order."""
+    levels = []
+    branches = [((), matrix)]
+    for position in tree.measured[:depth]:
+        branches = [
+            (path + (outcome,), _sandwich(sigma, dims, position, projector))
+            for path, sigma in branches
+            for outcome, projector in enumerate(tree.basis_at(path).projectors)
+        ]
+        levels.append([sigma for _, sigma in branches])
+    return levels
+
+
+def _s(matrix: np.ndarray, keep) -> float:
+    """Entropy of a three-qubit matrix reduced to ``keep``."""
+    return _entropy_bits(_reduce_matrix(matrix, _QUBITS, keep))
+
+
+def _cmi(matrix: np.ndarray, a, b, given) -> float:
+    return (
+        _s(matrix, sorted(a + given)) + _s(matrix, sorted(b + given))
+        - _s(matrix, sorted(a + b + given)) - _s(matrix, given)
+    )
+
+
+def _tri(matrix: np.ndarray) -> float:
+    return (
+        _s(matrix, [0]) + _s(matrix, [2]) - _s(matrix, [0, 2])
+        - _cmi(matrix, [0], [2], [1])
+    )
 
 
 def reference_objective(state: QState, tree: MeasurementTree, level: int | None = None) -> float:
@@ -79,31 +113,17 @@ def reference_objective(state: QState, tree: MeasurementTree, level: int | None 
     """
     n = state.n_subsystems
     level = n if level is None else int(level)
-    measured = tree.measured[: level - 1]
     dims = state.dims
     value = -(_entropy_bits(state.matrix) - _entropy_bits(_reduce_matrix(state.matrix, dims, [0])))
-    branches = [((), np.asarray(state.matrix))]
-    for depth, position in enumerate(measured, start=1):
-        new_branches = []
-        for path, sigma in branches:
-            basis = tree.basis_at(path)
-            for outcome in range(basis.dim):
-                proj_factors = [
-                    basis.projectors[outcome] if pos == position else np.eye(d)
-                    for pos, d in enumerate(dims)
-                ]
-                proj = reduce(np.kron, proj_factors)
-                new_branches.append((path + (outcome,), proj @ sigma @ proj))
-        branches = new_branches
-        for _, sigma in branches:
+    levels = _branch_walk(np.asarray(state.matrix), dims, tree, level - 1)
+    for depth, branches in enumerate(levels, start=1):
+        for sigma in branches:
             if depth < level - 1:
                 value += _weighted_entropy(
                     _reduce_matrix(sigma, dims, [depth])
                 )
             else:
                 value += _weighted_entropy(sigma)
-        if depth == level - 1:
-            break
     return value
 
 
@@ -134,7 +154,8 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
             for phi in phis:
                 contribution = 0.0
                 for vector in _basis_vectors(theta, phi):
-                    branch = _project(sigma, dims, position, vector)
+                    branch = _sandwich(sigma, dims, position,
+                                       np.outer(vector, vector.conj()))
                     if depth < level - 1:
                         contribution += _weighted_entropy(
                             _reduce_matrix(branch, dims, [depth])
@@ -179,95 +200,58 @@ def _random_tree(rng, depth: int) -> tuple[MeasurementTree, MeasParams]:
 def _sample_identities(rng, sample_index: int) -> dict[str, float]:
     """Max identity violations for one random 3-qubit state and tree, with
     every side computed from raw definitions."""
-    dims = (2, 2, 2)
     rank = 1 + sample_index % 8
-    state = random_state(dims, rank, int(rng.integers(0, 2 ** 31)))
+    state = random_state(_QUBITS, rank, int(rng.integers(0, 2 ** 31)))
     tree, _ = _random_tree(rng, 2)
     rho = np.asarray(state.matrix)
-
-    def project_with(matrix, position, projector):
-        factors = [projector if pos == position else np.eye(d)
-                   for pos, d in enumerate(dims)]
-        proj = reduce(np.kron, factors)
-        return proj @ matrix @ proj
-
-    def branches_at(matrix, depth):
-        out = [((), matrix)]
-        for level in range(depth):
-            position = tree.measured[level]
-            nxt = []
-            for path, sigma in out:
-                basis = tree.basis_at(path)
-                for outcome in range(basis.dim):
-                    nxt.append(
-                        (path + (outcome,),
-                         project_with(sigma, position, basis.projectors[outcome]))
-                    )
-            out = nxt
-        return [sigma for _, sigma in out]
-
-    def s(matrix, keep):
-        return _entropy_bits(_reduce_matrix(matrix, dims, keep))
-
-    def cmi(matrix, a, b, given):
-        return (
-            s(matrix, sorted(a + given)) + s(matrix, sorted(b + given))
-            - s(matrix, sorted(a + b + given)) - s(matrix, given)
-        )
-
-    def tri(matrix):
-        return (
-            s(matrix, [0]) + s(matrix, [2]) - s(matrix, [0, 2])
-            - cmi(matrix, [0], [2], [1])
-        )
-
-    rho1 = sum(branches_at(rho, 1))
-    rho2 = sum(branches_at(rho, 2))
+    branches1, branches2 = _branch_walk(rho, _QUBITS, tree, 2)
+    rho1, rho2 = sum(branches1), sum(branches2)
 
     # average branch entropies
-    s_rest_m1 = sum(_weighted_entropy(b) for b in branches_at(rho, 1))
-    s_b_m1 = sum(_weighted_entropy(_reduce_matrix(b, dims, [1]))
-                 for b in branches_at(rho, 1))
-    s_c_m2 = sum(_weighted_entropy(b) for b in branches_at(rho, 2))
-    s_b_m1_of_rho2 = sum(_weighted_entropy(_reduce_matrix(b, dims, [1]))
-                         for b in branches_at(rho2, 1))
+    s_rest_m1 = sum(_weighted_entropy(b) for b in branches1)
+    s_b_m1 = sum(_weighted_entropy(_reduce_matrix(b, _QUBITS, [1]))
+                 for b in branches1)
+    s_c_m2 = sum(_weighted_entropy(b) for b in branches2)
+    (rho2_branches1,) = _branch_walk(rho2, _QUBITS, tree, 1)
+    s_b_m1_of_rho2 = sum(_weighted_entropy(_reduce_matrix(b, _QUBITS, [1]))
+                         for b in rho2_branches1)
 
     violations = {}
     # Measured conditional entropy equals the conditional entropy of the
     # measured state.
     violations["measured_state_conditional_entropy"] = abs(
-        s_rest_m1 - (_entropy_bits(rho1) - s(rho1, [0]))
+        s_rest_m1 - (_entropy_bits(rho1) - _s(rho1, [0]))
     )
     # Entropy decomposition of the twice-measured state.
     violations["second_measurement_entropy_decomposition"] = abs(
-        _entropy_bits(rho2) - s(rho2, [0]) - s_b_m1_of_rho2 - s_c_m2
+        _entropy_bits(rho2) - _s(rho2, [0]) - s_b_m1_of_rho2 - s_c_m2
     )
     # The unminimized A;BC discord splits into the two conditional discords
     # plus the monogamy term.
-    d_a_bc = s_rest_m1 - (_entropy_bits(rho) - s(rho, [0]))
-    delta_ab_c = cmi(rho, [0], [1], [2]) - cmi(rho1, [0], [1], [2])
-    delta_ac_b = cmi(rho, [0], [2], [1]) - cmi(rho1, [0], [2], [1])
-    delta_abc = tri(rho) - tri(rho1)
+    d_a_bc = s_rest_m1 - (_entropy_bits(rho) - _s(rho, [0]))
+    delta_ab_c = _cmi(rho, [0], [1], [2]) - _cmi(rho1, [0], [1], [2])
+    delta_ac_b = _cmi(rho, [0], [2], [1]) - _cmi(rho1, [0], [2], [1])
+    delta_abc = _tri(rho) - _tri(rho1)
     violations["conditional_discord_decomposition"] = abs(
         d_a_bc - (delta_ab_c + delta_ac_b + delta_abc)
     )
     # The discord integrand equals the sum of all four delta terms.
     objective = (
-        -(_entropy_bits(rho) - s(rho, [0])) + s_b_m1 + s_c_m2
+        -(_entropy_bits(rho) - _s(rho, [0])) + s_b_m1 + s_c_m2
     )
-    delta_bc_pia = cmi(rho1, [1], [2], [0]) - cmi(rho2, [1], [2], [0])
+    delta_bc_pia = _cmi(rho1, [1], [2], [0]) - _cmi(rho2, [1], [2], [0])
     violations["discord_delta_decomposition"] = abs(
         objective - (delta_ab_c + delta_ac_b + delta_bc_pia + delta_abc)
     )
     # The post-measurement conditional discord as a conditional entropy
     # change of subsystem C.
     violations["post_discord_conditional_entropy_form"] = abs(
-        delta_bc_pia - ((_entropy_bits(rho2) - s(rho2, [0, 1]))
-                        - (_entropy_bits(rho1) - s(rho1, [0, 1])))
+        delta_bc_pia - ((_entropy_bits(rho2) - _s(rho2, [0, 1]))
+                        - (_entropy_bits(rho1) - _s(rho1, [0, 1])))
     )
     # Bookkeeping identities worth pinning while we are here.
     violations["probability_normalization"] = abs(
-        sum(float(b.trace().real) for b in branches_at(rho, 2)) - 1.0
+        sum(float(b.trace().real) for b in branches2) - 1.0
     )
     return violations
 
@@ -298,31 +282,21 @@ def identity_suite(seed: int = 0, samples: int = 100) -> tuple[VerifyReport, ...
 
 
 def _nonnegativity_checks(rng, samples: int) -> list[VerifyReport]:
-    dims = (2, 2, 2)
     worst_objective = 0.0
     worst_delta = 0.0
     worst_product_monogamy = 0.0
     for index in range(samples):
-        state = random_state(dims, 1 + index % 8, int(rng.integers(0, 2 ** 31)))
+        state = random_state(_QUBITS, 1 + index % 8, int(rng.integers(0, 2 ** 31)))
         tree, _ = _random_tree(rng, 2)
         rho = np.asarray(state.matrix)
-        rho1 = _measure_once(rho, dims, tree)
-        rho2 = _measure_twice(rho, dims, tree)
-
-        def s(matrix, keep):
-            return _entropy_bits(_reduce_matrix(matrix, dims, keep))
-
-        def cmi(matrix, a, b, given):
-            return (
-                s(matrix, sorted(a + given)) + s(matrix, sorted(b + given))
-                - s(matrix, sorted(a + b + given)) - s(matrix, given)
-            )
+        branches1, branches2 = _branch_walk(rho, _QUBITS, tree, 2)
+        rho1, rho2 = sum(branches1), sum(branches2)
 
         worst_objective = max(worst_objective, -reference_objective(state, tree))
         deltas = (
-            cmi(rho, [0], [1], [2]) - cmi(rho1, [0], [1], [2]),
-            cmi(rho, [0], [2], [1]) - cmi(rho1, [0], [2], [1]),
-            cmi(rho1, [1], [2], [0]) - cmi(rho2, [1], [2], [0]),
+            _cmi(rho, [0], [1], [2]) - _cmi(rho1, [0], [1], [2]),
+            _cmi(rho, [0], [2], [1]) - _cmi(rho1, [0], [2], [1]),
+            _cmi(rho1, [1], [2], [0]) - _cmi(rho2, [1], [2], [0]),
         )
         worst_delta = max(worst_delta, -min(deltas))
 
@@ -331,12 +305,10 @@ def _nonnegativity_checks(rng, samples: int) -> list[VerifyReport]:
         pair = random_state((2, 2), 1 + index % 4, int(rng.integers(0, 2 ** 31)))
         third = random_state((2,), 1 + index % 2, int(rng.integers(0, 2 ** 31)))
         product = np.kron(pair.matrix, third.matrix)
-        product1 = _measure_once(product, dims, tree)
-        tri_rho = (s(product, [0]) + s(product, [2]) - s(product, [0, 2])
-                   - cmi(product, [0], [2], [1]))
-        tri_rho1 = (s(product1, [0]) + s(product1, [2]) - s(product1, [0, 2])
-                    - cmi(product1, [0], [2], [1]))
-        worst_product_monogamy = max(worst_product_monogamy, abs(tri_rho - tri_rho1))
+        (product_branches,) = _branch_walk(product, _QUBITS, tree, 1)
+        worst_product_monogamy = max(
+            worst_product_monogamy, abs(_tri(product) - _tri(sum(product_branches)))
+        )
 
     return [
         VerifyReport("objective_non_negativity", samples, worst_objective,
@@ -348,40 +320,12 @@ def _nonnegativity_checks(rng, samples: int) -> list[VerifyReport]:
     ]
 
 
-def _measure_once(matrix, dims, tree):
-    total = np.zeros_like(matrix)
-    basis = tree.root
-    for projector in basis.projectors:
-        factors = [projector if pos == tree.measured[0] else np.eye(d)
-                   for pos, d in enumerate(dims)]
-        proj = reduce(np.kron, factors)
-        total = total + proj @ matrix @ proj
-    return total
-
-
-def _measure_twice(matrix, dims, tree):
-    total = np.zeros_like(matrix)
-    for j, projector in enumerate(tree.root.projectors):
-        factors = [projector if pos == tree.measured[0] else np.eye(d)
-                   for pos, d in enumerate(dims)]
-        proj = reduce(np.kron, factors)
-        branch = proj @ matrix @ proj
-        child = tree.basis_at((j,))
-        for child_projector in child.projectors:
-            child_factors = [child_projector if pos == tree.measured[1] else np.eye(d)
-                             for pos, d in enumerate(dims)]
-            child_proj = reduce(np.kron, child_factors)
-            total = total + child_proj @ branch @ child_proj
-    return total
-
-
 def _invariance_check(rng, samples: int) -> VerifyReport:
     from .measure import optimal_tree_for_measured_state
 
-    dims = (2, 2, 2)
     worst = 0.0
     for index in range(samples):
-        state = random_state(dims, 1 + index % 8, int(rng.integers(0, 2 ** 31)))
+        state = random_state(_QUBITS, 1 + index % 8, int(rng.integers(0, 2 ** 31)))
         depth = 1 + index % 2
         tree, _ = _random_tree(rng, 2)
         measured_state, _ = apply_tree(state, tree, depth)
@@ -394,10 +338,9 @@ def _invariance_check(rng, samples: int) -> VerifyReport:
 def _cross_implementation_check(rng, samples: int) -> VerifyReport:
     from .discord import _MeasuredEntropyObjective
 
-    dims = (2, 2, 2)
     worst = 0.0
     for index in range(samples):
-        state = random_state(dims, 1 + index % 8, int(rng.integers(0, 2 ** 31)))
+        state = random_state(_QUBITS, 1 + index % 8, int(rng.integers(0, 2 ** 31)))
         tree, params = _random_tree(rng, 2)
         fast = _MeasuredEntropyObjective(state, 3)(params.to_flat())
         worst = max(worst, abs(fast - reference_objective(state, tree)))

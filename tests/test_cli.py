@@ -203,9 +203,17 @@ class TestParserErrors:
     ["discord", "--family", "werner_ghz", "--mu", "0.5", "--order", "0,0"],
     ["discord", "--family", "werner_ghz", "--mu", "0.5", "--grid-points", "40"],
     ["verify", "--samples", "0"],
+    ["sweep", "--config", {"family": "werner_ghz", "sweep": {"points": 3.0}}],
+    ["sweep", "--config", {"family": "werner_ghz", "sweep": {"points": "3"}}],
+    ["verify", "--config", {"samples": True}],
 ])
-def test_rejected_input_exits_two_with_one_line(capsys, argv):
-    code = cli.main(argv)
+def test_rejected_input_exits_two_with_one_line(capsys, tmp_path, argv):
+    # a dict stands for a JSON config file holding it
+    config = tmp_path / "run.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    code = cli.main([str(config) if isinstance(arg, dict) else arg for arg in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1

@@ -22,6 +22,7 @@ from mdiscord import (
     tree_from_params,
     tripartite_mutual_info,
 )
+import mdiscord.entropy_flux as entropy_flux
 from mdiscord.entropy_flux import (
     DELTA_KEYS_TRIPARTITE,
     LEDGER_KEYS_TRIPARTITE,
@@ -342,6 +343,19 @@ class TestFluxReport:
         # route and raises on disagreement
         state = random_qubits(5000 + seed, 3, 1 + seed % 8)
         flux_report(state, random_tree(1600 + seed, 2))
+
+    @pytest.mark.parametrize("n_qubits, depths", [(3, [1, 2]), (2, [1])])
+    def test_measures_each_stage_once(self, monkeypatch, n_qubits, depths):
+        measured = []
+        real_apply_tree = entropy_flux.apply_tree
+
+        def counting(state, tree, depth):
+            measured.append(depth)
+            return real_apply_tree(state, tree, depth)
+
+        monkeypatch.setattr(entropy_flux, "apply_tree", counting)
+        flux_report(random_qubits(31, n_qubits, 3), random_tree(1800, n_qubits - 1))
+        assert measured == depths
 
     def test_deltas_match_ledger_differences(self, ghz):
         tree = random_tree(1700, 2)

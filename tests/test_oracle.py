@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mdiscord import (
     MeasParams,
+    oracle,
     apply_tree,
     dense_grid_min,
     identity_suite,
@@ -109,3 +113,30 @@ class TestVerificationSuite:
                 "cross_implementation_objective"} < set(names)
         for report in reports:
             assert report.passed, report
+
+
+def _imported_names(node):
+    """Every dotted-name part a node's import statements mention."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            modules = [alias.name for alias in sub.names]
+        elif isinstance(sub, ast.ImportFrom):
+            modules = [sub.module or ""]
+            modules += [f"{sub.module or ''}.{alias.name}" for alias in sub.names]
+        else:
+            continue
+        for module in modules:
+            yield from module.split(".")
+
+
+def test_oracle_stays_independent_of_the_production_path():
+    # the raw-definition path never reaches entropy_flux, and reaches the
+    # batched evaluator only where it is compared against it
+    module = ast.parse(Path(oracle.__file__).read_text())
+    for node in module.body:
+        names = set(_imported_names(node))
+        assert "entropy_flux" not in names
+        if getattr(node, "name", None) == "_cross_implementation_check":
+            assert "discord" in names
+        else:
+            assert "discord" not in names, getattr(node, "name", ast.dump(node))
