@@ -36,6 +36,13 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line, like any other bad input."""
+
+    def error(self, message):
+        raise ConfigError(f"{message} (see {self.prog} --help)")
+
+
 def _csv_text(header, rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -56,9 +63,21 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as error:
         raise ConfigError(f"cannot read config {path}: {error}") from error
+    return _expect(config, dict, f"config {path}")
+
+
+_NOUNS = {dict: "a JSON object", int: "an integer", (int, float): "a number"}
+
+
+def _expect(value, kinds, name: str):
+    """``value`` if it is of ``kinds``, a key of ``_NOUNS`` (a JSON bool is
+    never a number), else a ConfigError naming the input."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {_NOUNS[kinds]}, got {value!r}")
+    return value
 
 
 def _setting(args, config: dict, name: str, default=None):
@@ -69,12 +88,11 @@ def _setting(args, config: dict, name: str, default=None):
 
 
 def _optimizer_config(args, config: dict) -> OptimizerConfig:
-    block = dict(config.get("optimizer", {}))
+    block = dict(_expect(config.get("optimizer", {}), dict, "optimizer block"))
     for flag, key in (
         ("grid_points", "grid_points_per_angle"),
         ("refine_starts", "refine_starts"),
         ("simplex_iters", "simplex_max_iters"),
-        ("seed", "seed"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -86,7 +104,7 @@ def _optimizer_config(args, config: dict) -> OptimizerConfig:
 
 
 def _resolve_state(args, config: dict):
-    state_block = config.get("state", {})
+    state_block = _expect(config.get("state", {}), dict, "state block")
     family = _setting(args, state_block, "family")
     state_path = _setting(args, state_block, "state")
     if (family is None) == (state_path is None):
@@ -97,6 +115,8 @@ def _resolve_state(args, config: dict):
         except (OSError, ValueError, KeyError) as error:
             raise ConfigError(f"cannot load state {state_path}: {error}") from error
     mu = _setting(args, state_block, "mu")
+    if mu is not None:
+        _expect(mu, (int, float), "mu")
     try:
         spec = states.StateSpec(family=family, mu=mu)
         return states.build(spec)
@@ -140,15 +160,14 @@ def _sweep_point(family: str, mu: float, optimizer_kwargs: dict) -> list[str]:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    sweep_block = config.get("sweep", {})
+    sweep_block = _expect(config.get("sweep", {}), dict, "sweep block")
     family = _setting(args, config, "family")
     if family not in states.MU_FAMILIES:
         raise ConfigError(f"sweep needs a mu-parameterized family, got {family!r}")
     points = args.points if args.points is not None else sweep_block.get("points", 21)
-    if isinstance(points, bool) or not isinstance(points, int):
-        raise ConfigError(f"sweep points must be an integer, got {points!r}")
-    start = float(sweep_block.get("start", 0.0))
-    stop = float(sweep_block.get("stop", 1.0))
+    _expect(points, int, "sweep points")
+    start = float(_expect(sweep_block.get("start", 0.0), (int, float), "sweep start"))
+    stop = float(_expect(sweep_block.get("stop", 1.0), (int, float), "sweep stop"))
     if not (0.0 <= start <= stop <= 1.0) or points < 2:
         raise ConfigError("sweep grid must satisfy 0 <= start <= stop <= 1, points >= 2")
     mus = [start + (stop - start) * i / (points - 1) for i in range(points)]
@@ -205,7 +224,7 @@ def cmd_verify(args) -> int:
     samples = _setting(args, config, "samples", 100)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
         raise ConfigError(f"samples must be a positive integer, got {samples!r}")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _expect(_setting(args, config, "seed", 0), int, "seed")
     reports = oracle.verification_suite(seed=seed, samples=samples)
     rows = [
         [report.name, str(report.samples), _format_value(report.max_violation),
@@ -217,7 +236,7 @@ def cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mdiscord",
         description="Multipartite quantum discord: values, sweeps, flux, checks.",
     )
@@ -234,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-points", type=int, dest="grid_points")
         p.add_argument("--refine-starts", type=int, dest="refine_starts")
         p.add_argument("--simplex-iters", type=int, dest="simplex_iters")
-        p.add_argument("--seed", type=int)
 
     p_discord = sub.add_parser("discord", help="optimized discord of one state")
     add_common(p_discord)
@@ -254,6 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     add_common(p_verify, with_state=False)
     p_verify.add_argument("--samples", type=int, help="random samples per check")
+    p_verify.add_argument("--seed", type=int, help="seed of the random samples")
     p_verify.set_defaults(handler=cmd_verify)
     return parser
 

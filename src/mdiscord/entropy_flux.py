@@ -57,10 +57,6 @@ class FluxReport:
     deltas: dict[str, float]
 
 
-def _complement(n: int, subset: SubsetSpec) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if i not in subset.indices)
-
-
 def cond_entropy(
     state: QState,
     target: SubsetSpec | Iterable[int],

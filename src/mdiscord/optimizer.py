@@ -1,9 +1,9 @@
 """Derivative-free minimization over measurement angles.
 
-A coarse Cartesian grid scan ranks starting points, then downhill-simplex
-refinement polishes the best few.  Everything is deterministic: grids are
-enumerated lexicographically, value ties keep enumeration order, and the
-simplex uses no randomness.
+A coarse Cartesian grid scan keeps its ``refine_starts`` best points, then
+downhill-simplex refinement polishes each of them.  Everything is
+deterministic: grids are enumerated lexicographically, value ties among the
+kept points keep enumeration order, and the simplex uses no randomness.
 
 Objectives map a flat angle vector (theta, phi alternating, node-major) to a
 scalar.  An objective exposing a ``grid_values(points)`` method supplies the
@@ -36,7 +36,6 @@ class OptimizerConfig:
     refine_starts: int = 4
     simplex_max_iters: int = 400
     simplex_tol: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_points_per_angle < 2:
@@ -82,25 +81,11 @@ def _angle_grids(n_nodes: int, points: int):
 
 @dataclass(frozen=True)
 class GridScanResult:
-    """Grid candidates ranked ascending by objective value.
+    """The best grid points, ascending by objective value."""
 
-    Parameter vectors are decoded lazily from grid indices so that large
-    grids only ever hold one float per point.
-    """
-
-    values: np.ndarray          # sorted ascending
-    ranked_indices: np.ndarray  # flat grid index per rank
-    grids: tuple[np.ndarray, ...]
-    evaluations: int
-
-    def __len__(self):
-        return len(self.values)
-
-    def params_at(self, rank: int) -> np.ndarray:
-        return _decode(np.array([self.ranked_indices[rank]]), self.grids)[0]
-
-    def __getitem__(self, rank: int):
-        return float(self.values[rank]), self.params_at(rank)
+    values: np.ndarray   # the kept points' values, ascending
+    params: np.ndarray   # one flat angle vector per kept point
+    evaluations: int     # grid points valued: the whole grid
 
 
 def _decode(flat_indices: np.ndarray, grids) -> np.ndarray:
@@ -116,16 +101,18 @@ def _decode(flat_indices: np.ndarray, grids) -> np.ndarray:
 
 
 def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResult:
-    """Evaluate the objective on the full Cartesian angle grid.
+    """Evaluate the objective on the full Cartesian angle grid and keep the
+    ``refine_starts`` best points.
 
     theta points include both endpoints of [0, pi/2]; phi points exclude
     2 pi.  The first parameter varies slowest, so flat index order is
-    lexicographic parameter order, and the stable sort below therefore breaks
-    value ties lexicographically.  An objective with a
-    ``grid_values(points)`` method returns the whole flat value array in that
-    order; any other objective is evaluated chunk by chunk, through
-    ``evaluate_many`` when it has one.  Either way every grid point is
-    valued, so ``evaluations`` is the grid size.
+    lexicographic parameter order.  The kept points are the first ones of a
+    stable sort of the whole grid (value ties in that order), but only they
+    are ranked.  An objective with a ``grid_values(points)`` method returns
+    the whole flat value array in grid order; any other objective is
+    evaluated chunk by chunk, through ``evaluate_many`` when it has one.
+    Either way every grid point is valued, so ``evaluations`` is the grid
+    size.
     """
     grids = tuple(_angle_grids(n_nodes, config.grid_points_per_angle))
     total = int(np.prod([len(g) for g in grids], dtype=np.int64))
@@ -150,12 +137,14 @@ def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResul
                 values[start:stop] = batch(chunk)
             else:
                 values[start:stop] = [objective(row) for row in chunk]
-    order = np.argsort(values, kind="stable")
+    k = min(config.refine_starts, total)
+    cut = np.partition(values, k - 1)[k - 1]
+    # every point not above the k-th smallest value (NaNs sort last, as in
+    # a full sort), in grid order, so the stable sort of these few keeps ties
+    near = np.flatnonzero(~(values > cut))
+    best = near[np.argsort(values[near], kind="stable")[:k]]
     return GridScanResult(
-        values=values[order],
-        ranked_indices=order,
-        grids=grids,
-        evaluations=total,
+        values=values[best], params=_decode(best, grids), evaluations=total
     )
 
 
@@ -289,8 +278,8 @@ def optimize(objective, n_nodes: int, config: OptimizerConfig | None = None) -> 
     scan = grid_scan(objective, n_nodes, config)
     evaluations = scan.evaluations
     best: OptimizerOutcome | None = None
-    for rank in range(min(config.refine_starts, len(scan))):
-        outcome = simplex_refine(objective, scan.params_at(rank), config)
+    for start in scan.params:
+        outcome = simplex_refine(objective, start, config)
         evaluations += outcome.evaluations
         if best is None or outcome.best_value < best.best_value:
             best = outcome

@@ -3,9 +3,10 @@ grid minimization, invariance residuals, and the algebraic identity suite.
 
 Everything here recomputes entropic quantities from first principles on
 plain arrays (textbook projector sandwiches, reshape-and-trace partial
-traces, eigenvalue sums) and never touches :mod:`mdiscord.entropy_flux` or
-the batched evaluator in :mod:`mdiscord.discord`.  Agreement between this
-module and the production path is itself one of the checks.
+traces, eigenvalue sums) and never touches :mod:`mdiscord.entropy_flux`.
+It computes nothing with the batched evaluator in :mod:`mdiscord.discord`:
+only ``_cross_implementation_check`` imports it, to compare the two paths,
+and that agreement is itself one of the checks.
 """
 
 from __future__ import annotations

@@ -206,14 +206,28 @@ class TestParserErrors:
     ["sweep", "--config", {"family": "werner_ghz", "sweep": {"points": 3.0}}],
     ["sweep", "--config", {"family": "werner_ghz", "sweep": {"points": "3"}}],
     ["verify", "--config", {"samples": True}],
+    ["discord", "--config", [1, 2]],
+    ["flux", "--config", [1, 2]],
+    ["verify", "--config", [1, 2]],
+    ["sweep", "--config", {"family": "werner_ghz", "sweep": {"start": None, "points": 2}}],
+    ["sweep", "--config", {"family": "werner_ghz", "sweep": {"stop": True, "points": 2}}],
+    ["verify", "--config", {"seed": "x", "samples": 1}],
+    ["verify", "--config", {"seed": True, "samples": 1}],
+    ["discord", "--config", {"state": {"family": "werner_ghz", "mu": "0.5"}}],
+    ["discord", "--config", {"state": {"family": "werner_ghz", "mu": True}}],
+    ["discord", "--family", "werner_ghz", "--mu", "0.5", "--seed", "1"],
+    ["discord", "--family", "ghz", "--config", {"optimizer": [1, 2]}],
+    ["flux", "--config", {"state": "ghz"}],
+    ["sweep", "--config", {"family": "werner_ghz", "sweep": [1]}],
 ])
 def test_rejected_input_exits_two_with_one_line(capsys, tmp_path, argv):
-    # a dict stands for a JSON config file holding it
+    # a dict or a list stands for a JSON config file holding it
     config = tmp_path / "run.json"
-    for arg in argv:
-        if isinstance(arg, dict):
+    is_file = [isinstance(arg, (dict, list)) for arg in argv]
+    for arg, file in zip(argv, is_file):
+        if file:
             config.write_text(json.dumps(arg))
-    code = cli.main([str(config) if isinstance(arg, dict) else arg for arg in argv])
+    code = cli.main([str(config) if file else arg for arg, file in zip(argv, is_file)])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1

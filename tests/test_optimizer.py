@@ -16,6 +16,7 @@ from mdiscord import (
 from mdiscord.discord import _MeasuredEntropyObjective
 from mdiscord.optimizer import _angle_grids, _decode, fold_angles
 from mdiscord.measure import projector_pair_from_angles
+from mdiscord.states import werner_ghz
 
 from conftest import random_qubits, random_tree
 
@@ -28,6 +29,13 @@ class CountingObjective:
     def __call__(self, x):
         self.calls += 1
         return self.fn(np.asarray(x))
+
+
+class ConstantBatch:
+    n_nodes = 1
+
+    def evaluate_many(self, rows):
+        return np.ones(len(rows))
 
 
 class TestConfig:
@@ -43,6 +51,11 @@ class TestConfig:
             OptimizerConfig(grid_points_per_angle=1)
         with pytest.raises(ValueError):
             OptimizerConfig(refine_starts=0)
+
+    def test_no_seed(self):
+        # the optimizer is deterministic; a seed would change nothing
+        with pytest.raises(TypeError):
+            OptimizerConfig(seed=0)
 
 
 class TestFoldAngles:
@@ -79,15 +92,13 @@ class TestGridScan:
         objective = _MeasuredEntropyObjective(state, 3)
         scan = grid_scan(objective, 3, OptimizerConfig())
         assert scan.evaluations == 6 ** 6 == 46656
-        assert len(scan) == 46656
+        assert len(scan.values) == 4
 
     def test_constant_objective_tie_break(self):
         objective = CountingObjective(lambda x: 1.0)
         scan = grid_scan(objective, 1, OptimizerConfig())
-        assert_allclose(scan.params_at(0), [0.0, 0.0])
-        value, params = scan[0]
-        assert value == 1.0
-        assert_allclose(params, [0.0, 0.0])
+        assert_allclose(scan.params[0], [0.0, 0.0])
+        assert scan.values[0] == 1.0
 
     def test_sorted_ascending(self):
         objective = CountingObjective(lambda x: float(np.sum((x - 0.7) ** 2)))
@@ -96,12 +107,34 @@ class TestGridScan:
 
     def test_theta_endpoints_and_phi_open_interval(self):
         objective = CountingObjective(lambda x: -x[0] + x[1] / 100)
-        scan = grid_scan(objective, 1, OptimizerConfig(grid_points_per_angle=4))
-        best = scan.params_at(0)
+        # 16 starts keep the whole 4 x 4 grid, down to its worst point
+        config = OptimizerConfig(grid_points_per_angle=4, refine_starts=16)
+        scan = grid_scan(objective, 1, config)
+        best = scan.params[0]
         assert_allclose(best[0], np.pi / 2)  # theta hits the upper endpoint
         assert_allclose(best[1], 0.0)
-        worst = scan.params_at(len(scan) - 1)
+        worst = scan.params[-1]
         assert worst[1] < 2 * np.pi  # 2 pi itself is never on the grid
+
+    @pytest.mark.parametrize("objective, points", [
+        (ConstantBatch(), 6),   # every point ties
+        (_MeasuredEntropyObjective(werner_ghz(0.7), 3), 6),
+        (_MeasuredEntropyObjective(werner_ghz(0.7), 3), 10),
+        (_MeasuredEntropyObjective(random_state((2, 2, 2), 5, 29), 3), 6),
+    ], ids=["constant", "werner_ghz-6", "werner_ghz-10", "random-6"])
+    def test_starts_equal_stable_sort_of_brute_force(self, objective, points):
+        grids = _angle_grids(objective.n_nodes, points)
+        total = points ** (2 * objective.n_nodes)
+        values = objective.evaluate_many(_decode(np.arange(total), grids))
+        ranked = np.argsort(values, kind="stable")
+        for starts in (1, 4, 7, total + 1):
+            config = OptimizerConfig(grid_points_per_angle=points,
+                                     refine_starts=starts)
+            scan = grid_scan(objective, objective.n_nodes, config)
+            first = ranked[:starts]
+            assert scan.evaluations == total
+            assert np.array_equal(scan.values, values[first])
+            assert np.array_equal(scan.params, _decode(first, grids))
 
     @pytest.mark.parametrize("dims, level, points", [
         ((2, 2), 2, 6),
