@@ -3,10 +3,11 @@ verification suite.
 
 Subcommands: discord, sweep, flux, verify.  Every numeric path is a thin
 adapter over the library; CSV output is RFC-4180 with 12 significant digits
-and is byte-stable for a fixed configuration and seed.  Exit codes: 0 on
-success, 1 on verification failure, 2 on bad input (configuration errors and
-inputs the library rejects).  The environment variable MDISCORD_THREADS caps
-the sweep worker count.  Run as ``mdiscord`` or ``python -m mdiscord.cli``.
+and is byte-stable for a fixed configuration and seed.  Every setting is
+read through ``SETTINGS``: a config file value, then the flag laid over it.
+Exit codes: 0 on success, 1 on verification failure, 2 on bad input
+(configuration errors and inputs the library rejects).  Run as ``mdiscord``
+or ``python -m mdiscord.cli``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import entropy_flux as flux
@@ -26,10 +25,12 @@ from .entropy_flux import _format_value
 from .discord import discord, result_to_json
 from .measure import params_from_json, tree_from_params
 from .optimizer import OptimizerConfig
+from .qstate import _is_json_number, permute_subsystems
 from .qstate import from_json as qstate_from_json
 
 SWEEP_COLUMNS = ("mu", "D", "Delta_AB_C", "Delta_AC_B", "Delta_BC_PiA", "Delta_ABC")
 VERIFY_COLUMNS = ("check", "samples", "max_violation", "tolerance", "pass")
+_OPTIMIZED = ("discord", "sweep", "flux")  # the subcommands that run the optimizer
 
 
 class ConfigError(ValueError):
@@ -41,6 +42,99 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(f"{message} (see {self.prog} --help)")
+
+
+def _parse_order(text: str) -> tuple[int, ...] | None:
+    try:  # an empty --order leaves the config file's order in force
+        return tuple(int(part) for part in text.split(",") if part != "") or None
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(f"bad order {text!r}: {error}") from error
+
+
+# JSON type: (noun, check of a config file value, parser of a flag value).
+_TYPES = {
+    "integer": ("an integer", lambda v: _is_json_number(v, int), int),
+    "number": ("a number", _is_json_number, float),
+    "string": ("a string", lambda v: isinstance(v, str), str),
+    "integer list": ("a list of integers", lambda v: isinstance(v, list)
+                     and all(_is_json_number(i, int) for i in v), _parse_order),
+}
+
+# Every setting: config key (``block.key`` inside the state, sweep and
+# optimizer blocks) -> (JSON type, default, subcommands that take it, flag,
+# flag help).  An optimizer key left unset takes its OptimizerConfig default.
+SETTINGS = {
+    "out": ("string", None, _OPTIMIZED + ("verify",), "--out",
+            "output file (default: stdout)"),
+    "level": ("integer", None, ("discord",), "--level",
+              "number of parties (default: all)"),
+    "order": ("integer list", None, ("discord", "flux"), "--order",
+              "measurement order, e.g. 0,1,2"),
+    "params": ("string", None, ("flux",), "--params", "measurement angles JSON file"),
+    "samples": ("integer", 100, ("verify",), "--samples", "random samples per check"),
+    "seed": ("integer", 0, ("verify",), "--seed", "seed of the random samples"),
+    "state.family": ("string", None, _OPTIMIZED, "--family", "catalog state family"),
+    "state.mu": ("number", None, ("discord", "flux"), "--mu",
+                 "mixing parameter in [0, 1]"),
+    "state.state": ("string", None, ("discord", "flux"), "--state",
+                    "explicit state JSON file"),
+    "sweep.points": ("integer", 21, ("sweep",), "--points", "number of mu grid points"),
+    "sweep.start": ("number", 0.0, ("sweep",), None, None),
+    "sweep.stop": ("number", 1.0, ("sweep",), None, None),
+    "optimizer.grid_points_per_angle": ("integer", None, _OPTIMIZED, "--grid-points",
+                                        None),
+    "optimizer.refine_starts": ("integer", None, _OPTIMIZED, "--refine-starts", None),
+    "optimizer.simplex_max_iters": ("integer", None, _OPTIMIZED, "--simplex-iters", None),
+    "optimizer.simplex_tol": ("number", None, _OPTIMIZED, None, None),
+}
+_BLOCKS = ("state", "sweep", "optimizer")
+
+
+def _load(path: str, what: str, parse):
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as error:
+        raise ConfigError(f"cannot load {what} {path}: {error}") from error
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _settings(args) -> dict:
+    """The subcommand's settings: its config file, every key checked against
+    ``SETTINGS`` for the subcommand and the type, with the flags laid over it."""
+    config = {}
+    if args.config is not None:
+        config = _load(args.config, "config", json.loads)
+        _object(config, f"config {args.config}")
+    found = {}
+    for key, value in config.items():
+        if key in _BLOCKS:
+            for inner, inner_value in _object(value, f"{key} block").items():
+                found[f"{key}.{inner}"] = inner_value
+        elif "." in key:
+            raise ConfigError(f"{args.command} takes no config key {key!r}; "
+                              "a block's keys go inside the block")
+        else:
+            found[key] = value
+    settings = {key: row[1] for key, row in SETTINGS.items() if args.command in row[2]}
+    for key, value in found.items():
+        if key not in settings:
+            near = [k for k in settings if k.split(".")[-1] == key.split(".")[-1]]
+            hint = f" (did you mean {near[0]}?)" if near else ""
+            raise ConfigError(f"{args.command} takes no config key {key!r}{hint}")
+        noun, check, _ = _TYPES[SETTINGS[key][0]]
+        if not check(value):
+            raise ConfigError(f"config key {key} must be {noun}, got {value!r}")
+        settings[key] = value
+    for key in settings:
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            settings[key] = flag_value
+    return settings
 
 
 def _csv_text(header, rows) -> str:
@@ -59,180 +153,101 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        config = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise ConfigError(f"cannot read config {path}: {error}") from error
-    return _expect(config, dict, f"config {path}")
-
-
-_NOUNS = {dict: "a JSON object", int: "an integer", (int, float): "a number"}
-
-
-def _expect(value, kinds, name: str):
-    """``value`` if it is of ``kinds``, a key of ``_NOUNS`` (a JSON bool is
-    never a number), else a ConfigError naming the input."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{name} must be {_NOUNS[kinds]}, got {value!r}")
-    return value
-
-
-def _setting(args, config: dict, name: str, default=None):
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return config.get(name, default)
-
-
-def _optimizer_config(args, config: dict) -> OptimizerConfig:
-    block = dict(_expect(config.get("optimizer", {}), dict, "optimizer block"))
-    for flag, key in (
-        ("grid_points", "grid_points_per_angle"),
-        ("refine_starts", "refine_starts"),
-        ("simplex_iters", "simplex_max_iters"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            block[key] = value
+def _optimizer_config(settings: dict) -> OptimizerConfig:
+    block = {key.split(".")[1]: value for key, value in settings.items()
+             if key.startswith("optimizer.") and value is not None}
     try:
         return OptimizerConfig(**block)
-    except (TypeError, ValueError) as error:
+    except ValueError as error:
         raise ConfigError(f"bad optimizer settings: {error}") from error
 
 
-def _resolve_state(args, config: dict):
-    state_block = _expect(config.get("state", {}), dict, "state block")
-    family = _setting(args, state_block, "family")
-    state_path = _setting(args, state_block, "state")
+def _resolve_state(settings: dict):
+    family, state_path = settings["state.family"], settings["state.state"]
     if (family is None) == (state_path is None):
         raise ConfigError("choose exactly one of --family or --state")
     if state_path is not None:
-        try:
-            return qstate_from_json(Path(state_path).read_text())
-        except (OSError, ValueError, KeyError) as error:
-            raise ConfigError(f"cannot load state {state_path}: {error}") from error
-    mu = _setting(args, state_block, "mu")
-    if mu is not None:
-        _expect(mu, (int, float), "mu")
+        return _load(state_path, "state", qstate_from_json)
     try:
-        spec = states.StateSpec(family=family, mu=mu)
-        return states.build(spec)
+        return states.build(states.StateSpec(family=family, mu=settings["state.mu"]))
     except ValueError as error:
         raise ConfigError(str(error)) from error
 
 
-def _parse_order(text):
-    if text is None:
-        return None
-    try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError as error:
-        raise ConfigError(f"bad --order {text!r}: {error}") from error
-
-
-def cmd_discord(args) -> int:
-    config = _load_config(args.config)
-    state = _resolve_state(args, config)
-    order = _parse_order(args.order) or config.get("order")
-    level = _setting(args, config, "level")
+def cmd_discord(settings: dict) -> int:
     result = discord(
-        state,
-        measured_order=order,
-        level=level,
-        config=_optimizer_config(args, config),
+        _resolve_state(settings),
+        measured_order=settings["order"],
+        level=settings["level"],
+        config=_optimizer_config(settings),
     )
-    text = result_to_json(result) + "\n"
-    _emit(text, _setting(args, config, "out"))
+    _emit(result_to_json(result) + "\n", settings["out"])
     return 0
 
 
-def _sweep_point(family: str, mu: float, optimizer_kwargs: dict) -> list[str]:
+def _sweep_point(family: str, mu: float, config: OptimizerConfig) -> list[str]:
     state = states.build(states.StateSpec(family=family, mu=mu))
-    result = discord(state, level=3, config=OptimizerConfig(**optimizer_kwargs))
+    result = discord(state, level=3, config=config)
     decomposition = result.decomposition
     return [_format_value(mu), _format_value(result.value)] + [
         _format_value(decomposition[key]) for key in SWEEP_COLUMNS[2:]
     ]
 
 
-def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    sweep_block = _expect(config.get("sweep", {}), dict, "sweep block")
-    family = _setting(args, config, "family")
+def cmd_sweep(settings: dict) -> int:
+    family = settings["state.family"]
     if family not in states.MU_FAMILIES:
         raise ConfigError(f"sweep needs a mu-parameterized family, got {family!r}")
-    points = args.points if args.points is not None else sweep_block.get("points", 21)
-    _expect(points, int, "sweep points")
-    start = float(_expect(sweep_block.get("start", 0.0), (int, float), "sweep start"))
-    stop = float(_expect(sweep_block.get("stop", 1.0), (int, float), "sweep stop"))
+    points = settings["sweep.points"]
+    start, stop = settings["sweep.start"], settings["sweep.stop"]
     if not (0.0 <= start <= stop <= 1.0) or points < 2:
         raise ConfigError("sweep grid must satisfy 0 <= start <= stop <= 1, points >= 2")
     mus = [start + (stop - start) * i / (points - 1) for i in range(points)]
-    optimizer_kwargs = _optimizer_config(args, config).__dict__
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(_sweep_point, [family] * len(mus), mus,
-                         [optimizer_kwargs] * len(mus))
-            )
-    else:
-        rows = [_sweep_point(family, mu, optimizer_kwargs) for mu in mus]
-    _emit(_csv_text(SWEEP_COLUMNS, rows), _setting(args, config, "out"))
+    config = _optimizer_config(settings)
+    rows = [_sweep_point(family, mu, config) for mu in mus]
+    _emit(_csv_text(SWEEP_COLUMNS, rows), settings["out"])
     return 0
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MDISCORD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def cmd_flux(args) -> int:
-    config = _load_config(args.config)
-    state = _resolve_state(args, config)
-    order = _parse_order(args.order) or config.get("order")
+def cmd_flux(settings: dict) -> int:
+    state = _resolve_state(settings)
+    order = settings["order"]
     if order:
-        from .qstate import permute_subsystems
-
         full = list(order) + [i for i in range(state.n_subsystems) if i not in order]
         state = permute_subsystems(state, full)
-    params_path = _setting(args, config, "params")
-    if params_path is not None:
-        try:
-            params = params_from_json(Path(params_path).read_text())
-        except (OSError, ValueError, KeyError) as error:
-            raise ConfigError(f"cannot load params {params_path}: {error}") from error
+    if settings["params"] is not None:
+        params = _load(settings["params"], "params", params_from_json)
     else:
         level = 3 if state.n_subsystems == 3 else 2
         params = discord(state, level=level,
-                         config=_optimizer_config(args, config)).optimal_params
+                         config=_optimizer_config(settings)).optimal_params
     measured = tuple(range(params.tree_depth))
     tree = tree_from_params(state.dims, measured, params)
     header, row = flux.flux_csv(flux.flux_report(state, tree))
-    _emit(_csv_text(header, [row]), _setting(args, config, "out"))
+    _emit(_csv_text(header, [row]), settings["out"])
     return 0
 
 
-def cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    samples = _setting(args, config, "samples", 100)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+def cmd_verify(settings: dict) -> int:
+    samples = settings["samples"]
+    if samples < 1:
         raise ConfigError(f"samples must be a positive integer, got {samples!r}")
-    seed = _expect(_setting(args, config, "seed", 0), int, "seed")
-    reports = oracle.verification_suite(seed=seed, samples=samples)
+    reports = oracle.verification_suite(seed=settings["seed"], samples=samples)
     rows = [
         [report.name, str(report.samples), _format_value(report.max_violation),
          _format_value(report.tolerance), "1" if report.passed else "0"]
         for report in reports
     ]
-    _emit(_csv_text(VERIFY_COLUMNS, rows), _setting(args, config, "out"))
+    _emit(_csv_text(VERIFY_COLUMNS, rows), settings["out"])
     return 0 if all(report.passed for report in reports) else 1
+
+
+_COMMANDS = {
+    "discord": (cmd_discord, "optimized discord of one state"),
+    "sweep": (cmd_sweep, "discord and decomposition over a mu grid"),
+    "flux": (cmd_flux, "entropy flux ledger for one state"),
+    "verify": (cmd_verify, "run the verification suite"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,39 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multipartite quantum discord: values, sweeps, flux, checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_state=True):
+    for command, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON run configuration file")
-        p.add_argument("--out", help="output file (default: stdout)")
-        if with_state:
-            p.add_argument("--family", help="catalog state family")
-            p.add_argument("--mu", type=float, help="mixing parameter in [0, 1]")
-            p.add_argument("--state", help="explicit state JSON file")
-            p.add_argument("--order", help="measurement order, e.g. 0,1,2")
-        p.add_argument("--grid-points", type=int, dest="grid_points")
-        p.add_argument("--refine-starts", type=int, dest="refine_starts")
-        p.add_argument("--simplex-iters", type=int, dest="simplex_iters")
-
-    p_discord = sub.add_parser("discord", help="optimized discord of one state")
-    add_common(p_discord)
-    p_discord.add_argument("--level", type=int, help="number of parties (default: all)")
-    p_discord.set_defaults(handler=cmd_discord)
-
-    p_sweep = sub.add_parser("sweep", help="discord and decomposition over a mu grid")
-    add_common(p_sweep)
-    p_sweep.add_argument("--points", type=int, help="number of mu grid points")
-    p_sweep.set_defaults(handler=cmd_sweep)
-
-    p_flux = sub.add_parser("flux", help="entropy flux ledger for one state")
-    add_common(p_flux)
-    p_flux.add_argument("--params", help="measurement angles JSON file")
-    p_flux.set_defaults(handler=cmd_flux)
-
-    p_verify = sub.add_parser("verify", help="run the verification suite")
-    add_common(p_verify, with_state=False)
-    p_verify.add_argument("--samples", type=int, help="random samples per check")
-    p_verify.add_argument("--seed", type=int, help="seed of the random samples")
-    p_verify.set_defaults(handler=cmd_verify)
+        for key, (kind, _, commands, flag, help_text) in SETTINGS.items():
+            if flag is not None and command in commands:
+                p.add_argument(flag, dest=key, type=_TYPES[kind][2], help=help_text)
     return parser
 
 
@@ -281,7 +269,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return _COMMANDS[args.command][0](_settings(args))
     except ConfigError as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from .qstate import (
     QState,
     StructuralError,
     SubsetSpec,
+    _is_json_number,
     as_subset,
     eig_hermitian,
     permute_subsystems,
@@ -173,14 +174,26 @@ def params_to_json(params: MeasParams) -> str:
 
 
 def params_from_json(text: str) -> MeasParams:
+    """Parse the JSON schema produced by :func:`params_to_json`."""
     payload = json.loads(text)
-    by_path = {tuple(node["path"]): (node["theta"], node["phi"])
-               for node in payload["nodes"]}
+    nodes = payload.get("nodes") if isinstance(payload, dict) else None
+    if not (isinstance(nodes, list) and all(map(_is_json_node, nodes))):
+        raise StructuralError(
+            'params JSON must be {"nodes": [{"path": [...], "theta": t, "phi": p}, ...]}'
+        )
+    by_path = {tuple(node["path"]): (node["theta"], node["phi"]) for node in nodes}
     depth = int(np.log2(len(by_path) + 1))
     paths = bfs_paths(depth)
     if set(paths) != set(by_path):
         raise StructuralError("node paths do not form a complete binary tree")
     return MeasParams(tuple(by_path[p] for p in paths))
+
+
+def _is_json_node(node) -> bool:
+    """A node object: a path of 0/1 outcomes and two numeric angles."""
+    return (isinstance(node, dict) and isinstance(node.get("path"), list)
+            and all(_is_json_number(bit, int) and bit in (0, 1) for bit in node["path"])
+            and all(_is_json_number(node.get(angle)) for angle in ("theta", "phi")))
 
 
 def projector_pair_from_angles(theta: float, phi: float) -> ProjectorBasis:

@@ -266,11 +266,27 @@ def from_json(text: str) -> QState:
     """Parse the JSON schema produced by :func:`to_json`; the loaded state
     must pass :func:`validate`."""
     payload = json.loads(text)
-    matrix = np.array(
-        [[complex(re, im) for re, im in row] for row in payload["matrix"]]
-    )
-    state = QState(tuple(payload["dims"]), matrix)
+    if not isinstance(payload, dict) or not {"dims", "matrix"} <= payload.keys():
+        raise StructuralError("state JSON must be an object with 'dims' and 'matrix'")
+    dims, rows = payload["dims"], payload["matrix"]
+    if not (isinstance(dims, list) and all(_is_json_number(d, int) for d in dims)):
+        raise StructuralError(f"dims must be a list of integers, got {dims!r}")
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+            and all(_is_json_pair(z) for row in rows for z in row)):
+        raise StructuralError("matrix must be a list of rows of [re, im] number pairs")
+    matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
+    state = QState(tuple(dims), matrix)
     report = validate(state)
     if not report.ok:
         raise ValueError(f"loaded state fails validation: {report}")
     return state
+
+
+def _is_json_number(value, kinds=(int, float)) -> bool:
+    """A JSON number of Python type ``kinds`` (a JSON bool is not a number)."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_json_pair(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(map(_is_json_number, value)))

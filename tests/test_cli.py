@@ -105,7 +105,7 @@ class TestSweepCommand:
     def test_config_grid(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
-            "family": "werner_ghz",
+            "state": {"family": "werner_ghz"},
             "sweep": {"start": 0.5, "stop": 1.0, "points": 2},
             "optimizer": {"grid_points_per_angle": 4, "refine_starts": 2},
         }))
@@ -192,46 +192,105 @@ class TestParserErrors:
     def test_bad_sweep_grid(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
-            "family": "werner_ghz", "sweep": {"start": 0.9, "stop": 0.1},
+            "state": {"family": "werner_ghz"}, "sweep": {"start": 0.9, "stop": 0.1},
         }))
         code, _ = run(capsys, ["sweep", "--config", str(config)])
         assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["discord", "--family", "werner_ghz", "--mu", "0.5", "--level", "7"],
-    ["discord", "--family", "werner_ghz", "--mu", "0.5", "--order", "0,0"],
-    ["discord", "--family", "werner_ghz", "--mu", "0.5", "--grid-points", "40"],
-    ["verify", "--samples", "0"],
-    ["sweep", "--config", {"family": "werner_ghz", "sweep": {"points": 3.0}}],
-    ["sweep", "--config", {"family": "werner_ghz", "sweep": {"points": "3"}}],
-    ["verify", "--config", {"samples": True}],
-    ["discord", "--config", [1, 2]],
-    ["flux", "--config", [1, 2]],
-    ["verify", "--config", [1, 2]],
-    ["sweep", "--config", {"family": "werner_ghz", "sweep": {"start": None, "points": 2}}],
-    ["sweep", "--config", {"family": "werner_ghz", "sweep": {"stop": True, "points": 2}}],
-    ["verify", "--config", {"seed": "x", "samples": 1}],
-    ["verify", "--config", {"seed": True, "samples": 1}],
-    ["discord", "--config", {"state": {"family": "werner_ghz", "mu": "0.5"}}],
-    ["discord", "--config", {"state": {"family": "werner_ghz", "mu": True}}],
-    ["discord", "--family", "werner_ghz", "--mu", "0.5", "--seed", "1"],
-    ["discord", "--family", "ghz", "--config", {"optimizer": [1, 2]}],
-    ["flux", "--config", {"state": "ghz"}],
-    ["sweep", "--config", {"family": "werner_ghz", "sweep": [1]}],
-])
-def test_rejected_input_exits_two_with_one_line(capsys, tmp_path, argv):
-    # a dict or a list stands for a JSON config file holding it
-    config = tmp_path / "run.json"
+WERNER_GHZ = {"family": "werner_ghz"}
+
+# (argv, a fragment of the error line that shows which check fired); a dict
+# or a list in argv stands for a JSON file holding it
+REJECTED = [
+    (["discord", "--family", "werner_ghz", "--mu", "0.5", "--level", "7"],
+     "level must lie"),
+    (["discord", "--family", "werner_ghz", "--mu", "0.5", "--order", "0,0"],
+     "measurement order"),
+    (["discord", "--family", "werner_ghz", "--mu", "0.5", "--grid-points", "40"],
+     "too large"),
+    (["verify", "--samples", "0"], "samples must be a positive integer"),
+    (["sweep", "--config", {"state": WERNER_GHZ, "sweep": {"points": 3.0}}],
+     "sweep.points must be an integer"),
+    (["sweep", "--config", {"state": WERNER_GHZ, "sweep": {"points": "3"}}],
+     "sweep.points must be an integer"),
+    (["verify", "--config", {"samples": True}], "samples must be an integer"),
+    (["discord", "--config", [1, 2]], ".json must be a JSON object"),
+    (["flux", "--config", [1, 2]], ".json must be a JSON object"),
+    (["verify", "--config", [1, 2]], ".json must be a JSON object"),
+    (["sweep", "--config", {"state": WERNER_GHZ, "sweep": {"start": None, "points": 2}}],
+     "sweep.start must be a number"),
+    (["sweep", "--config", {"state": WERNER_GHZ, "sweep": {"stop": True, "points": 2}}],
+     "sweep.stop must be a number"),
+    (["verify", "--config", {"seed": "x", "samples": 1}], "seed must be an integer"),
+    (["verify", "--config", {"seed": True, "samples": 1}], "seed must be an integer"),
+    (["discord", "--config", {"state": {"family": "werner_ghz", "mu": "0.5"}}],
+     "state.mu must be a number"),
+    (["discord", "--config", {"state": {"family": "werner_ghz", "mu": True}}],
+     "state.mu must be a number"),
+    (["discord", "--family", "werner_ghz", "--mu", "0.5", "--seed", "1"],
+     "unrecognized arguments: --seed"),
+    (["discord", "--family", "ghz", "--config", {"optimizer": [1, 2]}],
+     "optimizer block must be a JSON object"),
+    (["flux", "--config", {"state": "ghz"}], "state block must be a JSON object"),
+    (["sweep", "--config", {"state": WERNER_GHZ, "sweep": [1]}],
+     "sweep block must be a JSON object"),
+    (["discord", "--family", "ghz", "--config", {"order": 5}],
+     "order must be a list of integers"),
+    (["flux", "--family", "ghz", "--config", {"order": 5}],
+     "order must be a list of integers"),
+    (["discord", "--family", "ghz", "--config", {"order": "01"}],
+     "order must be a list of integers"),
+    (["flux", "--family", "ghz", "--config", {"order": "01"}],
+     "order must be a list of integers"),
+    (["discord", "--family", "ghz", "--config", {"level": "2"}],
+     "level must be an integer"),
+    (["verify", "--samples", "1", "--config", {"out": 5}], "out must be a string"),
+    (["discord", "--config", {"state": {"state": 5}}], "state.state must be a string"),
+    (["flux", "--family", "ghz", "--config", {"params": 5}], "params must be a string"),
+    (["discord", "--family", "ghz", "--config",
+      {"optimizer": {"grid_points_per_angle": 3.5}}],
+     "grid_points_per_angle must be an integer"),
+    (["discord", "--family", "ghz", "--config",
+      {"optimizer": {"simplex_max_iters": "5"}}],
+     "simplex_max_iters must be an integer"),
+    (["discord", "--family", "ghz", "--config", {"optimizer": {"simplex_tol": "x"}}],
+     "simplex_tol must be a number"),
+    (["discord", "--family", "ghz", "--config", {"levle": 2}], "no config key 'levle'"),
+    (["discord", "--config", {"state": {"family": "ghz", "muu": 0.1}}],
+     "no config key 'state.muu'"),
+    (["sweep", "--config", {"family": "werner_ghz"}], "did you mean state.family"),
+    (["discord", "--config", {"family": "ghz"}], "did you mean state.family"),
+    (["flux", "--config", {"family": "ghz"}], "did you mean state.family"),
+    (["discord", "--family", "ghz", "--config", {"optimizer.refine_starts": 2}],
+     "go inside the block"),
+    (["verify", "--samples", "1", "--grid-points", "3"],
+     "unrecognized arguments: --grid-points"),
+    (["flux", "--family", "ghz", "--params", {"nodes": 5}], "params JSON must be"),
+    (["flux", "--family", "ghz", "--params", {"nodes": [5]}], "params JSON must be"),
+    (["flux", "--family", "ghz", "--params", [1]], "params JSON must be"),
+    (["discord", "--state", {"dims": 5, "matrix": []}], "dims must be a list"),
+    (["discord", "--state", {"dims": [2, 2], "matrix": 5}], "matrix must be a list"),
+    (["discord", "--state", {"dims": [2, 2], "matrix": [[1, 2]]}],
+     "matrix must be a list"),
+    (["discord", "--state", []], "with 'dims' and 'matrix'"),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", REJECTED,
+                         ids=[f"argv{i}" for i in range(len(REJECTED))])
+def test_rejected_input_exits_two_with_one_line(capsys, tmp_path, argv, fragment):
+    json_file = tmp_path / "input.json"
     is_file = [isinstance(arg, (dict, list)) for arg in argv]
     for arg, file in zip(argv, is_file):
         if file:
-            config.write_text(json.dumps(arg))
-    code = cli.main([str(config) if file else arg for arg, file in zip(argv, is_file)])
+            json_file.write_text(json.dumps(arg))
+    code = cli.main([str(json_file) if file else arg for arg, file in zip(argv, is_file)])
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "error: " in err and "Traceback" not in err
+    assert fragment in err
 
 
 def test_module_entry_point(tmp_path):

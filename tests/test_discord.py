@@ -175,6 +175,30 @@ class TestDiscord:
             discord(state, level=3).value, discord(pair, level=2).value, atol=1e-6
         )
 
+    def test_bell_diagonal_matches_luo_closed_form(self):
+        # Luo, PRA 77, 042303 (2008): rho = (I + sum_i c_i s_i x s_i) / 4 has
+        # discord I - C with I = 2 - S(rho), C = 1 - h((1 + c) / 2), c = max |c_i|
+        paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.diag([1, -1]))
+
+        def h(p):
+            return -p * np.log2(p) - (1 - p) * np.log2(1 - p)
+
+        rng = np.random.default_rng(7)
+        checked = 0
+        while checked < 8:
+            c = rng.uniform(-1, 1, 3)
+            matrix = (np.eye(4) + sum(ci * np.kron(p, p) for ci, p in zip(c, paulis))) / 4
+            eigenvalues = np.linalg.eigvalsh(matrix)
+            if eigenvalues.min() < 0:
+                continue
+            eigenvalues = eigenvalues[eigenvalues > 0]
+            mutual = 2 + np.sum(eigenvalues * np.log2(eigenvalues))
+            classical = 1 - h((1 + np.abs(c).max()) / 2)
+            value = discord(QState((2, 2), matrix), level=2).value
+            assert abs(value - (mutual - classical)) < 1e-12, (c, value)
+            checked += 1
+
     def test_measured_order_permutes(self, ghz):
         # measuring C first on a GHZ state is equivalent by symmetry
         direct = discord(ghz, level=3)

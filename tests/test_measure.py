@@ -251,3 +251,20 @@ class TestParamsJson:
         ]}
         with pytest.raises(StructuralError):
             params_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("payload", [
+        [1],
+        {},
+        {"nodes": 5},
+        {"nodes": [5]},
+        {"nodes": [{"theta": 0.1, "phi": 0.2}]},
+        {"nodes": [{"path": 5, "theta": 0.1, "phi": 0.2}]},
+        {"nodes": [{"path": [[]], "theta": 0.1, "phi": 0.2}]},
+        {"nodes": [{"path": [True], "theta": 0.1, "phi": 0.2}]},
+        {"nodes": [{"path": [], "theta": "0.1", "phi": 0.2}]},
+        {"nodes": [{"path": [], "theta": 0.1}]},
+        {"nodes": [{"path": [], "theta": 0.1, "phi": None}]},
+    ])
+    def test_rejects_malformed_payload(self, payload):
+        with pytest.raises(StructuralError):
+            params_from_json(json.dumps(payload))

@@ -262,3 +262,19 @@ class TestJson:
         payload["matrix"][0][0] = [0.9, 0.0]  # break the trace
         with pytest.raises(ValueError):
             from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"dims": [2]},
+        {"dims": 5, "matrix": []},
+        {"dims": [2.0], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        {"dims": [True, 2], "matrix": []},
+        {"dims": [2, 2], "matrix": 5},
+        {"dims": [2, 2], "matrix": [5]},
+        {"dims": [2, 2], "matrix": [[1, 2]]},
+        {"dims": [2], "matrix": [[[0.5, 0], ["0", 0]], [[0, 0], [0.5, 0]]]},
+        {"dims": [2], "matrix": [[[0.5, 0], [0, 0, 0]], [[0, 0], [0.5, 0]]]},
+    ])
+    def test_reader_rejects_malformed_payload(self, payload):
+        with pytest.raises(StructuralError):
+            from_json(json.dumps(payload))
