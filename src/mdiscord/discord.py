@@ -15,7 +15,6 @@ points on the larger grids).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -171,31 +170,28 @@ def _node_vectors(chunk: np.ndarray, depth: int) -> np.ndarray:
     return _basis_vectors(chunk[:, 2 * idx], chunk[:, 2 * idx + 1])
 
 
-_STEP_SUBSCRIPTS = "npjm,npmrls,npjl->npjrs"
-
-
-@functools.lru_cache(maxsize=256)
-def _step_path(vectors_shape: tuple, blocks_shape: tuple) -> list:
-    """numpy's greedy contraction order for one measurement step, found once
-    per operand shape: passing it explicitly keeps every product the same as
-    ``optimize=True`` without searching for the path on each call."""
-    vectors = np.empty(vectors_shape, dtype=complex)
-    blocks = np.empty(blocks_shape, dtype=complex)
-    return np.einsum_path(
-        _STEP_SUBSCRIPTS, vectors, blocks, vectors, optimize="greedy"
-    )[0]
-
-
 def _measure_step(branches: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Project the leading qubit of every unnormalized branch onto both basis
-    vectors; branch count doubles, qubit dimension drops out."""
-    nb = branches.shape[0]
+    vectors; branch count doubles, qubit dimension drops out.
+
+    For outcome j with basis vector v_j, the new branch is
+    sum_{m, l} conj(v_j[m]) B[m, :, l, :] v_j[l], where B is the branch with
+    its leading qubit split off on both sides.  It is taken as two batched
+    ``matmul`` calls: the bra side over m, then the ket side over l.  These
+    are the products ``np.einsum`` runs for this contraction, so the result
+    is the same bit for bit, but einsum plans its path again on every call,
+    which costs several times more than the products at the simplex's few
+    rows.
+    """
+    nb, n_paths = branches.shape[:2]
     half = branches.shape[-1] // 2
-    blocks = branches.reshape(nb, -1, 2, half, 2, half)
-    path = _step_path(vectors.shape, blocks.shape)
-    return np.einsum(
-        _STEP_SUBSCRIPTS, vectors.conj(), blocks, vectors, optimize=path
-    ).reshape(nb, -1, half, half)
+    blocks = branches.reshape(nb, n_paths, 2, half, 2, half)
+    rows = blocks.transpose(0, 1, 3, 4, 5, 2).reshape(nb, n_paths, 2 * half * half, 2)
+    left = (rows @ vectors.conj().transpose(0, 1, 3, 2)).reshape(
+        nb, n_paths, half, 2, half, 2
+    )
+    left = left.transpose(0, 1, 5, 2, 4, 3).reshape(nb, n_paths, 2, half * half, 2)
+    return (left @ vectors[..., None]).reshape(nb, -1, half, half)
 
 
 class _MeasuredEntropyObjective:

@@ -11,12 +11,21 @@ whole grid value array itself (the discord integrand factors over outcome
 branches, so it need not evaluate each point from scratch).  Otherwise an
 objective exposing an ``evaluate_many(params_matrix)`` method is evaluated
 in batches during the grid scan, which is orders of magnitude faster for the
-larger grids.  ``evaluate_many`` also takes the simplex points that do not
-depend on one another (initial and rebuilt simplices, shrinks, probes).
+larger grids.
+
+Refinement runs each simplex as a generator that yields the points it needs
+next.  :func:`optimize` advances its ``refine_starts`` simplices in lockstep
+and values every pending point of every unfinished run in one
+``evaluate_many`` call per round; one batched call costs about as much as a
+single-row one.  Each simplex compares only its own values in its own order,
+and a batched row equals the single-row value bit for bit, so the results
+are those of refining the starts one after another.  A plain callable is
+evaluated point by point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +51,10 @@ class OptimizerConfig:
             raise ValueError("grid_points_per_angle must be >= 2")
         if self.refine_starts < 1:
             raise ValueError("refine_starts must be >= 1")
+        if self.simplex_max_iters < 1:
+            raise ValueError("simplex_max_iters must be >= 1")
+        if not (math.isfinite(self.simplex_tol) and self.simplex_tol > 0):
+            raise ValueError("simplex_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -148,37 +161,20 @@ def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResul
     )
 
 
-def simplex_refine(objective, start, config: OptimizerConfig) -> OptimizerOutcome:
-    """Downhill simplex (Nelder-Mead) from ``start``.
+def _nelder_mead(start, config: OptimizerConfig):
+    """The body of :func:`simplex_refine` as a generator: it yields each list
+    of points it needs valued next and is sent their values as a list of
+    floats, in the same order; it returns the :class:`OptimizerOutcome`.
 
-    Coefficients are the classic (1, 2, 0.5, 0.5); every trial point is
-    folded back into the angle ranges before evaluation; converged when the
-    simplex value spread drops below ``simplex_tol``.  A small value spread
-    alone is accepted only after per-coordinate probes of the best vertex at
-    shrinking step sizes all fail to improve; an improving probe rebuilds the
-    simplex at that scale and continues (the angle chart has exactly flat
-    edges, e.g. phi at theta = 0, where an untested spread criterion stalls).
-    Never returns a value worse than the start.
+    A run asks for its initial and rebuilt simplices, its shrinks and each
+    probe ring as one list, and for a reflect, expand or contract point on
+    its own, because whether it needs the next point depends on this one.
     """
     if isinstance(start, MeasParams):
         start = start.to_flat()
     x0 = fold_angles(np.asarray(start, dtype=float))
     n = x0.size
     nfe = 0
-
-    batch = getattr(objective, "evaluate_many", None)
-
-    def evaluate(x):
-        nonlocal nfe
-        nfe += 1
-        return float(objective(x))
-
-    def evaluate_all(points):
-        nonlocal nfe
-        nfe += len(points)
-        if batch is None:
-            return [float(objective(p)) for p in points]
-        return [float(v) for v in batch(np.array(points))]
 
     def build_simplex(center, edge):
         points = [center]
@@ -189,7 +185,8 @@ def simplex_refine(objective, start, config: OptimizerConfig) -> OptimizerOutcom
         return points
 
     vertices = build_simplex(x0, _INITIAL_SIMPLEX_EDGE)
-    values = evaluate_all(vertices)
+    values = yield vertices
+    nfe += len(vertices)
     start_value = values[0]
 
     converged = False
@@ -206,9 +203,9 @@ def simplex_refine(objective, start, config: OptimizerConfig) -> OptimizerOutcom
                         step = np.zeros(n)
                         step[i] = sign * delta
                         candidates.append(fold_angles(vertices[0] + step))
-                for candidate, candidate_value in zip(
-                    candidates, evaluate_all(candidates)
-                ):
+                candidate_values = yield candidates
+                nfe += len(candidates)
+                for candidate, candidate_value in zip(candidates, candidate_values):
                     if candidate_value < probe_value:
                         probe_point = candidate
                         probe_value = candidate_value
@@ -219,15 +216,18 @@ def simplex_refine(objective, start, config: OptimizerConfig) -> OptimizerOutcom
                 converged = True
                 break
             vertices = build_simplex(probe_point, probe_scale)
-            values = [probe_value] + evaluate_all(vertices[1:])
+            values = [probe_value] + (yield vertices[1:])
+            nfe += n
             continue
 
         centroid = np.mean(vertices[:-1], axis=0)
         reflected = fold_angles(centroid + _REFLECT * (centroid - vertices[-1]))
-        f_reflected = evaluate(reflected)
+        (f_reflected,) = yield [reflected]
+        nfe += 1
         if f_reflected < values[0]:
             expanded = fold_angles(centroid + _EXPAND * (centroid - vertices[-1]))
-            f_expanded = evaluate(expanded)
+            (f_expanded,) = yield [expanded]
+            nfe += 1
             if f_expanded < f_reflected:
                 vertices[-1], values[-1] = expanded, f_expanded
             else:
@@ -240,14 +240,16 @@ def simplex_refine(objective, start, config: OptimizerConfig) -> OptimizerOutcom
             contracted = fold_angles(centroid + _CONTRACT * (reflected - centroid))
         else:
             contracted = fold_angles(centroid - _CONTRACT * (centroid - vertices[-1]))
-        f_contracted = evaluate(contracted)
+        (f_contracted,) = yield [contracted]
+        nfe += 1
         if f_contracted < min(f_reflected, values[-1]):
             vertices[-1], values[-1] = contracted, f_contracted
             continue
         best = vertices[0]
         for i in range(1, n + 1):
             vertices[i] = fold_angles(best + _SHRINK * (vertices[i] - best))
-        values[1:] = evaluate_all(vertices[1:])
+        values[1:] = yield vertices[1:]
+        nfe += n
 
     best_index = int(np.argmin(values))
     best_value, best_vertex = values[best_index], vertices[best_index]
@@ -262,24 +264,68 @@ def simplex_refine(objective, start, config: OptimizerConfig) -> OptimizerOutcom
     )
 
 
+def _run_together(objective, runs) -> list[OptimizerOutcome]:
+    """Advance :func:`_nelder_mead` runs in lockstep until each returns.
+
+    Every round values the pending points of every unfinished run in one
+    ``evaluate_many`` call when the objective has one (rows in run order),
+    or point by point otherwise, and sends each run its own values.
+    """
+    batch = getattr(objective, "evaluate_many", None)
+    outcomes = [None] * len(runs)
+    pending = {index: next(run) for index, run in enumerate(runs)}
+    while pending:
+        rows = [point for points in pending.values() for point in points]
+        if batch is None:
+            values = [float(objective(row)) for row in rows]
+        else:
+            values = [float(v) for v in batch(np.array(rows))]
+        first = 0
+        for index, points in list(pending.items()):
+            own = values[first:first + len(points)]
+            first += len(points)
+            try:
+                pending[index] = runs[index].send(own)
+            except StopIteration as done:
+                outcomes[index] = done.value
+                del pending[index]
+    return outcomes
+
+
+def simplex_refine(objective, start, config: OptimizerConfig) -> OptimizerOutcome:
+    """Downhill simplex (Nelder-Mead) from ``start``.
+
+    Coefficients are the classic (1, 2, 0.5, 0.5); every trial point is
+    folded back into the angle ranges before evaluation; converged when the
+    simplex value spread drops below ``simplex_tol``.  A small value spread
+    alone is accepted only after per-coordinate probes of the best vertex at
+    shrinking step sizes all fail to improve; an improving probe rebuilds the
+    simplex at that scale and continues (the angle chart has exactly flat
+    edges, e.g. phi at theta = 0, where an untested spread criterion stalls).
+    Never returns a value worse than the start.
+    """
+    return _run_together(objective, [_nelder_mead(start, config)])[0]
+
+
 def optimize(objective, n_nodes: int, config: OptimizerConfig | None = None) -> OptimizerOutcome:
     """Grid scan, then simplex refinement from the top candidates.
 
+    The starts are refined in lockstep, one batched call per round.
     Deterministic for fixed config; the refined results are compared in grid
     rank order so ties keep the earlier (lexicographically smaller) start.
     ``simplex_max_iters`` caps each simplex run, not the whole refinement:
-    while the winning start has not converged, it is continued with a fresh
-    simplex from its best vertex, until a run converges, stops lowering the
-    value, or lowers it by less than ``simplex_tol`` (a gain below the spread
-    tolerance only chases rounding on a flat floor).  ``converged`` describes
-    the point returned.
+    while the winning start has not converged, it is continued, one run at a
+    time, with a fresh simplex from its best vertex, until a run converges,
+    stops lowering the value, or lowers it by less than ``simplex_tol`` (a
+    gain below the spread tolerance only chases rounding on a flat floor).
+    ``converged`` describes the point returned.
     """
     config = config or OptimizerConfig()
     scan = grid_scan(objective, n_nodes, config)
     evaluations = scan.evaluations
     best: OptimizerOutcome | None = None
-    for start in scan.params:
-        outcome = simplex_refine(objective, start, config)
+    starts = [_nelder_mead(start, config) for start in scan.params]
+    for outcome in _run_together(objective, starts):
         evaluations += outcome.evaluations
         if best is None or outcome.best_value < best.best_value:
             best = outcome

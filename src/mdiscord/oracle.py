@@ -39,13 +39,17 @@ def _reduce_matrix(matrix: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
-def _entropy_bits(matrix: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(matrix)
+def _spectrum_bits(vals: np.ndarray) -> float:
+    """Entropy in bits of a density matrix's eigenvalues."""
     total = 0.0
     for v in vals:
         if v > _CLAMP:
             total -= v * np.log2(v)
     return total
+
+
+def _entropy_bits(matrix: np.ndarray) -> float:
+    return _spectrum_bits(np.linalg.eigvalsh(matrix))
 
 
 def _weighted_entropy(unnormalized: np.ndarray) -> float:
@@ -56,6 +60,16 @@ def _weighted_entropy(unnormalized: np.ndarray) -> float:
     return p * _entropy_bits(unnormalized / p)
 
 
+def _weighted_entropies(branches: np.ndarray) -> list[float]:
+    """:func:`_weighted_entropy` of every branch in a stack, with one
+    ``eigvalsh`` call for all their spectra."""
+    probs = np.trace(branches, axis1=1, axis2=2).real
+    live = ~(probs < _ZERO_PROB)
+    spectra = iter(np.linalg.eigvalsh(branches[live] / probs[live, None, None]))
+    return [p * _spectrum_bits(next(spectra)) if alive else 0.0
+            for p, alive in zip(probs, live)]
+
+
 def _basis_vectors(theta: float, phi: float):
     phase = np.exp(1j * phi)
     return (
@@ -64,12 +78,12 @@ def _basis_vectors(theta: float, phi: float):
     )
 
 
-def _sandwich(matrix: np.ndarray, dims, position: int, projector: np.ndarray) -> np.ndarray:
-    """Pi rho Pi with ``projector`` at ``position`` and identities elsewhere."""
+def _embed(dims, position: int, projector: np.ndarray) -> np.ndarray:
+    """``projector`` at ``position`` and identities elsewhere, as one kron
+    product; a measured branch is ``proj @ rho @ proj``."""
     factors = [projector if pos == position else np.eye(d)
                for pos, d in enumerate(dims)]
-    proj = reduce(np.kron, factors)
-    return proj @ matrix @ proj
+    return reduce(np.kron, factors)
 
 
 def _branch_walk(matrix: np.ndarray, dims, tree: MeasurementTree, depth: int):
@@ -78,11 +92,12 @@ def _branch_walk(matrix: np.ndarray, dims, tree: MeasurementTree, depth: int):
     levels = []
     branches = [((), matrix)]
     for position in tree.measured[:depth]:
-        branches = [
-            (path + (outcome,), _sandwich(sigma, dims, position, projector))
-            for path, sigma in branches
-            for outcome, projector in enumerate(tree.basis_at(path).projectors)
-        ]
+        measured = []
+        for path, sigma in branches:
+            for outcome, projector in enumerate(tree.basis_at(path).projectors):
+                proj = _embed(dims, position, projector)
+                measured.append((path + (outcome,), proj @ sigma @ proj))
+        branches = measured
         levels.append([sigma for _, sigma in branches])
     return levels
 
@@ -135,7 +150,9 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
     The child bases of different outcome branches enter the objective through
     disjoint, non-negatively weighted terms, so the product-grid minimum
     factorizes into a per-branch recursion; the value equals full grid
-    enumeration at a tiny fraction of the cost.
+    enumeration at a tiny fraction of the cost.  Each grid cell's embedded
+    projector pair is built once per measured position, not per branch, and
+    the leaves of one node are measured and diagonalized as one stack.
     """
     n = state.n_subsystems
     level = n if level is None else int(level)
@@ -143,29 +160,39 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
     thetas = np.linspace(0.0, np.pi / 2, points_per_angle)
     phis = np.linspace(0.0, 2 * np.pi, points_per_angle, endpoint=False)
     base = -(_entropy_bits(state.matrix) - _entropy_bits(_reduce_matrix(state.matrix, dims, [0])))
+    # cell_projectors[position]: the embedded projector pair of every
+    # (theta, phi) cell, stacked pair after pair
+    cell_projectors = [
+        np.array([
+            _embed(dims, position, np.outer(vector, vector.conj()))
+            for theta in thetas for phi in phis
+            for vector in _basis_vectors(theta, phi)
+        ])
+        for position in range(level - 1)
+    ]
 
     def tail_min(sigma: np.ndarray, depth: int) -> float:
         """Minimum over this node's grid of the terms its subtree controls;
         sigma is the unnormalized branch about to be measured at ``depth``."""
         if float(sigma.trace().real) < _ZERO_PROB:
             return 0.0
-        position = depth - 1
+        projectors = cell_projectors[depth - 1]
+        branches = projectors @ sigma @ projectors
+        last = depth == level - 1
+        leaf_terms = _weighted_entropies(branches) if last else None
         best = np.inf
-        for theta in thetas:
-            for phi in phis:
-                contribution = 0.0
-                for vector in _basis_vectors(theta, phi):
-                    branch = _sandwich(sigma, dims, position,
-                                       np.outer(vector, vector.conj()))
-                    if depth < level - 1:
-                        contribution += _weighted_entropy(
-                            _reduce_matrix(branch, dims, [depth])
-                        )
-                        contribution += tail_min(branch, depth + 1)
-                    else:
-                        contribution += _weighted_entropy(branch)
-                if contribution < best:
-                    best = contribution
+        for first in range(0, len(branches), 2):
+            contribution = 0.0
+            for k in (first, first + 1):
+                if last:
+                    contribution += leaf_terms[k]
+                else:
+                    contribution += _weighted_entropy(
+                        _reduce_matrix(branches[k], dims, [depth])
+                    )
+                    contribution += tail_min(branches[k], depth + 1)
+            if contribution < best:
+                best = contribution
         return best
 
     return base + tail_min(np.asarray(state.matrix), 1)

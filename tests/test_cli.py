@@ -274,6 +274,13 @@ REJECTED = [
     (["discord", "--state", {"dims": [2, 2], "matrix": [[1, 2]]}],
      "matrix must be a list"),
     (["discord", "--state", []], "with 'dims' and 'matrix'"),
+    (["discord", "--family", "ghz", "--level", "3", "--simplex-iters", "-1"],
+     "simplex_max_iters must be >= 1"),
+    (["discord", "--family", "ghz", "--config", {"optimizer": {"simplex_tol": -1}}],
+     "simplex_tol must be finite and > 0"),
+    (["discord", "--family", "ghz", "--config",
+      {"optimizer": {"simplex_tol": float("nan")}}],
+     "simplex_tol must be finite and > 0"),
 ]
 
 

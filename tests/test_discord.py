@@ -19,6 +19,8 @@ from mdiscord import (
 )
 from mdiscord.discord import (
     _MeasuredEntropyObjective,
+    _measure_step,
+    _node_vectors,
     result_from_json,
     result_to_json,
 )
@@ -154,6 +156,53 @@ class TestObjectiveNPartite:
             objective_bipartite(bell, z_tree_2q),
             atol=1e-12,
         )
+
+
+def _random_angles(seed, rows, n_nodes):
+    rng = np.random.default_rng(seed)
+    return np.stack(
+        [rng.uniform(0, np.pi / 2, (rows, n_nodes)),
+         rng.uniform(0, 2 * np.pi, (rows, n_nodes))], -1
+    ).reshape(rows, -1)
+
+
+def _einsum_step(branches, vectors):
+    """The contraction _measure_step replaced, kept as its reference."""
+    nb = branches.shape[0]
+    half = branches.shape[-1] // 2
+    blocks = branches.reshape(nb, -1, 2, half, 2, half)
+    return np.einsum(
+        "npjm,npmrls,npjl->npjrs", vectors.conj(), blocks, vectors, optimize="greedy"
+    ).reshape(nb, -1, half, half)
+
+
+class TestMeasureStep:
+    @pytest.mark.parametrize("rows", [1, 4, 13, 300, 4096])
+    @pytest.mark.parametrize("dims, level, rank", [
+        ((2, 2), 2, 3),
+        ((2, 2, 2), 3, 4),
+        ((2, 2, 2), 3, 8),
+        ((2, 2, 2, 2), 4, 9),
+        ((2, 2, 3), 3, 6),
+    ])
+    def test_equals_the_einsum_contraction(self, dims, level, rank, rows):
+        rho = np.asarray(random_state(dims, rank, 60 + rank).matrix)
+        chunk = _random_angles(rows, rows, 2 ** (level - 1) - 1)
+        branches = np.broadcast_to(rho, (rows, 1) + rho.shape)
+        for step in range(1, level):
+            vectors = _node_vectors(chunk, step - 1)
+            stepped = _measure_step(branches, vectors)
+            assert np.array_equal(stepped, _einsum_step(branches, vectors))
+            branches = stepped
+
+    @pytest.mark.parametrize("dims, level", [
+        ((2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((2, 2, 3), 3),
+    ])
+    def test_batched_rows_equal_single_row_values(self, dims, level):
+        objective = _MeasuredEntropyObjective(random_state(dims, 3, 71), level)
+        chunk = _random_angles(72, 100, objective.n_nodes)
+        batched = objective.evaluate_many(chunk)
+        assert all(value == objective(row) for value, row in zip(batched, chunk))
 
 
 class TestDiscord:

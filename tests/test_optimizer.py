@@ -31,6 +31,42 @@ class CountingObjective:
         return self.fn(np.asarray(x))
 
 
+class BatchCounter:
+    """Wraps a batched objective, counting its ``evaluate_many`` calls."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.grid_values = objective.grid_values
+        self.calls = 0
+
+    def evaluate_many(self, rows):
+        self.calls += 1
+        return self.objective.evaluate_many(rows)
+
+
+def sequential_optimize(objective, n_nodes, config):
+    """The refinement one start at a time: each grid start through
+    simplex_refine in rank order, then the continuation of the winner."""
+    scan = grid_scan(objective, n_nodes, config)
+    evaluations = scan.evaluations
+    best = None
+    for start in scan.params:
+        outcome = simplex_refine(objective, start, config)
+        evaluations += outcome.evaluations
+        if best is None or outcome.best_value < best.best_value:
+            best = outcome
+    while not best.converged:
+        outcome = simplex_refine(objective, best.best_params, config)
+        evaluations += outcome.evaluations
+        if outcome.best_value >= best.best_value:
+            break
+        gain = best.best_value - outcome.best_value
+        best = outcome
+        if gain < config.simplex_tol:
+            break
+    return best, evaluations
+
+
 class ConstantBatch:
     n_nodes = 1
 
@@ -51,6 +87,16 @@ class TestConfig:
             OptimizerConfig(grid_points_per_angle=1)
         with pytest.raises(ValueError):
             OptimizerConfig(refine_starts=0)
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_rejects_no_refinement_iterations(self, iters):
+        with pytest.raises(ValueError, match="simplex_max_iters"):
+            OptimizerConfig(simplex_max_iters=iters)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="simplex_tol"):
+            OptimizerConfig(simplex_tol=tol)
 
     def test_no_seed(self):
         # the optimizer is deterministic; a seed would change nothing
@@ -228,6 +274,34 @@ class TestOptimize:
         tri = optimize(_MeasuredEntropyObjective(state, 3), 3, OptimizerConfig())
         bi = optimize(_MeasuredEntropyObjective(pair, 2), 1, OptimizerConfig())
         assert abs(tri.best_value - bi.best_value) < 1e-5
+
+    @pytest.mark.parametrize("starts", [1, 4, 7])
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_lockstep_starts_equal_sequential_refinement(self, seed, starts):
+        state = random_qubits(seed, 3, 2 + seed % 7)
+        config = OptimizerConfig(refine_starts=starts)
+        lockstep = BatchCounter(_MeasuredEntropyObjective(state, 3))
+        sequential = BatchCounter(_MeasuredEntropyObjective(state, 3))
+        outcome = optimize(lockstep, 3, config)
+        best, evaluations = sequential_optimize(sequential, 3, config)
+        assert outcome.best_value == best.best_value
+        assert np.array_equal(outcome.best_params.to_flat(), best.best_params.to_flat())
+        assert outcome.evaluations == evaluations
+        assert outcome.converged == best.converged
+        if starts > 1:
+            assert lockstep.calls < sequential.calls
+
+    def test_lockstep_starts_equal_sequential_for_a_plain_callable(self):
+        def ripple(x):
+            return float(np.sum(np.sin(3 * x) ** 2) + 0.1 * np.sum((x - 0.4) ** 2))
+
+        config = OptimizerConfig(grid_points_per_angle=3, refine_starts=5)
+        outcome = optimize(ripple, 3, config)
+        best, evaluations = sequential_optimize(ripple, 3, config)
+        assert outcome.best_value == best.best_value
+        assert np.array_equal(outcome.best_params.to_flat(), best.best_params.to_flat())
+        assert outcome.evaluations == evaluations
+        assert outcome.converged == best.converged
 
     @pytest.mark.parametrize("seed", range(20))
     def test_dense_grid_oracle_dominance(self, seed):
