@@ -3,40 +3,37 @@
 
 Re-creates the data behind the standard curves: discord and its
 decomposition as a function of the mixing parameter for Werner-GHZ,
-Werner-W, Bell-mixture, and the non-convexity witness family.  Writes one
-CSV per family into demos/out/ (same format as `mdiscord sweep`).
+Werner-W, Bell-mixture, and the non-convexity witness family.  Each
+family's CSV is written into demos/out/ by `mdiscord sweep` itself, and the
+discord bars are read back from that file.
 
 Uses a lighter optimizer grid than the CLI default so the whole script runs
-in about a minute; pass --full for default settings.
+in well under a minute; pass --full for default settings.
 """
 
+import csv
 import sys
 from pathlib import Path
 
-from mdiscord import OptimizerConfig, discord, states
+from mdiscord import cli, states
 
 POINTS = 11
 OUT_DIR = Path(__file__).parent / "out"
 
-config = OptimizerConfig() if "--full" in sys.argv else OptimizerConfig(grid_points_per_angle=4)
+grid = [] if "--full" in sys.argv else ["--grid-points", "4"]
 OUT_DIR.mkdir(exist_ok=True)
 
 for family in states.MU_FAMILIES:
-    rows = ["mu,D,Delta_AB_C,Delta_AC_B,Delta_BC_PiA,Delta_ABC"]
-    print(f"{family}:")
-    for i in range(POINTS):
-        mu = i / (POINTS - 1)
-        result = discord(states.build(states.StateSpec(family, mu=mu)),
-                         level=3, config=config)
-        d = result.decomposition
-        rows.append(
-            f"{mu:.3f},{result.value:.9f},{d['Delta_AB_C']:.9f},"
-            f"{d['Delta_AC_B']:.9f},{d['Delta_BC_PiA']:.9f},{d['Delta_ABC']:.9f}"
-        )
-        bar = "#" * int(round(40 * result.value / 1.5))
-        print(f"  mu={mu:.2f}  D={result.value:7.4f}  {bar}")
     path = OUT_DIR / f"{family}.csv"
-    path.write_text("\n".join(rows) + "\n")
+    argv = ["sweep", "--family", family, "--points", str(POINTS), "--out", str(path)]
+    if cli.main(argv + grid) != 0:
+        sys.exit(f"mdiscord sweep failed for {family}")
+    print(f"{family}:")
+    with path.open(newline="") as f:
+        for row in csv.DictReader(f):
+            mu, value = float(row["mu"]), float(row["D"])
+            bar = "#" * int(round(40 * value / 1.5))
+            print(f"  mu={mu:.2f}  D={value:7.4f}  {bar}")
     print(f"  -> {path}\n")
 
 print("Notable features: Werner-GHZ discord vanishes only at mu=0; the")

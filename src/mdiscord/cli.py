@@ -5,9 +5,11 @@ Subcommands: discord, sweep, flux, verify.  Every numeric path is a thin
 adapter over the library; CSV output is RFC-4180 with 12 significant digits
 and is byte-stable for a fixed configuration and seed.  Every setting is
 read through ``SETTINGS``: a config file value, then the flag laid over it.
-Exit codes: 0 on success, 1 on verification failure, 2 on bad input
-(configuration errors and inputs the library rejects).  Run as ``mdiscord``
-or ``python -m mdiscord.cli``.
+The optimizer settings are the grid density and the number of refinement
+starts; the simplex's iteration cap and tolerance are fixed constants of
+:mod:`mdiscord.optimizer`.  Exit codes: 0 on success, 1 on verification
+failure, 2 on bad input (configuration errors and inputs the library
+rejects).  Run as ``mdiscord`` or ``python -m mdiscord.cli``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 from . import entropy_flux as flux
 from . import oracle, states
 from .entropy_flux import _format_value
-from .discord import discord, result_to_json
+from .discord import _normalize_order, discord, result_to_json
 from .measure import params_from_json, tree_from_params
 from .optimizer import OptimizerConfig
 from .qstate import _is_json_number, permute_subsystems
@@ -84,8 +86,6 @@ SETTINGS = {
     "optimizer.grid_points_per_angle": ("integer", None, _OPTIMIZED, "--grid-points",
                                         None),
     "optimizer.refine_starts": ("integer", None, _OPTIMIZED, "--refine-starts", None),
-    "optimizer.simplex_max_iters": ("integer", None, _OPTIMIZED, "--simplex-iters", None),
-    "optimizer.simplex_tol": ("number", None, _OPTIMIZED, None, None),
 }
 _BLOCKS = ("state", "sweep", "optimizer")
 
@@ -211,10 +211,9 @@ def cmd_sweep(settings: dict) -> int:
 
 def cmd_flux(settings: dict) -> int:
     state = _resolve_state(settings)
-    order = settings["order"]
-    if order:
-        full = list(order) + [i for i in range(state.n_subsystems) if i not in order]
-        state = permute_subsystems(state, full)
+    if settings["order"]:
+        state = permute_subsystems(
+            state, _normalize_order(settings["order"], state.n_subsystems))
     if settings["params"] is not None:
         params = _load(settings["params"], "params", params_from_json)
     else:
@@ -229,10 +228,12 @@ def cmd_flux(settings: dict) -> int:
 
 
 def cmd_verify(settings: dict) -> int:
-    samples = settings["samples"]
+    samples, seed = settings["samples"], settings["seed"]
     if samples < 1:
         raise ConfigError(f"samples must be a positive integer, got {samples!r}")
-    reports = oracle.verification_suite(seed=settings["seed"], samples=samples)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    reports = oracle.verification_suite(seed=seed, samples=samples)
     rows = [
         [report.name, str(report.samples), _format_value(report.max_violation),
          _format_value(report.tolerance), "1" if report.passed else "0"]

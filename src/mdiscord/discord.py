@@ -394,7 +394,7 @@ def _minimize(objective, n_nodes: int, cfg: OptimizerConfig):
         # Rescale so a near-zero optimum is resolved far below the simplex
         # spread tolerance; the reported value is always the true objective.
         scale = 1.0 / max(abs(best_value), 1e-4)
-        polished = simplex_refine(_ScaledObjective(objective, scale), best_params, cfg)
+        polished = simplex_refine(_ScaledObjective(objective, scale), best_params)
         evaluations += polished.evaluations
         restarts += 1
         polished_value = polished.best_value / scale

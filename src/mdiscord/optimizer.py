@@ -21,11 +21,14 @@ single-row one.  Each simplex compares only its own values in its own order,
 and a batched row equals the single-row value bit for bit, so the results
 are those of refining the starts one after another.  A plain callable is
 evaluated point by point.
+
+:class:`OptimizerConfig` sets the grid density and the number of starts.
+Each simplex run stops after ``SIMPLEX_MAX_ITERS`` iterations or once its
+value spread is below ``SIMPLEX_TOL``; both are fixed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,24 +40,20 @@ _MAX_GRID_TOTAL = 100_000_000
 _INITIAL_SIMPLEX_EDGE = 0.1
 _PROBE_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
+SIMPLEX_MAX_ITERS = 400  # iterations of one simplex run
+SIMPLEX_TOL = 1e-9       # value spread of a converged simplex
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     grid_points_per_angle: int = 6
     refine_starts: int = 4
-    simplex_max_iters: int = 400
-    simplex_tol: float = 1e-9
 
     def __post_init__(self):
         if self.grid_points_per_angle < 2:
             raise ValueError("grid_points_per_angle must be >= 2")
         if self.refine_starts < 1:
             raise ValueError("refine_starts must be >= 1")
-        if self.simplex_max_iters < 1:
-            raise ValueError("simplex_max_iters must be >= 1")
-        if not (math.isfinite(self.simplex_tol) and self.simplex_tol > 0):
-            raise ValueError("simplex_tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResul
     )
 
 
-def _nelder_mead(start, config: OptimizerConfig):
+def _nelder_mead(start):
     """The body of :func:`simplex_refine` as a generator: it yields each list
     of points it needs valued next and is sent their values as a list of
     floats, in the same order; it returns the :class:`OptimizerOutcome`.
@@ -190,11 +189,11 @@ def _nelder_mead(start, config: OptimizerConfig):
     start_value = values[0]
 
     converged = False
-    for _ in range(config.simplex_max_iters):
+    for _ in range(SIMPLEX_MAX_ITERS):
         order = np.argsort(values, kind="stable")
         vertices = [vertices[i] for i in order]
         values = [values[i] for i in order]
-        if values[-1] - values[0] < config.simplex_tol:
+        if values[-1] - values[0] < SIMPLEX_TOL:
             probe_point, probe_value, probe_scale = None, values[0], None
             for delta in _PROBE_STEPS:
                 candidates = []
@@ -292,19 +291,20 @@ def _run_together(objective, runs) -> list[OptimizerOutcome]:
     return outcomes
 
 
-def simplex_refine(objective, start, config: OptimizerConfig) -> OptimizerOutcome:
+def simplex_refine(objective, start) -> OptimizerOutcome:
     """Downhill simplex (Nelder-Mead) from ``start``.
 
     Coefficients are the classic (1, 2, 0.5, 0.5); every trial point is
     folded back into the angle ranges before evaluation; converged when the
-    simplex value spread drops below ``simplex_tol``.  A small value spread
-    alone is accepted only after per-coordinate probes of the best vertex at
-    shrinking step sizes all fail to improve; an improving probe rebuilds the
-    simplex at that scale and continues (the angle chart has exactly flat
-    edges, e.g. phi at theta = 0, where an untested spread criterion stalls).
-    Never returns a value worse than the start.
+    simplex value spread drops below ``SIMPLEX_TOL`` within
+    ``SIMPLEX_MAX_ITERS`` iterations.  A small value spread alone is
+    accepted only after per-coordinate probes of the best vertex at
+    shrinking step sizes all fail to improve; an improving probe rebuilds
+    the simplex at that scale and continues (the angle chart has exactly
+    flat edges, e.g. phi at theta = 0, where an untested spread criterion
+    stalls).  Never returns a value worse than the start.
     """
-    return _run_together(objective, [_nelder_mead(start, config)])[0]
+    return _run_together(objective, [_nelder_mead(start)])[0]
 
 
 def optimize(objective, n_nodes: int, config: OptimizerConfig | None = None) -> OptimizerOutcome:
@@ -313,10 +313,10 @@ def optimize(objective, n_nodes: int, config: OptimizerConfig | None = None) -> 
     The starts are refined in lockstep, one batched call per round.
     Deterministic for fixed config; the refined results are compared in grid
     rank order so ties keep the earlier (lexicographically smaller) start.
-    ``simplex_max_iters`` caps each simplex run, not the whole refinement:
+    ``SIMPLEX_MAX_ITERS`` caps each simplex run, not the whole refinement:
     while the winning start has not converged, it is continued, one run at a
     time, with a fresh simplex from its best vertex, until a run converges,
-    stops lowering the value, or lowers it by less than ``simplex_tol`` (a
+    stops lowering the value, or lowers it by less than ``SIMPLEX_TOL`` (a
     gain below the spread tolerance only chases rounding on a flat floor).
     ``converged`` describes the point returned.
     """
@@ -324,19 +324,19 @@ def optimize(objective, n_nodes: int, config: OptimizerConfig | None = None) -> 
     scan = grid_scan(objective, n_nodes, config)
     evaluations = scan.evaluations
     best: OptimizerOutcome | None = None
-    starts = [_nelder_mead(start, config) for start in scan.params]
+    starts = [_nelder_mead(start) for start in scan.params]
     for outcome in _run_together(objective, starts):
         evaluations += outcome.evaluations
         if best is None or outcome.best_value < best.best_value:
             best = outcome
     while not best.converged:
-        outcome = simplex_refine(objective, best.best_params, config)
+        outcome = simplex_refine(objective, best.best_params)
         evaluations += outcome.evaluations
         if outcome.best_value >= best.best_value:
             break
         gain = best.best_value - outcome.best_value
         best = outcome
-        if gain < config.simplex_tol:
+        if gain < SIMPLEX_TOL:
             break
     return OptimizerOutcome(
         best_value=best.best_value,

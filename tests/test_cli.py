@@ -253,9 +253,9 @@ REJECTED = [
      "grid_points_per_angle must be an integer"),
     (["discord", "--family", "ghz", "--config",
       {"optimizer": {"simplex_max_iters": "5"}}],
-     "simplex_max_iters must be an integer"),
+     "no config key 'optimizer.simplex_max_iters'"),
     (["discord", "--family", "ghz", "--config", {"optimizer": {"simplex_tol": "x"}}],
-     "simplex_tol must be a number"),
+     "no config key 'optimizer.simplex_tol'"),
     (["discord", "--family", "ghz", "--config", {"levle": 2}], "no config key 'levle'"),
     (["discord", "--config", {"state": {"family": "ghz", "muu": 0.1}}],
      "no config key 'state.muu'"),
@@ -275,12 +275,15 @@ REJECTED = [
      "matrix must be a list"),
     (["discord", "--state", []], "with 'dims' and 'matrix'"),
     (["discord", "--family", "ghz", "--level", "3", "--simplex-iters", "-1"],
-     "simplex_max_iters must be >= 1"),
+     "unrecognized arguments: --simplex-iters"),
     (["discord", "--family", "ghz", "--config", {"optimizer": {"simplex_tol": -1}}],
-     "simplex_tol must be finite and > 0"),
+     "no config key 'optimizer.simplex_tol'"),
     (["discord", "--family", "ghz", "--config",
       {"optimizer": {"simplex_tol": float("nan")}}],
-     "simplex_tol must be finite and > 0"),
+     "no config key 'optimizer.simplex_tol'"),
+    (["flux", "--family", "ghz", "--order", "0,0"], "measurement order"),
+    (["flux", "--family", "ghz", "--order", "5"], "measurement order"),
+    (["verify", "--seed", "-1"], "seed must be a non-negative integer"),
 ]
 
 

@@ -14,7 +14,7 @@ from mdiscord import (
     simplex_refine,
 )
 from mdiscord.discord import _MeasuredEntropyObjective
-from mdiscord.optimizer import _angle_grids, _decode, fold_angles
+from mdiscord.optimizer import SIMPLEX_TOL, _angle_grids, _decode, fold_angles
 from mdiscord.measure import projector_pair_from_angles
 from mdiscord.states import werner_ghz
 
@@ -51,18 +51,18 @@ def sequential_optimize(objective, n_nodes, config):
     evaluations = scan.evaluations
     best = None
     for start in scan.params:
-        outcome = simplex_refine(objective, start, config)
+        outcome = simplex_refine(objective, start)
         evaluations += outcome.evaluations
         if best is None or outcome.best_value < best.best_value:
             best = outcome
     while not best.converged:
-        outcome = simplex_refine(objective, best.best_params, config)
+        outcome = simplex_refine(objective, best.best_params)
         evaluations += outcome.evaluations
         if outcome.best_value >= best.best_value:
             break
         gain = best.best_value - outcome.best_value
         best = outcome
-        if gain < config.simplex_tol:
+        if gain < SIMPLEX_TOL:
             break
     return best, evaluations
 
@@ -79,8 +79,6 @@ class TestConfig:
         cfg = OptimizerConfig()
         assert cfg.grid_points_per_angle == 6
         assert cfg.refine_starts == 4
-        assert cfg.simplex_max_iters == 400
-        assert cfg.simplex_tol == 1e-9
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -88,15 +86,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(refine_starts=0)
 
-    @pytest.mark.parametrize("iters", [0, -1])
-    def test_rejects_no_refinement_iterations(self, iters):
-        with pytest.raises(ValueError, match="simplex_max_iters"):
-            OptimizerConfig(simplex_max_iters=iters)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
-        with pytest.raises(ValueError, match="simplex_tol"):
-            OptimizerConfig(simplex_tol=tol)
+    def test_simplex_cap_and_tolerance_are_not_settings(self):
+        # both are fixed constants of the optimizer module
+        with pytest.raises(TypeError):
+            OptimizerConfig(simplex_max_iters=400)
+        with pytest.raises(TypeError):
+            OptimizerConfig(simplex_tol=1e-9)
 
     def test_no_seed(self):
         # the optimizer is deterministic; a seed would change nothing
@@ -204,7 +199,7 @@ class TestSimplexRefine:
         def bowl(x):
             return float((x[0] - 0.3) ** 2 + (x[1] - 1.1) ** 2)
 
-        outcome = simplex_refine(bowl, np.array([0.3, 1.1]), OptimizerConfig())
+        outcome = simplex_refine(bowl, np.array([0.3, 1.1]))
         assert outcome.converged
         assert outcome.best_value < 1e-12
 
@@ -212,12 +207,12 @@ class TestSimplexRefine:
         def bowl(x):
             return float((x[0] - 0.3) ** 2 + (x[1] - 1.1) ** 2)
 
-        outcome = simplex_refine(bowl, np.array([0.5, 0.5]), OptimizerConfig())
+        outcome = simplex_refine(bowl, np.array([0.5, 0.5]))
         assert_allclose(outcome.best_params.to_flat(), [0.3, 1.1], atol=1e-6)
 
     def test_bell_objective_from_offset_start(self, bell):
         objective = _MeasuredEntropyObjective(bell, 2)
-        outcome = simplex_refine(objective, np.array([0.1, 0.1]), OptimizerConfig())
+        outcome = simplex_refine(objective, np.array([0.1, 0.1]))
         assert_allclose(outcome.best_value, 1.0, atol=1e-6)
 
     def test_never_worse_than_start(self):
@@ -225,13 +220,12 @@ class TestSimplexRefine:
         def spiky(x):
             return 0.0 if abs(x[0] - 0.2) < 1e-12 else 5.0
 
-        outcome = simplex_refine(spiky, np.array([0.2, 0.3]), OptimizerConfig())
+        outcome = simplex_refine(spiky, np.array([0.2, 0.3]))
         assert outcome.best_value <= 0.0 + 1e-15
 
     def test_accepts_measparams_start(self, bell):
         objective = _MeasuredEntropyObjective(bell, 2)
-        outcome = simplex_refine(objective, MeasParams(((0.2, 0.4),)),
-                                 OptimizerConfig())
+        outcome = simplex_refine(objective, MeasParams(((0.2, 0.4),)))
         assert_allclose(outcome.best_value, 1.0, atol=1e-6)
 
 
