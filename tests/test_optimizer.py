@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +16,13 @@ from mdiscord import (
     simplex_refine,
 )
 from mdiscord.discord import _MeasuredEntropyObjective
-from mdiscord.optimizer import SIMPLEX_TOL, _angle_grids, _decode, fold_angles
+from mdiscord.optimizer import (
+    SIMPLEX_MAX_ITERS,
+    SIMPLEX_TOL,
+    _angle_grids,
+    _decode,
+    fold_angles,
+)
 from mdiscord.measure import projector_pair_from_angles
 from mdiscord.states import werner_ghz
 
@@ -86,12 +94,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(refine_starts=0)
 
-    def test_simplex_cap_and_tolerance_are_not_settings(self):
-        # both are fixed constants of the optimizer module
-        with pytest.raises(TypeError):
-            OptimizerConfig(simplex_max_iters=400)
-        with pytest.raises(TypeError):
-            OptimizerConfig(simplex_tol=1e-9)
+    # the simplex cap and tolerance are fixed constants of the optimizer
+    # module, so a config refuses any value for them, the defaults included
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_rejects_no_refinement_iterations(self, iters):
+        assert SIMPLEX_MAX_ITERS >= 1
+        for value in (iters, SIMPLEX_MAX_ITERS):
+            with pytest.raises(TypeError):
+                OptimizerConfig(simplex_max_iters=value)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        assert math.isfinite(SIMPLEX_TOL) and SIMPLEX_TOL > 0
+        for value in (tol, SIMPLEX_TOL):
+            with pytest.raises(TypeError):
+                OptimizerConfig(simplex_tol=value)
 
     def test_no_seed(self):
         # the optimizer is deterministic; a seed would change nothing
