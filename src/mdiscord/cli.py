@@ -6,7 +6,8 @@ adapter over the library; CSV output is RFC-4180 with 12 significant digits
 and is byte-stable for a fixed configuration and seed.  Every setting is
 read through ``SETTINGS``: a config file value, then the flag laid over it.
 The optimizer settings are the grid density and the number of refinement
-starts; the simplex's iteration cap and tolerance are fixed constants of
+starts; the quasi-Newton refinement's iteration cap, gradient step and step
+ladder, and the polish simplex's cap and tolerance, are fixed constants of
 :mod:`mdiscord.optimizer`.  Exit codes: 0 on success, 1 on verification
 failure, 2 on bad input (configuration errors and inputs the library
 rejects).  Run as ``mdiscord`` or ``python -m mdiscord.cli``.

@@ -380,7 +380,8 @@ def _normalize_order(measured_order, n: int) -> tuple[int, ...]:
 
 
 def _minimize(objective, n_nodes: int, cfg: OptimizerConfig):
-    """Grid-plus-simplex minimization followed by rescaled polish passes.
+    """Grid scan and quasi-Newton refinement (:func:`optimize`), followed by
+    rescaled downhill-simplex polish passes.
 
     Returns the best value and params plus bookkeeping for diagnostics."""
     outcome = optimize(objective, n_nodes, cfg)
@@ -426,8 +427,8 @@ def discord(
     ``measured_order`` lists subsystems in measurement order (a prefix is
     enough; remaining subsystems follow in ascending position).  The first
     ``level - 1`` of them are measured; everything else forms the final
-    unmeasured party.  Returns the best value found even when the simplex
-    did not converge, flagged through ``diagnostics['converged']``.
+    unmeasured party.  Returns the best value found even when the
+    refinement did not converge, flagged through ``diagnostics['converged']``.
     """
     n = state.n_subsystems
     level = n if level is None else int(level)

@@ -1,9 +1,12 @@
-"""Derivative-free minimization over measurement angles.
+"""Minimization over measurement angles: a grid scan, then quasi-Newton
+refinement.
 
 A coarse Cartesian grid scan keeps its ``refine_starts`` best points, then
-downhill-simplex refinement polishes each of them.  Everything is
-deterministic: grids are enumerated lexicographically, value ties among the
-kept points keep enumeration order, and the simplex uses no randomness.
+quasi-Newton (BFGS) refinement with central-difference gradients takes each
+of them downhill (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 6
+and 8).  Everything is deterministic: grids are enumerated
+lexicographically, value ties among the kept points keep enumeration order,
+and the refinement uses no randomness.
 
 Objectives map a flat angle vector (theta, phi alternating, node-major) to a
 scalar.  An objective exposing a ``grid_values(points)`` method supplies the
@@ -13,18 +16,23 @@ objective exposing an ``evaluate_many(params_matrix)`` method is evaluated
 in batches during the grid scan, which is orders of magnitude faster for the
 larger grids.
 
-Refinement runs each simplex as a generator that yields the points it needs
-next.  :func:`optimize` advances its ``refine_starts`` simplices in lockstep
-and values every pending point of every unfinished run in one
-``evaluate_many`` call per round; one batched call costs about as much as a
-single-row one.  Each simplex compares only its own values in its own order,
-and a batched row equals the single-row value bit for bit, so the results
-are those of refining the starts one after another.  A plain callable is
-evaluated point by point.
+Refinement runs each start as a generator that yields the points it needs
+next: one gradient stencil (2n rows), one ladder of step lengths, or one set
+of probe rings per request.  :func:`optimize` advances its
+``refine_starts`` runs in lockstep and values every pending point of every
+unfinished run in one ``evaluate_many`` call per round; one batched call
+costs about as much as a single-row one.  Each run compares only its own
+values in its own order, and a batched row equals the single-row value bit
+for bit, so the results are those of refining the starts one after
+another.  A plain callable is evaluated point by point.
 
 :class:`OptimizerConfig` sets the grid density and the number of starts.
-Each simplex run stops after ``SIMPLEX_MAX_ITERS`` iterations or once its
-value spread is below ``SIMPLEX_TOL``; both are fixed.
+The refinement's iteration cap ``QN_MAX_ITERS``, gradient step
+``QN_GRADIENT_STEP`` and step ladder ``QN_LINE_STEPS`` are fixed.  The
+downhill simplex of :func:`simplex_refine` (Nelder & Mead 1965, capped at
+``SIMPLEX_MAX_ITERS`` iterations, converged below a value spread of
+``SIMPLEX_TOL``) is kept for the polish passes of
+:func:`mdiscord.discord.discord`.
 """
 
 from __future__ import annotations
@@ -42,6 +50,9 @@ _PROBE_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
 SIMPLEX_MAX_ITERS = 400  # iterations of one simplex run
 SIMPLEX_TOL = 1e-9       # value spread of a converged simplex
+QN_MAX_ITERS = 200       # iterations of one quasi-Newton refinement
+QN_GRADIENT_STEP = 1e-6  # central-difference step of its gradient
+QN_LINE_STEPS = tuple(2.0 ** -k for k in range(-1, 12))  # 2, 1, ..., 2**-11
 
 
 @dataclass(frozen=True)
@@ -66,18 +77,19 @@ class OptimizerOutcome:
 
 
 def fold_angles(x: np.ndarray) -> np.ndarray:
-    """Map a flat angle vector back into range: theta (even slots) reflected
-    into [0, pi/2], phi (odd slots) wrapped mod 2 pi.
+    """Map a flat angle vector (or each row of a matrix of them) back into
+    range: theta (even slots) reflected into [0, pi/2], phi (odd slots)
+    wrapped mod 2 pi.
 
     The basis pair satisfies pair(pi - theta, phi + pi) = pair(theta, phi),
     so reflecting theta shifts the partner phi by pi; folding therefore
     relabels the same projector pair and never distorts the objective.
     """
     out = np.array(x, dtype=float)
-    theta = np.mod(out[0::2], np.pi)
+    theta = np.mod(out[..., 0::2], np.pi)
     reflected = theta > np.pi / 2
-    out[0::2] = np.where(reflected, np.pi - theta, theta)
-    out[1::2] = np.mod(out[1::2] + np.pi * reflected, 2 * np.pi)
+    out[..., 0::2] = np.where(reflected, np.pi - theta, theta)
+    out[..., 1::2] = np.mod(out[..., 1::2] + np.pi * reflected, 2 * np.pi)
     return out
 
 
@@ -263,8 +275,84 @@ def _nelder_mead(start):
     )
 
 
+def _coordinate_ring(n: int) -> np.ndarray:
+    """Unit steps along each coordinate, both signs: +e_0, -e_0, +e_1, ..."""
+    eye = np.eye(n)
+    return np.stack([eye, -eye], axis=1).reshape(2 * n, n)
+
+
+def _quasi_newton(start):
+    """Quasi-Newton (BFGS) refinement from ``start``, as a generator with
+    :func:`_nelder_mead`'s protocol.
+
+    The start is asked for with its central-difference gradient (2n more
+    rows, step ``QN_GRADIENT_STEP``).  An iteration asks for the whole
+    ladder of ``QN_LINE_STEPS`` along -H g as one list and moves to its
+    lowest point, then asks for the gradient there and updates the inverse
+    Hessian estimate H.  When no rung lies below the current value, the
+    per-coordinate probe rings of every ``_PROBE_STEPS`` size are asked for
+    as one list: the lowest probe below it becomes the next point, and if
+    none is below, the run has converged (the chart's flat edges, e.g. phi
+    at theta = 0, are where a gradient test alone would stop short).  At
+    most ``QN_MAX_ITERS`` iterations run.  The iterate stays unfolded, so
+    steps and curvature pairs are smooth across the theta fold; only the
+    rows asked for and the point returned are folded, which relabels the
+    same projector pair.  Never returns a value above the start's.
+    """
+    x = np.array(start, dtype=float)
+    n = x.size
+    eye = np.eye(n)
+    stencil = QN_GRADIENT_STEP * _coordinate_ring(n)
+    probes = np.concatenate([delta * _coordinate_ring(n) for delta in _PROBE_STEPS])
+
+    def gradient(values):
+        values = np.asarray(values)
+        return (values[0::2] - values[1::2]) / (2 * QN_GRADIENT_STEP)
+
+    values = yield fold_angles(np.vstack([x, x + stencil]))
+    nfe = 1 + 2 * n
+    value = start_value = values[0]
+    grad = gradient(values[1:])
+    inverse, scaled = eye, False
+    converged = False
+    for _ in range(QN_MAX_ITERS):
+        candidates = x + np.outer(QN_LINE_STEPS, -inverse @ grad)
+        values = yield fold_angles(candidates)
+        nfe += len(candidates)
+        best = int(np.argmin(values))
+        if not values[best] < value:
+            candidates = x + probes
+            values = yield fold_angles(candidates)
+            nfe += len(candidates)
+            best = int(np.argmin(values))
+            if not values[best] < value:
+                converged = True
+                break
+        x_next, value = candidates[best], values[best]
+        next_grad = gradient((yield fold_angles(x_next + stencil)))
+        nfe += 2 * n
+        s, y = x_next - x, next_grad - grad
+        sy = s @ y
+        if sy > 0:
+            if not scaled:
+                # Nocedal & Wright (6.20): size the first estimate to the
+                # curvature seen along the first step
+                inverse, scaled = (sy / (y @ y)) * eye, True
+            v = eye - np.outer(s, y) / sy
+            inverse = v @ inverse @ v.T + np.outer(s, s) / sy
+        x, grad = x_next, next_grad
+    return OptimizerOutcome(
+        best_value=value,
+        best_params=MeasParams.from_flat(fold_angles(x)),
+        evaluations=nfe,
+        converged=converged,
+        grid_best=start_value,
+    )
+
+
 def _run_together(objective, runs) -> list[OptimizerOutcome]:
-    """Advance :func:`_nelder_mead` runs in lockstep until each returns.
+    """Advance refinement generators (:func:`_quasi_newton`,
+    :func:`_nelder_mead`) in lockstep until each returns.
 
     Every round values the pending points of every unfinished run in one
     ``evaluate_many`` call when the objective has one (rows in run order),
@@ -308,36 +396,24 @@ def simplex_refine(objective, start) -> OptimizerOutcome:
 
 
 def optimize(objective, n_nodes: int, config: OptimizerConfig | None = None) -> OptimizerOutcome:
-    """Grid scan, then simplex refinement from the top candidates.
+    """Grid scan, then quasi-Newton refinement from the top candidates.
 
-    The starts are refined in lockstep, one batched call per round.
+    The starts are refined in lockstep by :func:`_quasi_newton`, one
+    batched call per round, each for at most ``QN_MAX_ITERS`` iterations.
     Deterministic for fixed config; the refined results are compared in grid
     rank order so ties keep the earlier (lexicographically smaller) start.
-    ``SIMPLEX_MAX_ITERS`` caps each simplex run, not the whole refinement:
-    while the winning start has not converged, it is continued, one run at a
-    time, with a fresh simplex from its best vertex, until a run converges,
-    stops lowering the value, or lowers it by less than ``SIMPLEX_TOL`` (a
-    gain below the spread tolerance only chases rounding on a flat floor).
-    ``converged`` describes the point returned.
+    ``converged`` describes the point returned: no probe of its rings lies
+    below it.
     """
     config = config or OptimizerConfig()
     scan = grid_scan(objective, n_nodes, config)
     evaluations = scan.evaluations
     best: OptimizerOutcome | None = None
-    starts = [_nelder_mead(start) for start in scan.params]
+    starts = [_quasi_newton(start) for start in scan.params]
     for outcome in _run_together(objective, starts):
         evaluations += outcome.evaluations
         if best is None or outcome.best_value < best.best_value:
             best = outcome
-    while not best.converged:
-        outcome = simplex_refine(objective, best.best_params)
-        evaluations += outcome.evaluations
-        if outcome.best_value >= best.best_value:
-            break
-        gain = best.best_value - outcome.best_value
-        best = outcome
-        if gain < SIMPLEX_TOL:
-            break
     return OptimizerOutcome(
         best_value=best.best_value,
         best_params=best.best_params,

@@ -16,11 +16,15 @@ from mdiscord import (
     simplex_refine,
 )
 from mdiscord.discord import _MeasuredEntropyObjective
+from mdiscord import optimizer
 from mdiscord.optimizer import (
+    _PROBE_STEPS,
     SIMPLEX_MAX_ITERS,
     SIMPLEX_TOL,
     _angle_grids,
     _decode,
+    _quasi_newton,
+    _run_together,
     fold_angles,
 )
 from mdiscord.measure import projector_pair_from_angles
@@ -52,27 +56,44 @@ class BatchCounter:
         return self.objective.evaluate_many(rows)
 
 
+def refine_alone(objective, start):
+    """One quasi-Newton refinement, driven on its own."""
+    return _run_together(objective, [_quasi_newton(start)])[0]
+
+
 def sequential_optimize(objective, n_nodes, config):
     """The refinement one start at a time: each grid start through
-    simplex_refine in rank order, then the continuation of the winner."""
+    _quasi_newton alone, in rank order."""
     scan = grid_scan(objective, n_nodes, config)
     evaluations = scan.evaluations
     best = None
     for start in scan.params:
-        outcome = simplex_refine(objective, start)
+        outcome = refine_alone(objective, start)
         evaluations += outcome.evaluations
         if best is None or outcome.best_value < best.best_value:
             best = outcome
-    while not best.converged:
-        outcome = simplex_refine(objective, best.best_params)
-        evaluations += outcome.evaluations
-        if outcome.best_value >= best.best_value:
-            break
-        gain = best.best_value - outcome.best_value
-        best = outcome
-        if gain < SIMPLEX_TOL:
-            break
     return best, evaluations
+
+
+def bloch(x):
+    """Bloch vector of a node's first basis vector from its (theta, phi);
+    the same for both labels of a folded pair."""
+    theta, phi = x[0], x[1]
+    return np.array([np.sin(2 * theta) * np.cos(phi),
+                     np.sin(2 * theta) * np.sin(phi),
+                     np.cos(2 * theta)])
+
+
+class BatchRecorder:
+    """A batched objective that records the rows of each call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.batches = []
+
+    def evaluate_many(self, rows):
+        self.batches.append(np.array(rows))
+        return np.array([self.fn(row) for row in rows])
 
 
 class ConstantBatch:
@@ -244,6 +265,67 @@ class TestSimplexRefine:
         objective = _MeasuredEntropyObjective(bell, 2)
         outcome = simplex_refine(objective, MeasParams(((0.2, 0.4),)))
         assert_allclose(outcome.best_value, 1.0, atol=1e-6)
+
+
+class TestQuasiNewton:
+    def test_bowl_across_the_theta_fold(self):
+        # the minimum, seen from a start at phi = 1 + pi, lies at theta =
+        # pi/2 + 0.1 of the unfolded chart: the steps cross theta = pi/2,
+        # so every row asked for sits near phi = 1 + pi or, folded, near
+        # phi = 1, never on a way round in phi
+        target = bloch([np.pi / 2 - 0.1, 1.0])
+
+        def bowl(x):
+            return float(np.sum((bloch(x) - target) ** 2))
+
+        recorder = BatchRecorder(bowl)
+        outcome = refine_alone(recorder, np.array([np.pi / 2 - 0.2, 1.0 + np.pi]))
+        assert outcome.converged
+        assert outcome.best_value < 1e-12
+        assert_allclose(outcome.best_params.to_flat(), [np.pi / 2 - 0.1, 1.0],
+                        atol=1e-6)
+        phi = np.concatenate(recorder.batches)[:, 1]
+        assert np.all((np.abs(phi - 1.0) < 0.2) | (np.abs(phi - 1.0 - np.pi) < 0.2))
+
+    @pytest.mark.parametrize("start", [[0.0, 2.0], [0.6, 2.0]],
+                             ids=["at-the-pole", "off-the-pole"])
+    def test_flat_phi_at_theta_zero_converges_through_the_probe_ring(self, start):
+        # minimum 0 at theta = 0 for every phi; away from it phi matters
+        def cap(x):
+            n = bloch(x)
+            return float(1.0 - n[2] + 0.1 * n[0] ** 2)
+
+        recorder = BatchRecorder(cap)
+        outcome = refine_alone(recorder, np.array(start))
+        assert outcome.converged
+        assert outcome.best_value < 1e-12
+        assert outcome.best_params.to_flat()[0] < 1e-6
+        # the run ends on a probe ring that finds nothing lower
+        assert len(recorder.batches[-1]) == 2 * 2 * len(_PROBE_STEPS)
+
+    def test_iteration_cap(self, monkeypatch):
+        def ripple(x):
+            return float(np.sum(np.sin(3 * x) ** 2) + 0.1 * np.sum((x - 0.4) ** 2))
+
+        monkeypatch.setattr(optimizer, "QN_MAX_ITERS", 2)
+        start = np.array([1.2, 2.5, 0.3, 4.0, 0.9, 5.1])
+        outcome = refine_alone(ripple, start)
+        assert not outcome.converged
+        assert outcome.best_value <= ripple(start)
+        assert outcome.grid_best == ripple(start)
+        # the first gradient, then two iterations of a ladder and a gradient
+        n = len(start)
+        assert outcome.evaluations == 1 + 2 * n + 2 * (len(optimizer.QN_LINE_STEPS) + 2 * n)
+
+    @pytest.mark.parametrize("rank", range(8))
+    def test_acceptance_input_41_starts_reach_zero(self, rank):
+        # the simplex stalled at 3.1e-3 to 6.2e-3 from starts 0, 2, 4 and 6
+        state, _ = apply_tree(random_qubits(30_041, 3, 2), random_tree(40_041, 2), 2)
+        objective = _MeasuredEntropyObjective(state, 3)
+        scan = grid_scan(objective, 3, OptimizerConfig(refine_starts=8))
+        outcome = refine_alone(objective, scan.params[rank])
+        assert outcome.best_value < 1e-9
+        assert outcome.converged
 
 
 class TestOptimize:
