@@ -9,13 +9,12 @@ which is non-negative for every tree and zero exactly on measured states.
 ``objective_*`` evaluate that quantity for a given tree through the readable
 :mod:`mdiscord.entropy_flux` path; :func:`discord` minimizes it with a
 dedicated batched evaluator that contracts branch states directly and
-values a whole grid from per-branch terms (the grid scan values millions of
-points on the larger grids).
+tabulates per-branch terms over the angle grid, from which the grid scan
+takes the exact grid minimum by dynamic programming over the tree.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -30,13 +29,7 @@ from .measure import (
     params_to_json,
     tree_from_params,
 )
-from .optimizer import (
-    _GRID_CHUNK,
-    OptimizerConfig,
-    _angle_grids,
-    optimize,
-    simplex_refine,
-)
+from .optimizer import OptimizerConfig, _angle_grids, optimize, simplex_refine
 from .qstate import (
     QState,
     StructuralError,
@@ -123,9 +116,8 @@ def _branch_entropy_qubit(blocks: np.ndarray) -> np.ndarray:
     trace = a + d
     det = a * d - (off.real ** 2 + off.imag ** 2)
     disc = np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))
-    hi = (trace + disc) / 2.0
-    lo = (trace - disc) / 2.0
-    return x_log2_x(trace) - x_log2_x(hi) - x_log2_x(lo)
+    whole, hi, lo = x_log2_x(np.stack([trace, (trace + disc) / 2.0, (trace - disc) / 2.0]))
+    return whole - hi - lo
 
 
 def _branch_entropy_block(blocks: np.ndarray) -> np.ndarray:
@@ -162,12 +154,9 @@ def _basis_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _node_vectors(chunk: np.ndarray, depth: int) -> np.ndarray:
-    """Basis vectors (outcome x component) for every depth-``depth`` node,
-    batched over the parameter rows of ``chunk``."""
-    n_paths = 2 ** depth
-    idx = (n_paths - 1) + np.arange(n_paths)
-    return _basis_vectors(chunk[:, 2 * idx], chunk[:, 2 * idx + 1])
+def _depth_nodes(depth: int) -> slice:
+    """The depth-``depth`` nodes of the node-major (breadth-first) order."""
+    return slice(2 ** depth - 1, 2 ** (depth + 1) - 1)
 
 
 def _measure_step(branches: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -233,39 +222,43 @@ class _MeasuredEntropyObjective:
                 f"expected {2 * self.n_nodes} angles per row, got {chunk.shape[1]}"
             )
         value = np.full(nb, self.base)
+        vectors = _basis_vectors(chunk[:, 0::2], chunk[:, 1::2])
         branches = np.broadcast_to(self.rho, (nb, 1) + self.rho.shape)
         for step in range(1, self.level):
-            branches = _measure_step(branches, _node_vectors(chunk, step - 1))
+            branches = _measure_step(branches, vectors[:, _depth_nodes(step - 1)])
             value += _branch_terms(branches, step == self.level - 1).sum(axis=-1)
         return value
 
-    def grid_values(self, points: int) -> np.ndarray:
-        """The integrand on :func:`grid_scan`'s full angle grid with
-        ``points`` values per angle, flat in its lexicographic order.
+    def grid_tables(self, points: int) -> tuple[float, list[np.ndarray]]:
+        """``base`` and the per-branch terms of the integrand on
+        :func:`grid_scan`'s angle grid with ``points`` values per angle.
 
-        A branch depends only on the nodes along its path, so each node's
-        incoming branches are projected once per combination of ancestor
-        cells (theta, phi grid pairs), not once per grid point.  The
-        per-branch terms are then gathered back to every grid point and
-        summed exactly as :meth:`_chunk` sums them, so each value equals
-        the brute-force one bit for bit.
+        ``tables[s - 1][c_0, ..., c_{s-1}, b]`` is the term of outcome branch
+        ``b`` after step ``s`` when its ancestor node at depth ``d`` sits in
+        cell ``c_d``, a (theta, phi) grid pair with theta slower.  A branch
+        depends only on the nodes along its path, so each node's incoming
+        branches are projected once per combination of ancestor cells, not
+        once per grid point.  The integrand at a grid point is ``base`` plus
+        every node's two terms under its own ancestors' cells; the largest
+        table holds ``(2 * points**2) ** (level - 1)`` values.
         """
         theta_grid, phi_grid = _angle_grids(1, points)
         cells = points * points
         cell_vectors = _basis_vectors(
             np.repeat(theta_grid, points), np.tile(phi_grid, points)
         )
-        # tables[s - 1][c_0, ..., c_{s-1}, b]: term of branch b after step s
-        # when its ancestor node at depth d sits in cell c_d.  Incoming rows
-        # meet every cell in blocks of about _EVAL_CHUNK projections, which
-        # bounds the temporaries as in evaluate_many.
+        # Incoming rows meet every cell in blocks of about _EVAL_CHUNK
+        # projections, which bounds the temporaries as in evaluate_many.
         tables = []
         branches = np.broadcast_to(self.rho, (1, 1) + self.rho.shape)
         block = max(1, _EVAL_CHUNK // cells)
         for step in range(1, self.level):
             last = step == self.level - 1
-            n_paths = branches.shape[1]
-            projected, terms = [], []
+            n_paths, half = branches.shape[1], branches.shape[-1] // 2
+            rows = len(branches) * cells
+            table = np.empty((rows, 2 * n_paths))
+            if not last:
+                projected = np.empty((rows, 2 * n_paths, half, half), dtype=complex)
             for first in range(0, len(branches), block):
                 part = branches[first:first + block]
                 count = len(part) * cells
@@ -279,50 +272,14 @@ class _MeasuredEntropyObjective:
                     incoming.reshape((count,) + part.shape[1:]),
                     vectors.reshape(count, n_paths, 2, 2),
                 )
-                terms.append(_branch_terms(outcomes, last))
+                done = slice(first * cells, first * cells + count)
+                table[done] = _branch_terms(outcomes, last)
                 if not last:
-                    projected.append(outcomes)
+                    projected[done] = outcomes
             if not last:
-                branches = np.concatenate(projected)
-            tables.append(
-                np.concatenate(terms).reshape((cells,) * step + (2 * n_paths,))
-            )
-
-        # Slabs fix the cells of the leading ``fixed_nodes`` nodes; the rest
-        # vary over the slab in lexicographic order.
-        n_nodes = self.n_nodes
-        fixed_nodes = next(
-            k for k in range(n_nodes + 1) if cells ** (n_nodes - k) <= _GRID_CHUNK
-        )
-        free_shape = (cells,) * (n_nodes - fixed_nodes)
-        slab = cells ** (n_nodes - fixed_nodes)
-        # Per step, per sibling pair q: the pair's fixed ancestors and the
-        # broadcast shape of its terms over the free nodes.
-        gathers = []
-        for step in range(1, self.level):
-            pairs = []
-            for q in range(2 ** (step - 1)):
-                ancestors = [2 ** d - 1 + (q >> (step - 1 - d)) for d in range(step)]
-                shape = tuple(
-                    cells if node in ancestors else 1
-                    for node in range(fixed_nodes, n_nodes)
-                )
-                fixed = [node for node in ancestors if node < fixed_nodes]
-                pairs.append((fixed, shape + (2,)))
-            gathers.append((pairs, np.empty(free_shape + (2 ** step,))))
-
-        values = np.empty(cells ** n_nodes)
-        prefixes = itertools.product(range(cells), repeat=fixed_nodes)
-        for start, prefix in zip(range(0, len(values), slab), prefixes):
-            out = values[start:start + slab]
-            out[:] = self.base
-            for table, (pairs, gathered) in zip(tables, gathers):
-                for q, (fixed, shape) in enumerate(pairs):
-                    index = tuple(prefix[node] for node in fixed)
-                    pair = slice(2 * q, 2 * q + 2)
-                    gathered[..., pair] = table[index + (..., pair)].reshape(shape)
-                out += gathered.reshape(slab, -1).sum(axis=-1)
-        return values
+                branches = projected
+            tables.append(table.reshape((cells,) * step + (2 * n_paths,)))
+        return self.base, tables
 
 
 class _TwoMeasurementObjective:
@@ -344,10 +301,11 @@ class _TwoMeasurementObjective:
 
     def evaluate_many(self, params_matrix: np.ndarray) -> np.ndarray:
         chunk = np.asarray(params_matrix, dtype=float)
+        vectors = _basis_vectors(chunk[:, 0::2], chunk[:, 1::2])
         branches = np.broadcast_to(self.rho, (len(chunk), 1, 4, 4))
         probs = []
         for step in (1, 2):
-            branches = _measure_step(branches, _node_vectors(chunk, step - 1))
+            branches = _measure_step(branches, vectors[:, _depth_nodes(step - 1)])
             probs.append(np.trace(branches, axis1=-2, axis2=-1).real)
         shannon_joint = -x_log2_x(probs[1]).sum(axis=-1)
         shannon_first = -x_log2_x(probs[0]).sum(axis=-1)
@@ -400,7 +358,9 @@ def _minimize(objective, n_nodes: int, cfg: OptimizerConfig):
         restarts += 1
         polished_value = polished.best_value / scale
         trace.append(polished_value)
-        if polished_value < best_value:
+        # an unconverged pass never replaces a converged point, however
+        # little lower it ends
+        if polished_value < best_value and (polished.converged or not converged):
             best_value = polished_value
             best_params = polished.best_params
             converged = polished.converged

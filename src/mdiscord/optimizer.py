@@ -1,20 +1,22 @@
-"""Minimization over measurement angles: a grid scan, then quasi-Newton
-refinement.
+"""Minimization over measurement angles: an exact grid minimum, then
+quasi-Newton refinement.
 
-A coarse Cartesian grid scan keeps its ``refine_starts`` best points, then
-quasi-Newton (BFGS) refinement with central-difference gradients takes each
-of them downhill (Nocedal & Wright, *Numerical Optimization*, 2006, ch. 6
-and 8).  Everything is deterministic: grids are enumerated
-lexicographically, value ties among the kept points keep enumeration order,
-and the refinement uses no randomness.
+A coarse Cartesian grid scan finds the grid minimum within each cell of the
+root node's (theta, phi) grid and keeps the ``refine_starts`` best of those
+root cells, each with its best grid point; quasi-Newton (BFGS) refinement
+with central-difference gradients then takes each start downhill (Nocedal &
+Wright, *Numerical Optimization*, 2006, ch. 6 and 8).  Everything is
+deterministic: grids are enumerated lexicographically, value ties keep
+enumeration order, and the refinement uses no randomness.
 
 Objectives map a flat angle vector (theta, phi alternating, node-major) to a
-scalar.  An objective exposing a ``grid_values(points)`` method supplies the
-whole grid value array itself (the discord integrand factors over outcome
-branches, so it need not evaluate each point from scratch).  Otherwise an
-objective exposing an ``evaluate_many(params_matrix)`` method is evaluated
-in batches during the grid scan, which is orders of magnitude faster for the
-larger grids.
+scalar.  An objective exposing a ``grid_tables(points)`` method supplies
+per-branch term tables instead: the discord integrand is a sum of terms that
+each depend only on one branch's ancestor nodes, so the grid minimum comes
+from dynamic programming over the tree, and no grid point is valued on its
+own.  Otherwise an objective exposing an ``evaluate_many(params_matrix)``
+method is evaluated in batches during the grid scan, which is orders of
+magnitude faster than point by point for the larger grids.
 
 Refinement runs each start as a generator that yields the points it needs
 next: one gradient stencil (2n rows), one ladder of step lengths, or one set
@@ -43,8 +45,8 @@ import numpy as np
 
 from .measure import MeasParams
 
-_GRID_CHUNK = 65536
-_MAX_GRID_TOTAL = 100_000_000
+_GRID_CHUNK = 65536               # points per batch of a point-by-point scan
+_MAX_GRID_TOTAL = 100_000_000     # values a grid scan may hold at once
 _INITIAL_SIMPLEX_EDGE = 0.1
 _PROBE_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
@@ -105,11 +107,11 @@ def _angle_grids(n_nodes: int, points: int):
 
 @dataclass(frozen=True)
 class GridScanResult:
-    """The best grid points, ascending by objective value."""
+    """The best grid starts, ascending by objective value."""
 
-    values: np.ndarray   # the kept points' values, ascending
-    params: np.ndarray   # one flat angle vector per kept point
-    evaluations: int     # grid points valued: the whole grid
+    values: np.ndarray   # the kept starts' values, ascending
+    params: np.ndarray   # one flat angle vector per kept start
+    evaluations: int     # grid points the exact minimum covers: the whole grid
 
 
 def _decode(flat_indices: np.ndarray, grids) -> np.ndarray:
@@ -124,34 +126,87 @@ def _decode(flat_indices: np.ndarray, grids) -> np.ndarray:
     return out
 
 
+def _tree_minimum(base: float, tables, points: int):
+    """Every root cell's minimum of ``base`` plus the terms of ``tables``
+    over the rest of the grid, and one grid point attaining it.
+
+    ``tables[d][c_0, ..., c_d, b]`` is the term of outcome branch ``b`` of
+    the depth-``d`` nodes when their ancestor at depth ``k`` sits in cell
+    ``c_k`` (see ``grid_tables`` in :mod:`mdiscord.discord`).  Node ``q`` of
+    a depth owns branches ``2q`` and ``2q + 1``, and child ``2q + j`` sees
+    only its own ancestors' cells, so the minimum factorizes over subtrees:
+    from the deepest nodes up, each node's two terms plus its children's
+    subtree minima are minimized over the node's own cell, keeping the argmin
+    (ties go to the lowest cell, which is grid order).  The best point of
+    each root cell is decoded from those argmins.
+    """
+    def pairs(terms):
+        return terms[..., 0::2] + terms[..., 1::2]
+
+    argmins = []
+    node = pairs(tables[-1])
+    for table in tables[-2::-1]:
+        cell = np.argmin(node, axis=-2)
+        argmins.append(cell)
+        subtree = np.take_along_axis(node, cell[..., None, :], axis=-2)[..., 0, :]
+        node = pairs(table) + pairs(subtree)
+    root = base + node[:, 0]
+
+    cells = points * points
+    node_cells = [np.arange(cells)[:, None]]
+    for depth, cell in enumerate(reversed(argmins), start=1):
+        q = np.arange(2 ** depth)
+        ancestors = tuple(node_cells[k][:, q >> (depth - k)] for k in range(depth))
+        node_cells.append(cell[ancestors + (q,)])
+    flat = np.concatenate(node_cells, axis=1)
+    theta_grid, phi_grid = _angle_grids(1, points)
+    params = np.empty((cells, 2 * flat.shape[1]))
+    params[:, 0::2] = theta_grid[flat // points]
+    params[:, 1::2] = phi_grid[flat % points]
+    return root, params
+
+
 def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResult:
-    """Evaluate the objective on the full Cartesian angle grid and keep the
-    ``refine_starts`` best points.
+    """The exact minimum of the objective over the full Cartesian angle grid,
+    kept as its ``refine_starts`` best root cells.
 
     theta points include both endpoints of [0, pi/2]; phi points exclude
     2 pi.  The first parameter varies slowest, so flat index order is
-    lexicographic parameter order.  The kept points are the first ones of a
-    stable sort of the whole grid (value ties in that order), but only they
-    are ranked.  An objective with a ``grid_values(points)`` method returns
-    the whole flat value array in grid order; any other objective is
-    evaluated chunk by chunk, through ``evaluate_many`` when it has one.
-    Either way every grid point is valued, so ``evaluations`` is the grid
-    size.
+    lexicographic parameter order.  A root cell is one (theta, phi) pair of
+    the first node; each kept start is its root cell's best grid point, and
+    the kept cells are the first ones of a stable sort of those minima (value
+    ties in grid order, as are ties within a cell).
+
+    An objective with a ``grid_tables(points)`` method supplies ``base`` and
+    per-branch term tables, and the minimum comes from dynamic programming
+    over the measurement tree (:func:`_tree_minimum`) without valuing any
+    grid point on its own.  Any other objective is valued point by point,
+    chunk by chunk, through ``evaluate_many`` when it has one.  Either way
+    ``evaluations`` is the grid size.  ``_MAX_GRID_TOTAL`` caps the values
+    either path holds at once: the whole grid's, or the largest table's
+    ``(2 * points**2) ** depth`` for a tree of that depth.
     """
-    grids = tuple(_angle_grids(n_nodes, config.grid_points_per_angle))
-    total = int(np.prod([len(g) for g in grids], dtype=np.int64))
-    if total > _MAX_GRID_TOTAL:
+    points = config.grid_points_per_angle
+    cells = points * points
+    total = cells ** n_nodes
+    tabulate = getattr(objective, "grid_tables", None)
+    depth = (n_nodes + 1).bit_length() - 1
+    held = total if tabulate is None else (2 * cells) ** depth
+    if held > _MAX_GRID_TOTAL:
         raise ValueError(
-            f"grid of {total} points is too large; lower grid_points_per_angle"
+            f"grid of {total} points needs {held} values at once, which is too "
+            "large; lower grid_points_per_angle"
         )
-    whole_grid = getattr(objective, "grid_values", None)
-    if whole_grid is not None:
-        values = whole_grid(config.grid_points_per_angle)
-        if values.shape != (total,):
+    if tabulate is not None:
+        base, tables = tabulate(points)
+        if len(tables) != depth or 2 ** depth - 1 != n_nodes:
             raise ValueError(
-                f"objective grid has shape {values.shape}, expected ({total},)"
+                f"objective tables span {len(tables)} depths, not a tree of "
+                f"{n_nodes} nodes"
             )
+        roots, params = _tree_minimum(base, tables, points)
     else:
+        grids = tuple(_angle_grids(n_nodes, points))
         values = np.empty(total)
         batch = getattr(objective, "evaluate_many", None)
         for start in range(0, total, _GRID_CHUNK):
@@ -161,15 +216,12 @@ def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResul
                 values[start:stop] = batch(chunk)
             else:
                 values[start:stop] = [objective(row) for row in chunk]
-    k = min(config.refine_starts, total)
-    cut = np.partition(values, k - 1)[k - 1]
-    # every point not above the k-th smallest value (NaNs sort last, as in
-    # a full sort), in grid order, so the stable sort of these few keeps ties
-    near = np.flatnonzero(~(values > cut))
-    best = near[np.argsort(values[near], kind="stable")[:k]]
-    return GridScanResult(
-        values=values[best], params=_decode(best, grids), evaluations=total
-    )
+        by_root = values.reshape(cells, -1)
+        best = np.argmin(by_root, axis=1)
+        roots = by_root[np.arange(cells), best]
+        params = _decode(np.arange(cells) * by_root.shape[1] + best, grids)
+    kept = np.argsort(roots, kind="stable")[:config.refine_starts]
+    return GridScanResult(values=roots[kept], params=params[kept], evaluations=total)
 
 
 def _nelder_mead(start):

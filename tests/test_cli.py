@@ -207,7 +207,8 @@ REJECTED = [
      "level must lie"),
     (["discord", "--family", "werner_ghz", "--mu", "0.5", "--order", "0,0"],
      "measurement order"),
-    (["discord", "--family", "werner_ghz", "--mu", "0.5", "--grid-points", "40"],
+    # 80 points per angle: a largest level-3 table of (2 * 80**2) ** 2 values
+    (["discord", "--family", "werner_ghz", "--mu", "0.5", "--grid-points", "80"],
      "too large"),
     (["verify", "--samples", "0"], "samples must be a positive integer"),
     (["sweep", "--config", {"state": WERNER_GHZ, "sweep": {"points": 3.0}}],

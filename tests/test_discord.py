@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,11 +21,15 @@ from mdiscord import (
 )
 from mdiscord.discord import (
     _MeasuredEntropyObjective,
+    _basis_vectors,
+    _branch_entropy_block,
     _measure_step,
-    _node_vectors,
     result_from_json,
     result_to_json,
 )
+from mdiscord.qstate import x_log2_x
+from mdiscord.optimizer import OptimizerConfig, OptimizerOutcome, optimize
+from mdiscord.oracle import reference_objective
 from mdiscord.states import cc_example_state, ghz_state, product_state
 
 from conftest import dm, random_qubits, random_tree
@@ -166,6 +172,48 @@ def _random_angles(seed, rows, n_nodes):
     ).reshape(rows, -1)
 
 
+def _node_vectors(chunk, depth):
+    """Basis vectors of the depth-``depth`` nodes, valued for that depth
+    alone: the per-step formula the evaluator used before it valued every
+    node's vectors in one call, kept as its reference."""
+    idx = 2 ** depth - 1 + np.arange(2 ** depth)
+    return _basis_vectors(chunk[:, 2 * idx], chunk[:, 2 * idx + 1])
+
+
+def _reference_branch_entropy_qubit(blocks):
+    """p * S(block / p) of 2x2 blocks with one x log2 x call per term: the
+    formula _branch_entropy_qubit stacked into one call, kept as its
+    reference."""
+    a = blocks[..., 0, 0].real
+    d = blocks[..., 1, 1].real
+    off = blocks[..., 0, 1]
+    trace = a + d
+    det = a * d - (off.real ** 2 + off.imag ** 2)
+    disc = np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))
+    hi = (trace + disc) / 2.0
+    lo = (trace - disc) / 2.0
+    return x_log2_x(trace) - x_log2_x(hi) - x_log2_x(lo)
+
+
+def _reference_values(objective, chunk):
+    """The integrand of every row, step by step with the reference formulas."""
+    value = np.full(len(chunk), objective.base)
+    rho = objective.rho
+    branches = np.broadcast_to(rho, (len(chunk), 1) + rho.shape)
+    for step in range(1, objective.level):
+        branches = _measure_step(branches, _node_vectors(chunk, step - 1))
+        if step < objective.level - 1:
+            quarter = branches.shape[-1] // 2
+            six = branches.reshape(len(chunk), -1, 2, quarter, 2, quarter)
+            terms = _reference_branch_entropy_qubit(np.einsum("npacbc->npab", six))
+        elif branches.shape[-1] == 2:
+            terms = _reference_branch_entropy_qubit(branches)
+        else:
+            terms = _branch_entropy_block(branches)
+        value += terms.sum(axis=-1)
+    return value
+
+
 def _einsum_step(branches, vectors):
     """The contraction _measure_step replaced, kept as its reference."""
     nb = branches.shape[0]
@@ -203,6 +251,21 @@ class TestMeasureStep:
         chunk = _random_angles(72, 100, objective.n_nodes)
         batched = objective.evaluate_many(chunk)
         assert all(value == objective(row) for value, row in zip(batched, chunk))
+
+
+    @pytest.mark.parametrize("rows", [1, 2, 13, 512, 5000])
+    @pytest.mark.parametrize("dims, level", [
+        ((2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((2, 2, 2, 2), 3),
+        ((2, 2, 3), 3),
+    ])
+    def test_values_equal_the_per_step_formulas(self, dims, level, rows):
+        # one basis-vector call for every node and one x log2 x call per
+        # qubit block leave every value bit for bit as before
+        objective = _MeasuredEntropyObjective(random_state(dims, 3, 73), level)
+        chunk = _random_angles(74 + rows, rows, objective.n_nodes)
+        assert np.array_equal(
+            objective.evaluate_many(chunk), _reference_values(objective, chunk)
+        )
 
 
 class TestDiscord:
@@ -283,6 +346,38 @@ class TestDiscord:
         assert diag["level"] == 2
         assert "grid_best" in diag and "best_objective_trace" in diag
         assert result.value <= diag["grid_best"] + 1e-12
+
+    def test_four_party_level_four_at_the_default_grid(self):
+        state = ghz_state(4)
+        result = discord(state, level=4)
+        tree = tree_from_params(state.dims, (0, 1, 2), result.optimal_params)
+        assert abs(result.value - reference_objective(state, tree, level=4)) < 1e-9
+        assert result.value >= -1e-12
+        assert result.diagnostics["evaluations"] > 36 ** 7
+
+    @pytest.mark.parametrize("polished_converged", [False, True])
+    def test_polish_keeps_a_converged_point_from_an_unconverged_pass(
+        self, monkeypatch, polished_converged
+    ):
+        state = random_qubits(17, 3, 4)
+        refined = optimize(_MeasuredEntropyObjective(state, 3), 3, OptimizerConfig())
+        assert refined.converged
+
+        def slightly_lower(objective, start):
+            value = objective(start.to_flat())
+            return OptimizerOutcome(
+                best_value=value - 1e-12 * abs(value), best_params=start,
+                evaluations=1, converged=polished_converged, grid_best=value,
+            )
+
+        module = importlib.import_module("mdiscord.discord")
+        monkeypatch.setattr(module, "simplex_refine", slightly_lower)
+        result = discord(state, level=3)
+        assert result.converged
+        if polished_converged:
+            assert result.value < refined.best_value
+        else:
+            assert result.value == refined.best_value
 
     def test_level_bounds(self, bell):
         with pytest.raises(StructuralError):

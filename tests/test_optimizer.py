@@ -48,7 +48,7 @@ class BatchCounter:
 
     def __init__(self, objective):
         self.objective = objective
-        self.grid_values = objective.grid_values
+        self.grid_tables = objective.grid_tables
         self.calls = 0
 
     def evaluate_many(self, rows):
@@ -73,6 +73,22 @@ def sequential_optimize(objective, n_nodes, config):
         if best is None or outcome.best_value < best.best_value:
             best = outcome
     return best, evaluations
+
+
+def brute_force_by_root_cell(objective, points):
+    """Every grid value, valued point by point: one row per root cell."""
+    grids = _angle_grids(objective.n_nodes, points)
+    total = points ** (2 * objective.n_nodes)
+    values = objective.evaluate_many(_decode(np.arange(total), grids))
+    return values.reshape(points * points, -1)
+
+
+def root_cells(params, points):
+    """The root cell (theta index * points + phi index) of each start."""
+    theta_grid, phi_grid = _angle_grids(1, points)
+    return np.array([np.flatnonzero(theta_grid == theta)[0] * points
+                     + np.flatnonzero(phi_grid == phi)[0]
+                     for theta, phi in params[:, :2]])
 
 
 def bloch(x):
@@ -202,18 +218,35 @@ class TestGridScan:
         (_MeasuredEntropyObjective(random_state((2, 2, 2), 5, 29), 3), 6),
     ], ids=["constant", "werner_ghz-6", "werner_ghz-10", "random-6"])
     def test_starts_equal_stable_sort_of_brute_force(self, objective, points):
-        grids = _angle_grids(objective.n_nodes, points)
-        total = points ** (2 * objective.n_nodes)
-        values = objective.evaluate_many(_decode(np.arange(total), grids))
-        ranked = np.argsort(values, kind="stable")
-        for starts in (1, 4, 7, total + 1):
+        # the start rule: the root cells of least grid minimum, ascending
+        # with ties in grid order, each started at its best grid point
+        cells = points * points
+        values = brute_force_by_root_cell(objective, points)
+        cell_min = values.min(axis=1)
+        ranked = np.argsort(cell_min, kind="stable")
+        for starts in (1, 4, 7, cells + 1):
             config = OptimizerConfig(grid_points_per_angle=points,
                                      refine_starts=starts)
             scan = grid_scan(objective, objective.n_nodes, config)
+            kept = root_cells(scan.params, points)
             first = ranked[:starts]
-            assert scan.evaluations == total
-            assert np.array_equal(scan.values, values[first])
-            assert np.array_equal(scan.params, _decode(first, grids))
+            assert scan.evaluations == values.size
+            assert len(kept) == len(first) == min(starts, cells)
+            assert np.all(np.diff(scan.values) >= 0)
+            # equal values keep grid order
+            assert np.all(np.diff(kept)[np.diff(scan.values) == 0] > 0)
+            assert_allclose(scan.values, cell_min[kept], rtol=0, atol=1e-12)
+            assert_allclose(cell_min[kept], cell_min[first], rtol=0, atol=1e-12)
+            assert_allclose(objective.evaluate_many(scan.params), cell_min[kept],
+                            rtol=0, atol=1e-12)
+            if not hasattr(objective, "grid_tables"):
+                # valued point by point: the rule applies to the very values
+                assert np.array_equal(kept, first)
+                assert np.array_equal(scan.values, cell_min[first])
+                best = np.argmin(values[first], axis=1)
+                assert np.array_equal(
+                    scan.params, _decode(first * values.shape[1] + best,
+                                         _angle_grids(objective.n_nodes, points)))
 
     @pytest.mark.parametrize("dims, level, points", [
         ((2, 2), 2, 6),
@@ -225,11 +258,44 @@ class TestGridScan:
     ])
     def test_factored_grid_equals_brute_force(self, dims, level, points):
         objective = _MeasuredEntropyObjective(random_state(dims, 3, 17), level)
-        grids = _angle_grids(objective.n_nodes, points)
-        rows = _decode(np.arange(points ** (2 * objective.n_nodes)), grids)
-        assert np.array_equal(
-            objective.grid_values(points), objective.evaluate_many(rows)
-        )
+        cell_min = brute_force_by_root_cell(objective, points).min(axis=1)
+        cells = points * points
+        config = OptimizerConfig(grid_points_per_angle=points, refine_starts=cells)
+        scan = grid_scan(objective, objective.n_nodes, config)
+        kept = root_cells(scan.params, points)
+        assert np.array_equal(np.sort(kept), np.arange(cells))
+        assert_allclose(scan.values, cell_min[kept], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims, level, points, rank", [
+        ((2, 2), 2, 6, 3),
+        ((2, 2, 2), 3, 6, 4),
+        ((2, 2, 2), 3, 10, 8),
+        ((2, 2, 2, 2), 3, 6, 5),
+        ((2, 2, 3), 3, 6, 6),
+        ((2, 2, 2, 2), 4, 4, 7),
+    ])
+    def test_tree_minimum_equals_the_dense_grid_oracle(self, dims, level, points, rank):
+        state = random_state(dims, rank, 400 + rank)
+        objective = _MeasuredEntropyObjective(state, level)
+        config = OptimizerConfig(grid_points_per_angle=points, refine_starts=7)
+        scan = grid_scan(objective, objective.n_nodes, config)
+        reference = dense_grid_min(state, level=level, points_per_angle=points)
+        assert abs(scan.values[0] - reference) < 1e-12
+        # every start's angles reproduce its value
+        assert_allclose(objective.evaluate_many(scan.params), scan.values,
+                        rtol=0, atol=1e-12)
+
+    def test_size_cap_counts_the_largest_table(self, monkeypatch):
+        # a level-3 tree at 6 points holds (2 * 36) ** 2 = 5,184 table
+        # values, a point-by-point scan all 46,656 grid values
+        objective = _MeasuredEntropyObjective(random_state((2, 2, 2), 3, 5), 3)
+        monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 5184)
+        grid_scan(objective, 3, OptimizerConfig())
+        with pytest.raises(ValueError, match="too large"):
+            grid_scan(lambda x: 0.0, 3, OptimizerConfig())
+        monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 5183)
+        with pytest.raises(ValueError, match="too large"):
+            grid_scan(objective, 3, OptimizerConfig())
 
 
 class TestSimplexRefine:
