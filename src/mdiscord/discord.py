@@ -402,13 +402,7 @@ def discord(
     decomposition = None
     if level == 3 and n == 3:
         tree = tree_from_params(state.dims, tuple(range(level - 1)), best_params)
-        delta_ab_c, delta_ac_b = flux.delta_cond_discord(state, tree)
-        decomposition = {
-            "Delta_AB_C": delta_ab_c,
-            "Delta_AC_B": delta_ac_b,
-            "Delta_BC_PiA": flux.delta_post_discord(state, tree),
-            "Delta_ABC": flux.delta_monogamy(state, tree),
-        }
+        decomposition = flux._decomposition(state, tree)
 
     diagnostics.update({"level": level, "measured_order": list(order)})
     return DiscordResult(

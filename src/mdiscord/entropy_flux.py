@@ -10,7 +10,10 @@ Every "delta" is computed two independent ways, as a difference of mutual
 informations across a measurement and as a combination of unminimized
 discords; :func:`flux_report` cross-checks the two routes on every call.  It
 measures each stage once: both routes read the same once- and twice-measured
-states and depth-1 branches.
+states and depth-1 branches.  The tripartite decomposition that
+:func:`~mdiscord.discord.discord` reports, and that the ``delta_*`` functions
+read, likewise measures each stage once and takes its four terms from the
+same ledger differences as :func:`flux_report`.
 """
 
 from __future__ import annotations
@@ -105,10 +108,10 @@ def _branch_average(branches, target) -> float:
     return total
 
 
-def _d_first(state: QState, branches, rest) -> float:
-    """d_unminimized of the measured subsystem 0 against ``rest``, from the
-    depth-1 branches the tree already produced."""
-    return _branch_average(branches, rest) - cond_entropy(state, rest, (0,))
+def _d_branches(state: QState, branches, measured, rest) -> float:
+    """d_unminimized of the ``measured`` block against ``rest``, from the
+    branches the tree already produced at that block's depth."""
+    return _branch_average(branches, rest) - cond_entropy(state, rest, measured)
 
 
 def mutual_info(
@@ -175,12 +178,38 @@ def _measured_states(state, tree):
 
 
 def _cmi_family(state: QState) -> dict[str, float]:
+    i_ac_b = cond_mutual_info(state, (0,), (2,), (1,))
     return {
         "I_AB_C": cond_mutual_info(state, (0,), (1,), (2,)),
-        "I_AC_B": cond_mutual_info(state, (0,), (2,), (1,)),
+        "I_AC_B": i_ac_b,
         "I_BC_A": cond_mutual_info(state, (1,), (2,), (0,)),
-        "I_ABC": tripartite_mutual_info(state),
+        # tripartite_mutual_info, reusing I_{A:C|B}
+        "I_ABC": mutual_info(state, (0,), (2,)) - i_ac_b,
     }
+
+
+def _terms(pre, m1, m2) -> dict[str, float]:
+    """The four terms of the tripartite discord from the ledgers of the pre,
+    once- and twice-measured states, keyed in sweep-column order: the drops
+    of I_{A:B|C} and I_{A:C|B} and the change of I_{A:B:C} under the first
+    measurement, and the drop of I_{B:C|A} under the second."""
+    return {
+        "Delta_AB_C": pre["I_AB_C"] - m1["I_AB_C"],
+        "Delta_AC_B": pre["I_AC_B"] - m1["I_AC_B"],
+        "Delta_BC_PiA": m1["I_BC_A"] - m2["I_BC_A"],
+        "Delta_ABC": pre["I_ABC"] - m1["I_ABC"],
+    }
+
+
+def _decomposition(state: QState, tree: MeasurementTree) -> dict[str, float]:
+    """The four terms of :func:`_terms` for a tripartite state and a tree
+    measuring subsystems 0 then 1, measuring each stage once; the
+    twice-measured state is valued only for the I_{B:C|A} they read."""
+    _require_tripartite(state)
+    _require_two_level_tree(tree)
+    rho1, rho2 = _measured_states(state, tree)
+    m2 = {"I_BC_A": cond_mutual_info(rho2, (1,), (2,), (0,))}
+    return _terms(_cmi_family(state), _cmi_family(rho1), m2)
 
 
 @dataclass(frozen=True)
@@ -218,47 +247,28 @@ def d_unminimized(
         )
     if set(measured_block.indices) & set(rest.indices):
         raise StructuralError("measured_block and rest overlap")
-    depth = len(measured_block)
-    return (
-        cond_entropy_measured(state, tree, depth, target=rest)
-        - cond_entropy(state, rest, measured_block)
-    )
+    _, branches = apply_tree(state, tree, len(measured_block))
+    return _d_branches(state, branches, measured_block, rest)
 
 
 def delta_cond_discord(state: QState, tree: MeasurementTree) -> tuple[float, float]:
     """Conditional discords (Delta_{A;B|C}, Delta_{A;C|B}): the drop each
     conditional mutual information suffers under the first measurement."""
-    _require_tripartite(state)
-    _require_two_level_tree(tree)
-    rho1, _ = apply_tree(state, tree, 1)
-    delta_ab_c = cond_mutual_info(state, (0,), (1,), (2,)) - cond_mutual_info(
-        rho1, (0,), (1,), (2,)
-    )
-    delta_ac_b = cond_mutual_info(state, (0,), (2,), (1,)) - cond_mutual_info(
-        rho1, (0,), (2,), (1,)
-    )
-    return delta_ab_c, delta_ac_b
+    terms = _decomposition(state, tree)
+    return terms["Delta_AB_C"], terms["Delta_AC_B"]
 
 
 def delta_post_discord(state: QState, tree: MeasurementTree) -> float:
     """Delta_{B;C|PiA}: the B:C conditional discord remaining after the first
     measurement, i.e. the drop of I_{B:C|A} under the second one."""
-    _require_tripartite(state)
-    _require_two_level_tree(tree)
-    rho1, rho2 = _measured_states(state, tree)
-    return cond_mutual_info(rho1, (1,), (2,), (0,)) - cond_mutual_info(
-        rho2, (1,), (2,), (0,)
-    )
+    return _decomposition(state, tree)["Delta_BC_PiA"]
 
 
 def delta_monogamy(state: QState, tree: MeasurementTree) -> float:
     """Delta_{A:B:C}: change of the tripartite mutual information under the
     first measurement; negative for monogamous correlations, positive for
     polygamous ones."""
-    _require_tripartite(state)
-    _require_two_level_tree(tree)
-    rho1, _ = apply_tree(state, tree, 1)
-    return tripartite_mutual_info(state) - tripartite_mutual_info(rho1)
+    return _decomposition(state, tree)["Delta_ABC"]
 
 
 def _check(label: str, first: float, second: float):
@@ -283,15 +293,12 @@ def _tripartite_reports(state, tree) -> tuple[FluxReport, ...]:
 
     pre, m1, m2 = ledger(state), ledger(rho1), ledger(rho2)
 
-    d_a_b = _d_first(state, branches, (1,))
-    d_a_c = _d_first(state, branches, (2,))
-    d_a_bc = _d_first(state, branches, (1, 2))
-    # The mutual information route: the same differences delta_cond_discord,
-    # delta_monogamy and delta_post_discord take, read off the ledgers.
-    delta_ab_c = pre["I_AB_C"] - m1["I_AB_C"]
-    delta_ac_b = pre["I_AC_B"] - m1["I_AC_B"]
-    delta_abc = pre["I_ABC"] - m1["I_ABC"]
-    delta_bc_pia = m1["I_BC_A"] - m2["I_BC_A"]
+    d_a_b = _d_branches(state, branches, (0,), (1,))
+    d_a_c = _d_branches(state, branches, (0,), (2,))
+    d_a_bc = _d_branches(state, branches, (0,), (1, 2))
+    # The mutual information route: the terms of the decomposition discord()
+    # reports, read off the same ledgers.
+    delta_ab_c, delta_ac_b, delta_bc_pia, delta_abc = _terms(pre, m1, m2).values()
     delta_bpiac = m1["I_ABC"] - m2["I_ABC"]
     ds_pia = subsystem_entropy(rho1, (0,)) - subsystem_entropy(state, (0,))
     ds_b_pia = cond_entropy(rho2, (1,), (0,)) - cond_entropy(rho1, (1,), (0,))
@@ -343,7 +350,7 @@ def _bipartite_reports(state, tree) -> tuple[FluxReport, ...]:
         }
 
     pre, m1 = ledger(state), ledger(rho1)
-    d_a_b = _d_first(state, branches, (1,))
+    d_a_b = _d_branches(state, branches, (0,), (1,))
     ds_pia = subsystem_entropy(rho1, (0,)) - subsystem_entropy(state, (0,))
     ds_pia_b = m1["S_A_B"] - pre["S_A_B"]
     _check("dS_PiA_B", ds_pia_b, d_a_b + ds_pia)

@@ -128,8 +128,12 @@ class StateSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if (self.mu is not None) != (self.family in MU_FAMILIES):
-            raise ValueError(f"family {self.family!r} takes mu iff mu-parameterized")
+        if self.mu is None and self.family in MU_FAMILIES:
+            raise ValueError(f"family {self.family!r} is mu-parameterized and needs mu")
+        if self.mu is not None and self.family not in MU_FAMILIES:
+            raise ValueError(
+                f"family {self.family!r} takes no mu; only {', '.join(MU_FAMILIES)} do"
+            )
         if (self.explicit is not None) != (self.family == "explicit"):
             raise ValueError("explicit matrix goes with family='explicit' only")
 

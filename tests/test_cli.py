@@ -32,6 +32,12 @@ class TestDiscordCommand:
             "Delta_AB_C", "Delta_AC_B", "Delta_BC_PiA", "Delta_ABC"
         }
 
+    def test_decomposition_keys_in_sweep_column_order(self, capsys):
+        code, text = run(capsys, ["discord", "--family", "werner_w", "--mu", "0.7",
+                                  "--level", "3"] + FAST)
+        assert code == 0
+        assert list(json.loads(text)["decomposition"]) == list(cli.SWEEP_COLUMNS[2:])
+
     def test_product_is_zero(self, capsys):
         code, text = run(capsys, ["discord", "--family", "product"] + FAST)
         assert code == 0
@@ -285,6 +291,8 @@ REJECTED = [
     (["flux", "--family", "ghz", "--order", "0,0"], "measurement order"),
     (["flux", "--family", "ghz", "--order", "5"], "measurement order"),
     (["verify", "--seed", "-1"], "seed must be a non-negative integer"),
+    (["discord", "--family", "werner_ghz"], "'werner_ghz' is mu-parameterized and needs mu"),
+    (["discord", "--family", "ghz", "--mu", "0.5"], "'ghz' takes no mu"),
 ]
 
 

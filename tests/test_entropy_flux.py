@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from mdiscord import (
     MeasParams,
+    OptimizerConfig,
     QState,
     StructuralError,
     apply_tree,
@@ -14,6 +15,7 @@ from mdiscord import (
     delta_cond_discord,
     delta_monogamy,
     delta_post_discord,
+    discord,
     flux_report,
     measured_mutual_infos,
     mutual_info,
@@ -379,6 +381,53 @@ class TestFluxReport:
             m2.deltas["Delta_BC_PiA"] + m2.deltas["dS_B_PiA"],
             atol=1e-9,
         )
+
+
+class TestDecomposition:
+    """discord(), flux_report and the delta_* functions read one definition
+    of the four tripartite terms."""
+
+    def test_discord_measures_each_stage_once(self, monkeypatch):
+        measured = []
+        real_apply_tree = entropy_flux.apply_tree
+
+        def counting(state, tree, depth):
+            measured.append(depth)
+            return real_apply_tree(state, tree, depth)
+
+        monkeypatch.setattr(entropy_flux, "apply_tree", counting)
+        config = OptimizerConfig(grid_points_per_angle=4, refine_starts=1)
+        result = discord(random_qubits(33, 3, 4), level=3, config=config)
+        assert result.decomposition is not None
+        assert measured == [1, 2]
+
+    def test_values_fewer_entropies_than_four_walks(self, monkeypatch):
+        # the pre and once-measured ledgers in full (15 each) plus I_{B:C|A}
+        # of the twice-measured state (4); the four separate walks took 38
+        calls = []
+        real_subsystem_entropy = entropy_flux.subsystem_entropy
+
+        def counting(state, subset):
+            calls.append(subset)
+            return real_subsystem_entropy(state, subset)
+
+        monkeypatch.setattr(entropy_flux, "subsystem_entropy", counting)
+        entropy_flux._decomposition(random_qubits(34, 3, 5), random_tree(1900, 2))
+        assert len(calls) == 34
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_reader_agrees_exactly(self, seed):
+        state = random_qubits(6000 + seed, 3, 1 + seed % 8)
+        tree = random_tree(2000 + seed, 2)
+        terms = entropy_flux._decomposition(state, tree)
+        assert list(terms) == ["Delta_AB_C", "Delta_AC_B", "Delta_BC_PiA", "Delta_ABC"]
+        assert delta_cond_discord(state, tree) == (terms["Delta_AB_C"], terms["Delta_AC_B"])
+        assert delta_post_discord(state, tree) == terms["Delta_BC_PiA"]
+        assert delta_monogamy(state, tree) == terms["Delta_ABC"]
+        pre, m1, m2 = flux_report(state, tree)
+        deltas = {**m1.deltas, **m2.deltas}
+        assert {key: deltas[key] for key in terms} == terms
+        assert tripartite_mutual_info(state) == pre.ledger["I_ABC"]
 
 
 class TestFluxCsv:
