@@ -168,6 +168,9 @@ def _resolve_state(settings: dict):
     if (family is None) == (state_path is None):
         raise ConfigError("choose exactly one of --family or --state")
     if state_path is not None:
+        if settings["state.mu"] is not None:
+            raise ConfigError("mu parameterizes a catalog --family; an explicit "
+                              "--state takes no mu")
         return _load(state_path, "state", qstate_from_json)
     try:
         return states.build(states.StateSpec(family=family, mu=settings["state.mu"]))

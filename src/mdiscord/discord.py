@@ -128,20 +128,6 @@ def _branch_entropy_block(blocks: np.ndarray) -> np.ndarray:
     return x_log2_x(trace) - x_log2_x(vals).sum(axis=-1)
 
 
-def _branch_terms(branches: np.ndarray, last: bool) -> np.ndarray:
-    """Per-branch entropy terms (rows x branches) after one measurement step:
-    of the next qubit alone at an intermediate step, of the whole unmeasured
-    tail at the last one."""
-    half = branches.shape[-1]
-    if not last:
-        quarter = half // 2
-        six = branches.reshape(len(branches), -1, 2, quarter, 2, quarter)
-        return _branch_entropy_qubit(np.einsum("npacbc->npab", six))
-    if half == 2:
-        return _branch_entropy_qubit(branches)
-    return _branch_entropy_block(branches)
-
-
 def _basis_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Basis vectors (outcome x component) for arrays of node angles."""
     phase = np.exp(1j * phi)
@@ -189,7 +175,10 @@ class _MeasuredEntropyObjective:
     Walks the measurement chain once per evaluation, keeping every outcome
     branch unnormalized (trace = path probability) so that entropy averages
     reduce to x log2 x sums; all branch contractions are batched numpy ops.
-    Agrees with :func:`objective_npartite` on the corresponding tree.
+    After each of the ``steps`` measurement steps the branches' terms come
+    from :meth:`_terms`, the one rule that both :meth:`evaluate_many` and
+    :meth:`grid_tables` apply.  Agrees with :func:`objective_npartite` on
+    the corresponding tree.
     """
 
     def __init__(self, state: QState, level: int):
@@ -199,8 +188,8 @@ class _MeasuredEntropyObjective:
         for pos in range(level - 1):
             if state.dims[pos] != 2:
                 raise StructuralError(f"measured subsystem {pos} is not a qubit")
-        self.level = level
-        self.n_nodes = node_count(level - 1)
+        self.steps = level - 1
+        self.n_nodes = node_count(self.steps)
         self.rho = np.asarray(state.matrix)
         self.base = -(entropy(state) - subsystem_entropy(state, (0,)))
 
@@ -224,10 +213,23 @@ class _MeasuredEntropyObjective:
         value = np.full(nb, self.base)
         vectors = _basis_vectors(chunk[:, 0::2], chunk[:, 1::2])
         branches = np.broadcast_to(self.rho, (nb, 1) + self.rho.shape)
-        for step in range(1, self.level):
+        for step in range(1, self.steps + 1):
             branches = _measure_step(branches, vectors[:, _depth_nodes(step - 1)])
-            value += _branch_terms(branches, step == self.level - 1).sum(axis=-1)
+            value += self._terms(branches, step == self.steps).sum(axis=-1)
         return value
+
+    def _terms(self, branches: np.ndarray, last: bool) -> np.ndarray:
+        """Per-branch entropy terms (rows x branches) after one measurement
+        step: of the next qubit alone at an intermediate step, of the whole
+        unmeasured tail at the last one."""
+        half = branches.shape[-1]
+        if not last:
+            quarter = half // 2
+            six = branches.reshape(len(branches), -1, 2, quarter, 2, quarter)
+            return _branch_entropy_qubit(np.einsum("npacbc->npab", six))
+        if half == 2:
+            return _branch_entropy_qubit(branches)
+        return _branch_entropy_block(branches)
 
     def grid_tables(self, points: int) -> tuple[float, list[np.ndarray]]:
         """``base`` and the per-branch terms of the integrand on
@@ -240,7 +242,7 @@ class _MeasuredEntropyObjective:
         branches are projected once per combination of ancestor cells, not
         once per grid point.  The integrand at a grid point is ``base`` plus
         every node's two terms under its own ancestors' cells; the largest
-        table holds ``(2 * points**2) ** (level - 1)`` values.
+        table holds ``(2 * points**2) ** steps`` values.
         """
         theta_grid, phi_grid = _angle_grids(1, points)
         cells = points * points
@@ -252,8 +254,8 @@ class _MeasuredEntropyObjective:
         tables = []
         branches = np.broadcast_to(self.rho, (1, 1) + self.rho.shape)
         block = max(1, _EVAL_CHUNK // cells)
-        for step in range(1, self.level):
-            last = step == self.level - 1
+        for step in range(1, self.steps + 1):
+            last = step == self.steps
             n_paths, half = branches.shape[1], branches.shape[-1] // 2
             rows = len(branches) * cells
             table = np.empty((rows, 2 * n_paths))
@@ -273,7 +275,7 @@ class _MeasuredEntropyObjective:
                     vectors.reshape(count, n_paths, 2, 2),
                 )
                 done = slice(first * cells, first * cells + count)
-                table[done] = _branch_terms(outcomes, last)
+                table[done] = self._terms(outcomes, last)
                 if not last:
                     projected[done] = outcomes
             if not last:
@@ -282,34 +284,25 @@ class _MeasuredEntropyObjective:
         return self.base, tables
 
 
-class _TwoMeasurementObjective:
+class _TwoMeasurementObjective(_MeasuredEntropyObjective):
     """Batched two-measurement bipartite integrand S_{B|A}(rho_m2) - S_{B|A}(rho).
 
-    On the fully measured (hence classical) state the conditional entropy is
-    the Shannon conditional entropy of the joint outcome distribution.
+    The walk measures both qubits of a 2-qubit state.  On the fully measured
+    (hence classical) state the conditional entropy is the Shannon
+    conditional entropy H(a, b) - H(a) of the outcome distribution, so the
+    first step's branches add x log2 x of their probability p_a and the
+    second step's subtract x log2 x of p_ab.
     """
 
     def __init__(self, state: QState):
         if state.n_subsystems != 2 or state.dims != (2, 2):
             raise StructuralError("two-measurement objective needs a 2-qubit state")
-        self.n_nodes = node_count(2)
-        self.rho = np.asarray(state.matrix)
-        self.base = -(entropy(state) - subsystem_entropy(state, (0,)))
+        super().__init__(state, 2)
+        self.steps, self.n_nodes = 2, node_count(2)
 
-    def __call__(self, x) -> float:
-        return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def evaluate_many(self, params_matrix: np.ndarray) -> np.ndarray:
-        chunk = np.asarray(params_matrix, dtype=float)
-        vectors = _basis_vectors(chunk[:, 0::2], chunk[:, 1::2])
-        branches = np.broadcast_to(self.rho, (len(chunk), 1, 4, 4))
-        probs = []
-        for step in (1, 2):
-            branches = _measure_step(branches, vectors[:, _depth_nodes(step - 1)])
-            probs.append(np.trace(branches, axis1=-2, axis2=-1).real)
-        shannon_joint = -x_log2_x(probs[1]).sum(axis=-1)
-        shannon_first = -x_log2_x(probs[0]).sum(axis=-1)
-        return shannon_joint - shannon_first + self.base
+    def _terms(self, branches: np.ndarray, last: bool) -> np.ndarray:
+        probs = np.trace(branches, axis1=-2, axis2=-1).real
+        return -x_log2_x(probs) if last else x_log2_x(probs)
 
 
 class _ScaledObjective:
@@ -319,9 +312,6 @@ class _ScaledObjective:
     def __init__(self, objective, scale: float):
         self._objective = objective
         self.scale = scale
-
-    def __call__(self, x) -> float:
-        return self.scale * self._objective(x)
 
     def evaluate_many(self, params_matrix):
         return self.scale * self._objective.evaluate_many(params_matrix)
@@ -419,7 +409,10 @@ def discord_two_measurement(
     """Minimize the two-measurement bipartite form over full-depth trees.
 
     Equivalent after minimization to :func:`discord` at level 2 on the same
-    two-qubit state; kept as an executable equivalence check.
+    two-qubit state; kept as an executable equivalence check.  The
+    integrand is the discord walk over two steps with Shannon terms
+    (:class:`_TwoMeasurementObjective`), so it takes the same exact grid
+    minimum, refinement and polish as :func:`discord`.
     """
     objective = _TwoMeasurementObjective(state)
     best_value, best_params, diagnostics = _minimize(

@@ -10,13 +10,12 @@ deterministic: grids are enumerated lexicographically, value ties keep
 enumeration order, and the refinement uses no randomness.
 
 Objectives map a flat angle vector (theta, phi alternating, node-major) to a
-scalar.  An objective exposing a ``grid_tables(points)`` method supplies
-per-branch term tables instead: the discord integrand is a sum of terms that
-each depend only on one branch's ancestor nodes, so the grid minimum comes
-from dynamic programming over the tree, and no grid point is valued on its
-own.  Otherwise an objective exposing an ``evaluate_many(params_matrix)``
-method is evaluated in batches during the grid scan, which is orders of
-magnitude faster than point by point for the larger grids.
+scalar, and :func:`optimize` asks every objective for the same two methods.
+``grid_tables(points)`` supplies per-branch term tables: the discord
+integrand is a constant plus terms that each depend only on one branch's
+ancestor nodes, so the grid minimum comes from dynamic programming over the
+tree, and no grid point is valued on its own.  ``evaluate_many(rows)``
+values a matrix of angle vectors, one row each.
 
 Refinement runs each start as a generator that yields the points it needs
 next: one gradient stencil (2n rows), one ladder of step lengths, or one set
@@ -26,7 +25,7 @@ unfinished run in one ``evaluate_many`` call per round; one batched call
 costs about as much as a single-row one.  Each run compares only its own
 values in its own order, and a batched row equals the single-row value bit
 for bit, so the results are those of refining the starts one after
-another.  A plain callable is evaluated point by point.
+another.
 
 :class:`OptimizerConfig` sets the grid density and the number of starts.
 The refinement's iteration cap ``QN_MAX_ITERS``, gradient step
@@ -45,8 +44,7 @@ import numpy as np
 
 from .measure import MeasParams
 
-_GRID_CHUNK = 65536               # points per batch of a point-by-point scan
-_MAX_GRID_TOTAL = 100_000_000     # values a grid scan may hold at once
+_MAX_GRID_TOTAL = 100_000_000  # table values a grid scan may hold at once
 _INITIAL_SIMPLEX_EDGE = 0.1
 _PROBE_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
@@ -114,18 +112,6 @@ class GridScanResult:
     evaluations: int     # grid points the exact minimum covers: the whole grid
 
 
-def _decode(flat_indices: np.ndarray, grids) -> np.ndarray:
-    k = len(grids)
-    sizes = np.array([len(g) for g in grids], dtype=np.int64)
-    out = np.empty((len(flat_indices), k))
-    remainder = flat_indices.astype(np.int64)
-    for pos in range(k - 1, -1, -1):
-        digit = remainder % sizes[pos]
-        out[:, pos] = grids[pos][digit]
-        remainder = remainder // sizes[pos]
-    return out
-
-
 def _tree_minimum(base: float, tables, points: int):
     """Every root cell's minimum of ``base`` plus the terms of ``tables``
     over the rest of the grid, and one grid point attaining it.
@@ -177,49 +163,30 @@ def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResul
     the kept cells are the first ones of a stable sort of those minima (value
     ties in grid order, as are ties within a cell).
 
-    An objective with a ``grid_tables(points)`` method supplies ``base`` and
+    The objective's ``grid_tables(points)`` supplies ``base`` and
     per-branch term tables, and the minimum comes from dynamic programming
     over the measurement tree (:func:`_tree_minimum`) without valuing any
-    grid point on its own.  Any other objective is valued point by point,
-    chunk by chunk, through ``evaluate_many`` when it has one.  Either way
-    ``evaluations`` is the grid size.  ``_MAX_GRID_TOTAL`` caps the values
-    either path holds at once: the whole grid's, or the largest table's
+    grid point on its own; ``evaluations`` is still the grid size.
+    ``_MAX_GRID_TOTAL`` caps the values held at once: the largest table's
     ``(2 * points**2) ** depth`` for a tree of that depth.
     """
     points = config.grid_points_per_angle
     cells = points * points
     total = cells ** n_nodes
-    tabulate = getattr(objective, "grid_tables", None)
     depth = (n_nodes + 1).bit_length() - 1
-    held = total if tabulate is None else (2 * cells) ** depth
+    held = (2 * cells) ** depth
     if held > _MAX_GRID_TOTAL:
         raise ValueError(
             f"grid of {total} points needs {held} values at once, which is too "
             "large; lower grid_points_per_angle"
         )
-    if tabulate is not None:
-        base, tables = tabulate(points)
-        if len(tables) != depth or 2 ** depth - 1 != n_nodes:
-            raise ValueError(
-                f"objective tables span {len(tables)} depths, not a tree of "
-                f"{n_nodes} nodes"
-            )
-        roots, params = _tree_minimum(base, tables, points)
-    else:
-        grids = tuple(_angle_grids(n_nodes, points))
-        values = np.empty(total)
-        batch = getattr(objective, "evaluate_many", None)
-        for start in range(0, total, _GRID_CHUNK):
-            stop = min(start + _GRID_CHUNK, total)
-            chunk = _decode(np.arange(start, stop), grids)
-            if batch is not None:
-                values[start:stop] = batch(chunk)
-            else:
-                values[start:stop] = [objective(row) for row in chunk]
-        by_root = values.reshape(cells, -1)
-        best = np.argmin(by_root, axis=1)
-        roots = by_root[np.arange(cells), best]
-        params = _decode(np.arange(cells) * by_root.shape[1] + best, grids)
+    base, tables = objective.grid_tables(points)
+    if len(tables) != depth or 2 ** depth - 1 != n_nodes:
+        raise ValueError(
+            f"objective tables span {len(tables)} depths, not a tree of "
+            f"{n_nodes} nodes"
+        )
+    roots, params = _tree_minimum(base, tables, points)
     kept = np.argsort(roots, kind="stable")[:config.refine_starts]
     return GridScanResult(values=roots[kept], params=params[kept], evaluations=total)
 
@@ -407,18 +374,14 @@ def _run_together(objective, runs) -> list[OptimizerOutcome]:
     :func:`_nelder_mead`) in lockstep until each returns.
 
     Every round values the pending points of every unfinished run in one
-    ``evaluate_many`` call when the objective has one (rows in run order),
-    or point by point otherwise, and sends each run its own values.
+    ``evaluate_many`` call (rows in run order) and sends each run its own
+    values.
     """
-    batch = getattr(objective, "evaluate_many", None)
     outcomes = [None] * len(runs)
     pending = {index: next(run) for index, run in enumerate(runs)}
     while pending:
         rows = [point for points in pending.values() for point in points]
-        if batch is None:
-            values = [float(objective(row)) for row in rows]
-        else:
-            values = [float(v) for v in batch(np.array(rows))]
+        values = [float(v) for v in objective.evaluate_many(np.array(rows))]
         first = 0
         for index, points in list(pending.items()):
             own = values[first:first + len(points)]
@@ -442,7 +405,8 @@ def simplex_refine(objective, start) -> OptimizerOutcome:
     shrinking step sizes all fail to improve; an improving probe rebuilds
     the simplex at that scale and continues (the angle chart has exactly
     flat edges, e.g. phi at theta = 0, where an untested spread criterion
-    stalls).  Never returns a value worse than the start.
+    stalls).  Never returns a value worse than the start.  The objective
+    values its points through ``evaluate_many``, as in :func:`optimize`.
     """
     return _run_together(objective, [_nelder_mead(start)])[0]
 

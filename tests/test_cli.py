@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -205,6 +206,7 @@ class TestParserErrors:
 
 
 WERNER_GHZ = {"family": "werner_ghz"}
+PAIR = json.loads(to_json(random_state((2, 2), 2, 77)))
 
 # (argv, a fragment of the error line that shows which check fired); a dict
 # or a list in argv stands for a JSON file holding it
@@ -293,6 +295,12 @@ REJECTED = [
     (["verify", "--seed", "-1"], "seed must be a non-negative integer"),
     (["discord", "--family", "werner_ghz"], "'werner_ghz' is mu-parameterized and needs mu"),
     (["discord", "--family", "ghz", "--mu", "0.5"], "'ghz' takes no mu"),
+    (["discord", "--state", PAIR, "--mu", "0.5"], "explicit --state takes no mu"),
+    (["flux", "--state", PAIR, "--mu", "0.9"], "explicit --state takes no mu"),
+    (["discord", "--config", {"state": {"state": "pair.json", "mu": 0.5}}],
+     "explicit --state takes no mu"),
+    (["flux", "--config", {"state": {"state": "pair.json", "mu": 0.9}}],
+     "explicit --state takes no mu"),
 ]
 
 
@@ -310,6 +318,26 @@ def test_rejected_input_exits_two_with_one_line(capsys, tmp_path, argv, fragment
     assert len(err.strip().splitlines()) == 1
     assert "error: " in err and "Traceback" not in err
     assert fragment in err
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["sweep", "--family", "werner_w", "--points", "5"], "sweep_werner_w_points5.csv"),
+    (["flux", "--family", "werner_ghz", "--mu", "0.5"], "flux_werner_ghz_mu0.5.csv"),
+], ids=["sweep", "flux"])
+def test_fields_match_the_pinned_output(capsys, argv, pinned):
+    # the files hold this command's output at an earlier commit; fields
+    # are compared as numbers, because the last digits of near-zero
+    # entries depend on the BLAS
+    code, text = run(capsys, argv)
+    assert code == 0
+    rows = list(csv.reader(text.splitlines()))
+    expected = list(csv.reader((Path(__file__).parent / "data" / pinned).read_text()
+                               .splitlines()))
+    assert rows[0] == expected[0]
+    assert len(rows) == len(expected)
+    for row, want in zip(rows[1:], expected[1:]):
+        assert_allclose([float(v) for v in row], [float(v) for v in want],
+                        rtol=0, atol=1e-9)
 
 
 def test_module_entry_point(tmp_path):

@@ -21,6 +21,7 @@ from mdiscord import (
 )
 from mdiscord.discord import (
     _MeasuredEntropyObjective,
+    _TwoMeasurementObjective,
     _basis_vectors,
     _branch_entropy_block,
     _measure_step,
@@ -92,6 +93,18 @@ class TestObjectiveTwoMeasurement:
             objective_bipartite_two_meas(state, tree)
             >= objective_bipartite(state, root_only) - 1e-9
         )
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_batched_walk_equals_the_tree_integrand(self, rank):
+        # the evaluator discord_two_measurement minimizes: the discord walk
+        # over both qubits with Shannon terms, against the raw tree path
+        state = random_state((2, 2), rank, 610 + rank)
+        objective = _TwoMeasurementObjective(state)
+        chunk = _random_angles(620 + rank, 40, objective.n_nodes)
+        for value, row in zip(objective.evaluate_many(chunk), chunk):
+            tree = tree_from_params((2, 2), (0, 1), MeasParams.from_flat(row))
+            assert abs(value - objective_bipartite_two_meas(state, tree)) < 1e-12
+            assert objective(row) == value
 
 
 def _root_angles(tree):
@@ -200,9 +213,9 @@ def _reference_values(objective, chunk):
     value = np.full(len(chunk), objective.base)
     rho = objective.rho
     branches = np.broadcast_to(rho, (len(chunk), 1) + rho.shape)
-    for step in range(1, objective.level):
+    for step in range(1, objective.steps + 1):
         branches = _measure_step(branches, _node_vectors(chunk, step - 1))
-        if step < objective.level - 1:
+        if step < objective.steps:
             quarter = branches.shape[-1] // 2
             six = branches.reshape(len(chunk), -1, 2, quarter, 2, quarter)
             terms = _reference_branch_entropy_qubit(np.einsum("npacbc->npab", six))
@@ -364,7 +377,7 @@ class TestDiscord:
         assert refined.converged
 
         def slightly_lower(objective, start):
-            value = objective(start.to_flat())
+            value = float(objective.evaluate_many(start.to_flat()[None, :])[0])
             return OptimizerOutcome(
                 best_value=value - 1e-12 * abs(value), best_params=start,
                 evaluations=1, converged=polished_converged, grid_best=value,

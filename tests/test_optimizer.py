@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,14 +16,13 @@ from mdiscord import (
     random_state,
     simplex_refine,
 )
-from mdiscord.discord import _MeasuredEntropyObjective
+from mdiscord.discord import _MeasuredEntropyObjective, _TwoMeasurementObjective
 from mdiscord import optimizer
 from mdiscord.optimizer import (
     _PROBE_STEPS,
     SIMPLEX_MAX_ITERS,
     SIMPLEX_TOL,
     _angle_grids,
-    _decode,
     _quasi_newton,
     _run_together,
     fold_angles,
@@ -31,16 +31,6 @@ from mdiscord.measure import projector_pair_from_angles
 from mdiscord.states import werner_ghz
 
 from conftest import random_qubits, random_tree
-
-
-class CountingObjective:
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return self.fn(np.asarray(x))
 
 
 class BatchCounter:
@@ -75,11 +65,16 @@ def sequential_optimize(objective, n_nodes, config):
     return best, evaluations
 
 
+def grid_points(n_nodes, points):
+    """Every point of the angle grid, one row each, in lexicographic order."""
+    grids = _angle_grids(n_nodes, points)
+    flat = itertools.chain.from_iterable(itertools.product(*grids))
+    return np.fromiter(flat, float).reshape(-1, len(grids))
+
+
 def brute_force_by_root_cell(objective, points):
     """Every grid value, valued point by point: one row per root cell."""
-    grids = _angle_grids(objective.n_nodes, points)
-    total = points ** (2 * objective.n_nodes)
-    values = objective.evaluate_many(_decode(np.arange(total), grids))
+    values = objective.evaluate_many(grid_points(objective.n_nodes, points))
     return values.reshape(points * points, -1)
 
 
@@ -101,7 +96,8 @@ def bloch(x):
 
 
 class BatchRecorder:
-    """A batched objective that records the rows of each call."""
+    """A function of one angle vector, valued row by row through the batched
+    protocol; records the rows of each call."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -109,14 +105,19 @@ class BatchRecorder:
 
     def evaluate_many(self, rows):
         self.batches.append(np.array(rows))
-        return np.array([self.fn(row) for row in rows])
+        return np.array([float(self.fn(row)) for row in rows])
 
 
-class ConstantBatch:
+class TabulatedNode(BatchRecorder):
+    """A 1-node objective: its one table holds the function at every grid
+    cell as branch 0's term and 0 as branch 1's, so the tree minimum is
+    the grid values themselves."""
+
     n_nodes = 1
 
-    def evaluate_many(self, rows):
-        return np.ones(len(rows))
+    def grid_tables(self, points):
+        values = self.evaluate_many(grid_points(1, points))
+        return 0.0, [np.stack([values, np.zeros_like(values)], axis=1)]
 
 
 class TestConfig:
@@ -176,10 +177,10 @@ class TestFoldAngles:
 
 class TestGridScan:
     def test_two_parameter_grid_size(self):
-        objective = CountingObjective(lambda x: float(np.sum(x ** 2)))
+        objective = TabulatedNode(lambda x: float(np.sum(x ** 2)))
         scan = grid_scan(objective, 1, OptimizerConfig())
         assert scan.evaluations == 36
-        assert objective.calls == 36
+        assert sum(len(rows) for rows in objective.batches) == 36
 
     def test_six_parameter_grid_size(self):
         # batched objective: still one evaluation per grid point
@@ -190,18 +191,18 @@ class TestGridScan:
         assert len(scan.values) == 4
 
     def test_constant_objective_tie_break(self):
-        objective = CountingObjective(lambda x: 1.0)
+        objective = TabulatedNode(lambda x: 1.0)
         scan = grid_scan(objective, 1, OptimizerConfig())
         assert_allclose(scan.params[0], [0.0, 0.0])
         assert scan.values[0] == 1.0
 
     def test_sorted_ascending(self):
-        objective = CountingObjective(lambda x: float(np.sum((x - 0.7) ** 2)))
+        objective = TabulatedNode(lambda x: float(np.sum((x - 0.7) ** 2)))
         scan = grid_scan(objective, 1, OptimizerConfig())
         assert np.all(np.diff(scan.values) >= 0)
 
     def test_theta_endpoints_and_phi_open_interval(self):
-        objective = CountingObjective(lambda x: -x[0] + x[1] / 100)
+        objective = TabulatedNode(lambda x: -x[0] + x[1] / 100)
         # 16 starts keep the whole 4 x 4 grid, down to its worst point
         config = OptimizerConfig(grid_points_per_angle=4, refine_starts=16)
         scan = grid_scan(objective, 1, config)
@@ -212,11 +213,14 @@ class TestGridScan:
         assert worst[1] < 2 * np.pi  # 2 pi itself is never on the grid
 
     @pytest.mark.parametrize("objective, points", [
-        (ConstantBatch(), 6),   # every point ties
+        (TabulatedNode(lambda x: 1.0), 6),   # every point ties
         (_MeasuredEntropyObjective(werner_ghz(0.7), 3), 6),
         (_MeasuredEntropyObjective(werner_ghz(0.7), 3), 10),
         (_MeasuredEntropyObjective(random_state((2, 2, 2), 5, 29), 3), 6),
-    ], ids=["constant", "werner_ghz-6", "werner_ghz-10", "random-6"])
+        (_TwoMeasurementObjective(random_state((2, 2), 3, 31)), 6),
+        (_TwoMeasurementObjective(random_state((2, 2), 3, 31)), 9),
+    ], ids=["constant", "werner_ghz-6", "werner_ghz-10", "random-6",
+            "two-measurement-6", "two-measurement-9"])
     def test_starts_equal_stable_sort_of_brute_force(self, objective, points):
         # the start rule: the root cells of least grid minimum, ascending
         # with ties in grid order, each started at its best grid point
@@ -239,14 +243,15 @@ class TestGridScan:
             assert_allclose(cell_min[kept], cell_min[first], rtol=0, atol=1e-12)
             assert_allclose(objective.evaluate_many(scan.params), cell_min[kept],
                             rtol=0, atol=1e-12)
-            if not hasattr(objective, "grid_tables"):
-                # valued point by point: the rule applies to the very values
+            if objective.n_nodes == 1:
+                # one node's table holds the very grid values, so the rule
+                # applies to them exactly
                 assert np.array_equal(kept, first)
                 assert np.array_equal(scan.values, cell_min[first])
                 best = np.argmin(values[first], axis=1)
                 assert np.array_equal(
-                    scan.params, _decode(first * values.shape[1] + best,
-                                         _angle_grids(objective.n_nodes, points)))
+                    scan.params,
+                    grid_points(1, points)[first * values.shape[1] + best])
 
     @pytest.mark.parametrize("dims, level, points", [
         ((2, 2), 2, 6),
@@ -255,9 +260,16 @@ class TestGridScan:
         ((2, 2, 2, 2), 3, 6),   # 2-qubit unmeasured tail: eigvalsh block path
         ((2, 2, 3), 3, 6),      # qutrit tail
         ((2, 2, 2, 2), 4, 2),   # 16,384 points
+        # no level: the two-measurement walk over both qubits of a pair
+        pytest.param((2, 2), None, 6, id="two-measurement-6"),
+        pytest.param((2, 2), None, 9, id="two-measurement-9"),
     ])
     def test_factored_grid_equals_brute_force(self, dims, level, points):
-        objective = _MeasuredEntropyObjective(random_state(dims, 3, 17), level)
+        state = random_state(dims, 3, 17)
+        if level is None:
+            objective = _TwoMeasurementObjective(state)
+        else:
+            objective = _MeasuredEntropyObjective(state, level)
         cell_min = brute_force_by_root_cell(objective, points).min(axis=1)
         cells = points * points
         config = OptimizerConfig(grid_points_per_angle=points, refine_starts=cells)
@@ -287,12 +299,10 @@ class TestGridScan:
 
     def test_size_cap_counts_the_largest_table(self, monkeypatch):
         # a level-3 tree at 6 points holds (2 * 36) ** 2 = 5,184 table
-        # values, a point-by-point scan all 46,656 grid values
+        # values, not its 46,656 grid values
         objective = _MeasuredEntropyObjective(random_state((2, 2, 2), 3, 5), 3)
         monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 5184)
         grid_scan(objective, 3, OptimizerConfig())
-        with pytest.raises(ValueError, match="too large"):
-            grid_scan(lambda x: 0.0, 3, OptimizerConfig())
         monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 5183)
         with pytest.raises(ValueError, match="too large"):
             grid_scan(objective, 3, OptimizerConfig())
@@ -303,7 +313,7 @@ class TestSimplexRefine:
         def bowl(x):
             return float((x[0] - 0.3) ** 2 + (x[1] - 1.1) ** 2)
 
-        outcome = simplex_refine(bowl, np.array([0.3, 1.1]))
+        outcome = simplex_refine(BatchRecorder(bowl), np.array([0.3, 1.1]))
         assert outcome.converged
         assert outcome.best_value < 1e-12
 
@@ -311,7 +321,7 @@ class TestSimplexRefine:
         def bowl(x):
             return float((x[0] - 0.3) ** 2 + (x[1] - 1.1) ** 2)
 
-        outcome = simplex_refine(bowl, np.array([0.5, 0.5]))
+        outcome = simplex_refine(BatchRecorder(bowl), np.array([0.5, 0.5]))
         assert_allclose(outcome.best_params.to_flat(), [0.3, 1.1], atol=1e-6)
 
     def test_bell_objective_from_offset_start(self, bell):
@@ -324,7 +334,7 @@ class TestSimplexRefine:
         def spiky(x):
             return 0.0 if abs(x[0] - 0.2) < 1e-12 else 5.0
 
-        outcome = simplex_refine(spiky, np.array([0.2, 0.3]))
+        outcome = simplex_refine(BatchRecorder(spiky), np.array([0.2, 0.3]))
         assert outcome.best_value <= 0.0 + 1e-15
 
     def test_accepts_measparams_start(self, bell):
@@ -375,7 +385,7 @@ class TestQuasiNewton:
 
         monkeypatch.setattr(optimizer, "QN_MAX_ITERS", 2)
         start = np.array([1.2, 2.5, 0.3, 4.0, 0.9, 5.1])
-        outcome = refine_alone(ripple, start)
+        outcome = refine_alone(BatchRecorder(ripple), start)
         assert not outcome.converged
         assert outcome.best_value <= ripple(start)
         assert outcome.grid_best == ripple(start)
@@ -449,18 +459,6 @@ class TestOptimize:
         assert outcome.converged == best.converged
         if starts > 1:
             assert lockstep.calls < sequential.calls
-
-    def test_lockstep_starts_equal_sequential_for_a_plain_callable(self):
-        def ripple(x):
-            return float(np.sum(np.sin(3 * x) ** 2) + 0.1 * np.sum((x - 0.4) ** 2))
-
-        config = OptimizerConfig(grid_points_per_angle=3, refine_starts=5)
-        outcome = optimize(ripple, 3, config)
-        best, evaluations = sequential_optimize(ripple, 3, config)
-        assert outcome.best_value == best.best_value
-        assert np.array_equal(outcome.best_params.to_flat(), best.best_params.to_flat())
-        assert outcome.evaluations == evaluations
-        assert outcome.converged == best.converged
 
     @pytest.mark.parametrize("seed", range(20))
     def test_dense_grid_oracle_dominance(self, seed):
