@@ -8,8 +8,13 @@ The discord of an N-party state for the measurement ordering A_1 -> A_2 ->
 which is non-negative for every tree and zero exactly on measured states.
 ``objective_*`` evaluate that quantity for a given tree through the readable
 :mod:`mdiscord.entropy_flux` path; :func:`discord` minimizes it with a
-dedicated batched evaluator that contracts branch states directly and
-tabulates per-branch terms over the angle grid, from which the grid scan
+dedicated batched evaluator built on Pauli blocks.  A qubit projector is
+(I +- n . sigma) / 2, so every branch state is a fixed linear combination of
+partial traces of (Pauli product x I) rho, valued once per state (Luo, PRA
+77, 042303, 2008; Girolami & Adesso, PRA 83, 052108, 2011).  A batch of
+trees then costs one small matmul per measurement step, the exact gradient
+in the angles runs the same products backwards, and the per-branch terms
+over the angle grid come from the same blocks, from which the grid scan
 takes the exact grid minimum by dynamic programming over the tree.
 """
 
@@ -31,6 +36,7 @@ from .measure import (
 )
 from .optimizer import OptimizerConfig, _angle_grids, optimize, simplex_refine
 from .qstate import (
+    ENTROPY_EIGENVALUE_CLAMP,
     QState,
     StructuralError,
     entropy,
@@ -107,37 +113,101 @@ def objective_bipartite_two_meas(state: QState, tree: MeasurementTree) -> float:
     return flux.cond_entropy(rho2, (1,), (0,)) - flux.cond_entropy(state, (1,), (0,))
 
 
-def _branch_entropy_qubit(blocks: np.ndarray) -> np.ndarray:
-    """p * S(block / p) for every unnormalized 2x2 block, via closed-form
-    eigenvalues."""
-    a = blocks[..., 0, 0].real
-    d = blocks[..., 1, 1].real
-    off = blocks[..., 0, 1]
-    trace = a + d
-    det = a * d - (off.real ** 2 + off.imag ** 2)
-    disc = np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))
-    whole, hi, lo = x_log2_x(np.stack([trace, (trace + disc) / 2.0, (trace - disc) / 2.0]))
-    return whole - hi - lo
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                    [[1, 0], [0, -1]]])
+# row 2x + y, column i: sigma_i[y, x]; a 2x2 block M flattened row-major
+# times it gives Tr[sigma_i M] for i = 0..3
+_PAULI_TRACE = _PAULIS.transpose(2, 1, 0).reshape(4, 4)
+_LOG2_E = 1.0 / np.log(2.0)
+_SPREAD, _SCALE = np.array([0.0, 1.0, -1.0]), np.array([1.0, 0.5, 0.5])
+_GRID_BLOCK = 1 << 16  # branches a grid table values at once
 
 
-def _branch_entropy_block(blocks: np.ndarray) -> np.ndarray:
-    """Same as :func:`_branch_entropy_qubit` for unnormalized blocks of any
-    size."""
-    vals = np.linalg.eigvalsh(blocks)
-    trace = vals.sum(axis=-1)
-    return x_log2_x(trace) - x_log2_x(vals).sum(axis=-1)
+def _x_log2_x_and_slope(values: np.ndarray):
+    """:func:`x_log2_x` and its derivative log2 x + 1 / ln 2, both 0 where
+    ``x_log2_x`` clamps."""
+    keep = values > ENTROPY_EIGENVALUE_CLAMP
+    logs = np.log2(np.where(keep, values, 1.0))
+    return np.where(keep, values * logs, 0.0), np.where(keep, logs + _LOG2_E, 0.0)
 
 
-def _basis_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Basis vectors (outcome x component) for arrays of node angles."""
-    phase = np.exp(1j * phi)
-    cos, sin = np.cos(theta), np.sin(theta)
-    vectors = np.empty(theta.shape + (2, 2), dtype=complex)
-    vectors[..., 0, 0] = cos
-    vectors[..., 0, 1] = phase * sin
-    vectors[..., 1, 0] = sin
-    vectors[..., 1, 1] = -phase * cos
-    return vectors
+def _qubit_terms(comps: np.ndarray, slopes: bool):
+    """p * S(B / p) for unnormalized 2x2 blocks B = (t_0 I + t . sigma) / 2,
+    given by their Pauli components (t_0, t_x, t_y, t_z), through the
+    closed-form eigenvalues (t_0 +- |t|) / 2.  With ``slopes``, also each
+    term's derivative in the four components."""
+    radius = np.sqrt(np.sum(comps[..., 1:] ** 2, axis=-1, keepdims=True))
+    # trace, then the eigenvalues (t_0 + |t|) / 2 and (t_0 - |t|) / 2
+    spectrum = (comps[..., :1] + radius * _SPREAD) * _SCALE
+    if not slopes:
+        parts = x_log2_x(spectrum)
+        return parts[..., 0] - parts[..., 1] - parts[..., 2]
+    parts, d_parts = _x_log2_x_and_slope(spectrum)
+    # d|t| = t . dt / |t|; at |t| = 0 both eigenvalues share one slope, so
+    # the direction drops out
+    direction = np.divide(comps[..., 1:], radius, out=np.zeros_like(comps[..., 1:]),
+                          where=radius > 0)
+    grad = np.concatenate([d_parts[..., :1] - (d_parts[..., 1:2] + d_parts[..., 2:]) / 2.0,
+                           (d_parts[..., 2:] - d_parts[..., 1:2]) / 2.0 * direction], axis=-1)
+    return parts[..., 0] - parts[..., 1] - parts[..., 2], grad
+
+
+def _block_terms(comps: np.ndarray, slopes: bool):
+    """p * S(B / p) for unnormalized Hermitian blocks B of any size, given
+    by the real parts of their entries (row-major) followed by the imaginary
+    parts.  With ``slopes``, also each term's derivative in those parts,
+    from d Tr f(B) = Tr[f'(B) dB]."""
+    entries = comps.shape[-1] // 2
+    side = int(round(entries ** 0.5))
+    blocks = (comps[..., :entries] + 1j * comps[..., entries:]).reshape(
+        comps.shape[:-1] + (side, side)
+    )
+    # eigh for values too, so that a value never depends on whether its
+    # gradient was asked for
+    vals, vecs = np.linalg.eigh(blocks)
+    whole, d_whole = _x_log2_x_and_slope(vals.sum(axis=-1))
+    parts, d_parts = _x_log2_x_and_slope(vals)
+    if not slopes:
+        return whole - parts.sum(axis=-1)
+    slope = (vecs * d_parts[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    slope = d_whole[..., None, None] * np.eye(side) - slope
+    # Re Tr[G dB] for Hermitian G and dB is the dot product of their real
+    # and imaginary parts, entry by entry
+    slope = slope.reshape(comps.shape[:-1] + (entries,))
+    return whole - parts.sum(axis=-1), np.concatenate([slope.real, slope.imag], axis=-1)
+
+
+def _pauli_blocks(rho: np.ndarray, dims, count: int) -> list[np.ndarray]:
+    """Entry k (k = 0..count) stacks Tr_{0..k-1}[(sigma_{i_0} x ... x
+    sigma_{i_{k-1}} x I) rho] for every index tuple, i_0 slowest: the 4**k
+    blocks over the subsystems from k on.  The first ``count`` subsystems
+    must be qubits."""
+    blocks = [rho[None]]
+    for k in range(count):
+        rest = int(np.prod(dims[k + 1:]))
+        # qubit k's 2x2 block at every (n, r, s) entry of the rest
+        split = blocks[-1].reshape(-1, 2, rest, 2, rest).transpose(0, 2, 4, 1, 3)
+        traced = (split.reshape(-1, 4) @ _PAULI_TRACE).reshape(-1, rest, rest, 4)
+        blocks.append(traced.transpose(0, 3, 1, 2).reshape(-1, rest, rest))
+    return blocks
+
+
+def _traces(blocks: np.ndarray) -> np.ndarray:
+    return np.trace(blocks, axis1=-2, axis2=-1).real
+
+
+def _projector_coefficients(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Pauli coefficients (I, X, Y, Z) of both projectors of every node,
+    shape (..., 2, 4): outcome j projects on (I + s_j n . sigma) / 2 with
+    s_0 = 1, s_1 = -1 and n = (sin 2t cos p, sin 2t sin p, cos 2t)."""
+    half_sin2 = np.sin(2.0 * theta) / 2.0
+    out = np.empty(theta.shape + (2, 4))
+    out[..., 0] = 0.5
+    out[..., 0, 1] = half_sin2 * np.cos(phi)
+    out[..., 0, 2] = half_sin2 * np.sin(phi)
+    out[..., 0, 3] = np.cos(2.0 * theta) / 2.0
+    out[..., 1, 1:] = -out[..., 0, 1:]
+    return out
 
 
 def _depth_nodes(depth: int) -> slice:
@@ -145,40 +215,45 @@ def _depth_nodes(depth: int) -> slice:
     return slice(2 ** depth - 1, 2 ** (depth + 1) - 1)
 
 
-def _measure_step(branches: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Project the leading qubit of every unnormalized branch onto both basis
-    vectors; branch count doubles, qubit dimension drops out.
-
-    For outcome j with basis vector v_j, the new branch is
-    sum_{m, l} conj(v_j[m]) B[m, :, l, :] v_j[l], where B is the branch with
-    its leading qubit split off on both sides.  It is taken as two batched
-    ``matmul`` calls: the bra side over m, then the ket side over l.  These
-    are the products ``np.einsum`` runs for this contraction, so the result
-    is the same bit for bit, but einsum plans its path again on every call,
-    which costs several times more than the products at the simplex's few
-    rows.
-    """
-    nb, n_paths = branches.shape[:2]
-    half = branches.shape[-1] // 2
-    blocks = branches.reshape(nb, n_paths, 2, half, 2, half)
-    rows = blocks.transpose(0, 1, 3, 4, 5, 2).reshape(nb, n_paths, 2 * half * half, 2)
-    left = (rows @ vectors.conj().transpose(0, 1, 3, 2)).reshape(
-        nb, n_paths, half, 2, half, 2
-    )
-    left = left.transpose(0, 1, 5, 2, 4, 3).reshape(nb, n_paths, 2, half * half, 2)
-    return (left @ vectors[..., None]).reshape(nb, -1, half, half)
+def _branch_coefficients(factors: np.ndarray, steps: int) -> list[np.ndarray]:
+    """Entry s - 1 holds, for every row, the Pauli coefficients of each
+    outcome branch after step s (rows x 2**s x 4**s): the products of the
+    coefficients of the branch's nodes, the branch 2b + j being outcome j of
+    the depth-s node under branch b, the index tuple (i_0, ..., i_{s-1})
+    row-major.  ``factors`` holds every node's :func:`_projector_coefficients`."""
+    rows = len(factors)
+    coefficients = [factors[:, 0]]
+    for step in range(1, steps):
+        prev = coefficients[-1]
+        nodes = factors[:, _depth_nodes(step)]
+        coefficients.append(
+            (prev[:, :, None, :, None] * nodes[:, :, :, None, :]).reshape(
+                rows, 2 ** (step + 1), -1
+            )
+        )
+    return coefficients
 
 
 class _MeasuredEntropyObjective:
-    """Batched discord integrand over flat angle vectors.
+    """Batched discord integrand over flat angle vectors, on Pauli blocks.
 
-    Walks the measurement chain once per evaluation, keeping every outcome
-    branch unnormalized (trace = path probability) so that entropy averages
-    reduce to x log2 x sums; all branch contractions are batched numpy ops.
-    After each of the ``steps`` measurement steps the branches' terms come
-    from :meth:`_terms`, the one rule that both :meth:`evaluate_many` and
-    :meth:`grid_tables` apply.  Agrees with :func:`objective_npartite` on
+    A qubit projector is (I +- n . sigma) / 2, so every unnormalized branch
+    state, reduced to the subsystems its term reads, is a fixed linear
+    combination of partial traces of (Pauli product x I) rho.  Those are
+    valued once per state (``tensors``, one real matrix per measurement
+    step); a row's branches after step s are then the products of its
+    nodes' coefficients (:func:`_branch_coefficients`) times that step's
+    matrix, one small matmul.  Each branch adds its term by :meth:`_terms`:
+    the entropy of the next qubit at an intermediate step and of the whole
+    unmeasured tail at the last one, both weighted by the branch
+    probability.  :meth:`evaluate_many` and :meth:`grid_tables` share the
+    matrices and the term rule.  Agrees with :func:`objective_npartite` on
     the corresponding tree.
+
+    The exact gradient runs the product backwards: each term's derivative
+    in its branch's components (``d Tr f(B) = Tr[f'(B) dB]``, clamped where
+    :func:`x_log2_x` clamps) is pulled back through the same matrices to
+    every node's coefficients, and from there to its angles.
     """
 
     def __init__(self, state: QState, level: int):
@@ -192,44 +267,77 @@ class _MeasuredEntropyObjective:
         self.n_nodes = node_count(self.steps)
         self.rho = np.asarray(state.matrix)
         self.base = -(entropy(state) - subsystem_entropy(state, (0,)))
+        self.tensors = self._tensors(state)
+        # whether the last step's terms follow a rule of their own
+        self.last_rule = self.tensors[-1].shape[1] != 4
+
+    def _tensors(self, state: QState) -> list[np.ndarray]:
+        """Per step s, the matrix (4**s x components) from a branch's Pauli
+        coefficients to the components :meth:`_terms` reads: the Pauli
+        components of the next qubit's block at an intermediate step; at the
+        last step those of the tail if it is one qubit, else the real and
+        imaginary parts of its block's entries."""
+        blocks = _pauli_blocks(self.rho, state.dims, self.steps)
+        tensors = [_traces(blocks[s + 1]).reshape(4 ** s, 4) for s in range(1, self.steps)]
+        tail = blocks[-1]
+        if tail.shape[-1] == 2:
+            tensors.append((tail.reshape(-1, 4) @ _PAULI_TRACE).real)
+        else:
+            flat = tail.reshape(len(tail), -1)
+            tensors.append(np.concatenate([flat.real, flat.imag], axis=1))
+        return tensors
+
+    def _terms(self, comps: np.ndarray, last: bool, slopes: bool = False):
+        """Per-branch entropy terms from components (see :meth:`_tensors`),
+        by the last step's own rule if ``last``, else by the next-qubit
+        rule; with ``slopes``, also their derivatives in the components."""
+        if last:
+            return _block_terms(comps, slopes)
+        return _qubit_terms(comps, slopes)
 
     def __call__(self, x) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
 
-    def evaluate_many(self, params_matrix: np.ndarray) -> np.ndarray:
+    def evaluate_many(self, params_matrix: np.ndarray, gradient: bool = False):
+        """The integrand of every row; with ``gradient``, also its gradient
+        in the row's angles, as a second array of the rows' shape."""
         params_matrix = np.asarray(params_matrix, dtype=float)
         out = np.empty(len(params_matrix))
+        grads = np.empty(params_matrix.shape) if gradient else None
         for start in range(0, len(params_matrix), _EVAL_CHUNK):
-            stop = min(start + _EVAL_CHUNK, len(params_matrix))
-            out[start:stop] = self._chunk(params_matrix[start:stop])
-        return out
+            part = slice(start, start + _EVAL_CHUNK)
+            if gradient:
+                out[part], grads[part] = self._chunk(params_matrix[part], True)
+            else:
+                out[part] = self._chunk(params_matrix[part], False)
+        return (out, grads) if gradient else out
 
-    def _chunk(self, chunk: np.ndarray) -> np.ndarray:
-        nb = len(chunk)
+    def _chunk(self, chunk: np.ndarray, gradient: bool):
         if chunk.shape[1] != 2 * self.n_nodes:
             raise StructuralError(
                 f"expected {2 * self.n_nodes} angles per row, got {chunk.shape[1]}"
             )
-        value = np.full(nb, self.base)
-        vectors = _basis_vectors(chunk[:, 0::2], chunk[:, 1::2])
-        branches = np.broadcast_to(self.rho, (nb, 1) + self.rho.shape)
-        for step in range(1, self.steps + 1):
-            branches = _measure_step(branches, vectors[:, _depth_nodes(step - 1)])
-            value += self._terms(branches, step == self.steps).sum(axis=-1)
-        return value
-
-    def _terms(self, branches: np.ndarray, last: bool) -> np.ndarray:
-        """Per-branch entropy terms (rows x branches) after one measurement
-        step: of the next qubit alone at an intermediate step, of the whole
-        unmeasured tail at the last one."""
-        half = branches.shape[-1]
-        if not last:
-            quarter = half // 2
-            six = branches.reshape(len(branches), -1, 2, quarter, 2, quarter)
-            return _branch_entropy_qubit(np.einsum("npacbc->npab", six))
-        if half == 2:
-            return _branch_entropy_qubit(branches)
-        return _branch_entropy_block(branches)
+        theta, phi = chunk[:, 0::2], chunk[:, 1::2]
+        factors = _projector_coefficients(theta, phi)
+        coefficients = _branch_coefficients(factors, self.steps)
+        comps = [coeff @ tensor for coeff, tensor in zip(coefficients, self.tensors)]
+        # the steps of one rule are valued in one call, branches side by side
+        shared = self.steps - 1 if self.last_rule else self.steps
+        value = np.full(len(chunk), self.base)
+        slopes = []
+        for group, last in ((comps[:shared], False), (comps[shared:], True)):
+            if not group:
+                continue
+            terms = self._terms(np.concatenate(group, axis=1), last, gradient)
+            if gradient:
+                terms, slope = terms
+                widths = [c.shape[1] for c in group[:-1]]
+                slopes += np.split(slope, np.cumsum(widths), axis=1)
+            value += terms.sum(axis=-1)
+        if not gradient:
+            return value
+        pulled = [slope @ tensor.T for slope, tensor in zip(slopes, self.tensors)]
+        return value, _angle_gradient(_factor_gradient(factors, coefficients, pulled), theta, phi)
 
     def grid_tables(self, points: int) -> tuple[float, list[np.ndarray]]:
         """``base`` and the per-branch terms of the integrand on
@@ -238,50 +346,71 @@ class _MeasuredEntropyObjective:
         ``tables[s - 1][c_0, ..., c_{s-1}, b]`` is the term of outcome branch
         ``b`` after step ``s`` when its ancestor node at depth ``d`` sits in
         cell ``c_d``, a (theta, phi) grid pair with theta slower.  A branch
-        depends only on the nodes along its path, so each node's incoming
-        branches are projected once per combination of ancestor cells, not
-        once per grid point.  The integrand at a grid point is ``base`` plus
-        every node's two terms under its own ancestors' cells; the largest
-        table holds ``(2 * points**2) ** steps`` values.
+        depends only on the nodes along its path, so its coefficients are a
+        product of one cell's coefficients per depth, and each step's matrix
+        is contracted with the cells' coefficients one depth at a time.  The
+        integrand at a grid point is ``base`` plus every node's two terms
+        under its own ancestors' cells; the largest table holds
+        ``(2 * points**2) ** steps`` values.
         """
         theta_grid, phi_grid = _angle_grids(1, points)
         cells = points * points
-        cell_vectors = _basis_vectors(
+        factors = _projector_coefficients(
             np.repeat(theta_grid, points), np.tile(phi_grid, points)
-        )
-        # Incoming rows meet every cell in blocks of about _EVAL_CHUNK
-        # projections, which bounds the temporaries as in evaluate_many.
+        ).reshape(2 * cells, 4)
         tables = []
-        branches = np.broadcast_to(self.rho, (1, 1) + self.rho.shape)
-        block = max(1, _EVAL_CHUNK // cells)
-        for step in range(1, self.steps + 1):
-            last = step == self.steps
-            n_paths, half = branches.shape[1], branches.shape[-1] // 2
-            rows = len(branches) * cells
-            table = np.empty((rows, 2 * n_paths))
-            if not last:
-                projected = np.empty((rows, 2 * n_paths, half, half), dtype=complex)
-            for first in range(0, len(branches), block):
-                part = branches[first:first + block]
-                count = len(part) * cells
-                incoming = np.broadcast_to(
-                    part[:, None], (len(part), cells) + part.shape[1:]
+        for step, tensor in enumerate(self.tensors, start=1):
+            # partial[p, q, i, k]: the depths before the last contracted, for
+            # ancestor cells p and outcomes q (both row-major, oldest first)
+            partial = tensor.reshape(1, 1, 4, -1)
+            for _ in range(step - 1):
+                p, q, _, rest = partial.shape
+                partial = (factors @ partial).reshape(p, q, cells, 2, 4, rest // 4)
+                partial = partial.transpose(0, 2, 1, 3, 4, 5).reshape(
+                    p * cells, 2 * q, 4, rest // 4
                 )
-                vectors = np.broadcast_to(
-                    cell_vectors[None, :, None], (len(part), cells, n_paths, 2, 2)
-                )
-                outcomes = _measure_step(
-                    incoming.reshape((count,) + part.shape[1:]),
-                    vectors.reshape(count, n_paths, 2, 2),
-                )
-                done = slice(first * cells, first * cells + count)
-                table[done] = self._terms(outcomes, last)
-                if not last:
-                    projected[done] = outcomes
-            if not last:
-                branches = projected
-            tables.append(table.reshape((cells,) * step + (2 * n_paths,)))
+            p, q = partial.shape[:2]
+            table = np.empty((p, cells, q, 2))
+            # the last depth meets blocks of about _GRID_BLOCK branches, which
+            # bounds the temporaries
+            block = max(1, _GRID_BLOCK // (2 * q * cells))
+            for first in range(0, p, block):
+                terms = self._terms(factors @ partial[first:first + block],
+                                    step == self.steps and self.last_rule)
+                table[first:first + block] = terms.reshape(-1, q, cells, 2).transpose(0, 2, 1, 3)
+            tables.append(table.reshape((cells,) * step + (2 ** step,)))
         return self.base, tables
+
+
+def _factor_gradient(factors, coefficients, pulled) -> np.ndarray:
+    """The integrand's derivative in every node's projector coefficients
+    (the shape of ``factors``), from each step's derivative in its branch
+    coefficients (``pulled``), by running :func:`_branch_coefficients`
+    backwards."""
+    rows = len(factors)
+    out = np.empty_like(factors)
+    grad = pulled[-1]
+    for step in range(len(coefficients) - 1, 0, -1):
+        nodes = _depth_nodes(step)
+        split = grad.reshape(rows, 2 ** step, 2, 4 ** step, 4)
+        out[:, nodes] = (coefficients[step - 1][:, :, None, None, :] @ split)[:, :, :, 0]
+        grad = pulled[step - 1] + (split @ factors[:, nodes, :, :, None])[..., 0].sum(axis=2)
+    out[:, 0] = grad
+    return out
+
+
+def _angle_gradient(factor_grad: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Chain the derivative in the projector coefficients (see
+    :func:`_projector_coefficients`) through the Bloch vector n to each
+    node's (theta, phi), interleaved as in a row."""
+    along = (factor_grad[..., 0, 1:] - factor_grad[..., 1, 1:]) / 2.0
+    sin2, cos2 = np.sin(2.0 * theta), np.cos(2.0 * theta)
+    cos, sin = np.cos(phi), np.sin(phi)
+    out = np.empty(theta.shape[:-1] + (2 * theta.shape[-1],))
+    out[..., 0::2] = 2.0 * (cos2 * (along[..., 0] * cos + along[..., 1] * sin)
+                            - sin2 * along[..., 2])
+    out[..., 1::2] = sin2 * (along[..., 1] * cos - along[..., 0] * sin)
+    return out
 
 
 class _TwoMeasurementObjective(_MeasuredEntropyObjective):
@@ -291,7 +420,8 @@ class _TwoMeasurementObjective(_MeasuredEntropyObjective):
     (hence classical) state the conditional entropy is the Shannon
     conditional entropy H(a, b) - H(a) of the outcome distribution, so the
     first step's branches add x log2 x of their probability p_a and the
-    second step's subtract x log2 x of p_ab.
+    second step's subtract x log2 x of p_ab.  A branch's probability is the
+    trace of its block, so each step's matrix holds only the traces.
     """
 
     def __init__(self, state: QState):
@@ -299,10 +429,18 @@ class _TwoMeasurementObjective(_MeasuredEntropyObjective):
             raise StructuralError("two-measurement objective needs a 2-qubit state")
         super().__init__(state, 2)
         self.steps, self.n_nodes = 2, node_count(2)
+        self.last_rule = True
 
-    def _terms(self, branches: np.ndarray, last: bool) -> np.ndarray:
-        probs = np.trace(branches, axis1=-2, axis2=-1).real
-        return -x_log2_x(probs) if last else x_log2_x(probs)
+    def _tensors(self, state: QState) -> list[np.ndarray]:
+        blocks = _pauli_blocks(self.rho, state.dims, 2)
+        return [_traces(blocks[s])[:, None] for s in (1, 2)]
+
+    def _terms(self, comps: np.ndarray, last: bool, slopes: bool = False):
+        sign = -1.0 if last else 1.0
+        if not slopes:
+            return sign * x_log2_x(comps[..., 0])
+        value, slope = _x_log2_x_and_slope(comps[..., 0])
+        return sign * value, sign * slope[..., None]
 
 
 class _ScaledObjective:

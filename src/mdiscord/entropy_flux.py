@@ -13,7 +13,8 @@ measures each stage once: both routes read the same once- and twice-measured
 states and depth-1 branches.  The tripartite decomposition that
 :func:`~mdiscord.discord.discord` reports, and that the ``delta_*`` functions
 read, likewise measures each stage once and takes its four terms from the
-same ledger differences as :func:`flux_report`.
+same ledger differences as :func:`flux_report`.  Both value each subsystem
+entropy of a stage once (:func:`_stage_entropies`) for their ledgers.
 """
 
 from __future__ import annotations
@@ -177,14 +178,31 @@ def _measured_states(state, tree):
     return rho1, rho2
 
 
-def _cmi_family(state: QState) -> dict[str, float]:
-    i_ac_b = cond_mutual_info(state, (0,), (2,), (1,))
+def _stage_entropies(state: QState):
+    """``s(*positions)``: the entropy of ``state`` reduced to those
+    positions (ascending), valued once per subset however often it is
+    read."""
+    values = {}
+
+    def s(*positions):
+        if positions not in values:
+            values[positions] = subsystem_entropy(state, positions)
+        return values[positions]
+
+    return s
+
+
+def _cmi_family(s) -> dict[str, float]:
+    """The conditional and tripartite mutual informations of one stage from
+    its entropies ``s`` (see :func:`_stage_entropies`), with the arithmetic
+    of :func:`cond_mutual_info` and :func:`mutual_info`."""
+    i_ac_b = (s(0, 1) - s(1)) - (s(0, 1, 2) - s(1, 2))
     return {
-        "I_AB_C": cond_mutual_info(state, (0,), (1,), (2,)),
+        "I_AB_C": (s(0, 2) - s(2)) - (s(0, 1, 2) - s(1, 2)),
         "I_AC_B": i_ac_b,
-        "I_BC_A": cond_mutual_info(state, (1,), (2,), (0,)),
+        "I_BC_A": (s(0, 1) - s(0)) - (s(0, 1, 2) - s(0, 2)),
         # tripartite_mutual_info, reusing I_{A:C|B}
-        "I_ABC": mutual_info(state, (0,), (2,)) - i_ac_b,
+        "I_ABC": s(0) + s(2) - s(0, 2) - i_ac_b,
     }
 
 
@@ -203,13 +221,15 @@ def _terms(pre, m1, m2) -> dict[str, float]:
 
 def _decomposition(state: QState, tree: MeasurementTree) -> dict[str, float]:
     """The four terms of :func:`_terms` for a tripartite state and a tree
-    measuring subsystems 0 then 1, measuring each stage once; the
-    twice-measured state is valued only for the I_{B:C|A} they read."""
+    measuring subsystems 0 then 1, measuring each stage once and valuing
+    each of its subsystem entropies once; the twice-measured state is
+    valued only for the I_{B:C|A} they read."""
     _require_tripartite(state)
     _require_two_level_tree(tree)
     rho1, rho2 = _measured_states(state, tree)
     m2 = {"I_BC_A": cond_mutual_info(rho2, (1,), (2,), (0,))}
-    return _terms(_cmi_family(state), _cmi_family(rho1), m2)
+    pre = _cmi_family(_stage_entropies(state))
+    return _terms(pre, _cmi_family(_stage_entropies(rho1)), m2)
 
 
 @dataclass(frozen=True)
@@ -226,8 +246,8 @@ def measured_mutual_infos(state: QState, tree: MeasurementTree) -> MeasuredMutua
     _require_two_level_tree(tree)
     rho1, rho2 = _measured_states(state, tree)
     return MeasuredMutualInfo(
-        after_first=_cmi_family(rho1),
-        after_second=_cmi_family(rho2),
+        after_first=_cmi_family(_stage_entropies(rho1)),
+        after_second=_cmi_family(_stage_entropies(rho2)),
     )
 
 
@@ -283,12 +303,13 @@ def _tripartite_reports(state, tree) -> tuple[FluxReport, ...]:
     rho2, _ = apply_tree(state, tree, 2)
 
     def ledger(rho):
+        s = _stage_entropies(rho)
         entries = {
-            "S_A_BC": cond_entropy(rho, (0,), (1, 2)),
-            "S_B_AC": cond_entropy(rho, (1,), (0, 2)),
-            "S_C_AB": cond_entropy(rho, (2,), (0, 1)),
+            "S_A_BC": s(0, 1, 2) - s(1, 2),
+            "S_B_AC": s(0, 1, 2) - s(0, 2),
+            "S_C_AB": s(0, 1, 2) - s(0, 1),
         }
-        entries.update(_cmi_family(rho))
+        entries.update(_cmi_family(s))
         return entries
 
     pre, m1, m2 = ledger(state), ledger(rho1), ledger(rho2)

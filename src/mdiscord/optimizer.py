@@ -4,35 +4,36 @@ quasi-Newton refinement.
 A coarse Cartesian grid scan finds the grid minimum within each cell of the
 root node's (theta, phi) grid and keeps the ``refine_starts`` best of those
 root cells, each with its best grid point; quasi-Newton (BFGS) refinement
-with central-difference gradients then takes each start downhill (Nocedal &
-Wright, *Numerical Optimization*, 2006, ch. 6 and 8).  Everything is
-deterministic: grids are enumerated lexicographically, value ties keep
-enumeration order, and the refinement uses no randomness.
+with exact gradients then takes each start downhill (Nocedal & Wright,
+*Numerical Optimization*, 2006, ch. 6 and 8).  Everything is deterministic:
+grids are enumerated lexicographically, value ties keep enumeration order,
+and the refinement uses no randomness.
 
 Objectives map a flat angle vector (theta, phi alternating, node-major) to a
 scalar, and :func:`optimize` asks every objective for the same two methods.
 ``grid_tables(points)`` supplies per-branch term tables: the discord
 integrand is a constant plus terms that each depend only on one branch's
 ancestor nodes, so the grid minimum comes from dynamic programming over the
-tree, and no grid point is valued on its own.  ``evaluate_many(rows)``
-values a matrix of angle vectors, one row each.
+tree, and no grid point is valued on its own.  ``evaluate_many(rows,
+gradient=True)`` values a matrix of angle vectors, one row each, and
+returns their gradients as a second matrix; without ``gradient`` it returns
+the values alone, which is all the simplex needs.
 
 Refinement runs each start as a generator that yields the points it needs
-next: one gradient stencil (2n rows), one ladder of step lengths, or one set
-of probe rings per request.  :func:`optimize` advances its
+next: one ladder of step lengths or one set of probe rings per request,
+each row valued with its gradient.  :func:`optimize` advances its
 ``refine_starts`` runs in lockstep and values every pending point of every
 unfinished run in one ``evaluate_many`` call per round; one batched call
 costs about as much as a single-row one.  Each run compares only its own
-values in its own order, and a batched row equals the single-row value bit
-for bit, so the results are those of refining the starts one after
-another.
+values in its own order, and a batched row (value and gradient) equals the
+single-row one bit for bit, so the results are those of refining the
+starts one after another.
 
 :class:`OptimizerConfig` sets the grid density and the number of starts.
-The refinement's iteration cap ``QN_MAX_ITERS``, gradient step
-``QN_GRADIENT_STEP`` and step ladder ``QN_LINE_STEPS`` are fixed.  The
-downhill simplex of :func:`simplex_refine` (Nelder & Mead 1965, capped at
-``SIMPLEX_MAX_ITERS`` iterations, converged below a value spread of
-``SIMPLEX_TOL``) is kept for the polish passes of
+The refinement's iteration cap ``QN_MAX_ITERS`` and step ladder
+``QN_LINE_STEPS`` are fixed.  The downhill simplex of :func:`simplex_refine`
+(Nelder & Mead 1965, capped at ``SIMPLEX_MAX_ITERS`` iterations, converged
+below a value spread of ``SIMPLEX_TOL``) is kept for the polish passes of
 :func:`mdiscord.discord.discord`.
 """
 
@@ -51,7 +52,6 @@ _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
 SIMPLEX_MAX_ITERS = 400  # iterations of one simplex run
 SIMPLEX_TOL = 1e-9       # value spread of a converged simplex
 QN_MAX_ITERS = 200       # iterations of one quasi-Newton refinement
-QN_GRADIENT_STEP = 1e-6  # central-difference step of its gradient
 QN_LINE_STEPS = tuple(2.0 ** -k for k in range(-1, 12))  # 2, 1, ..., 2**-11
 
 
@@ -300,56 +300,62 @@ def _coordinate_ring(n: int) -> np.ndarray:
     return np.stack([eye, -eye], axis=1).reshape(2 * n, n)
 
 
-def _quasi_newton(start):
-    """Quasi-Newton (BFGS) refinement from ``start``, as a generator with
-    :func:`_nelder_mead`'s protocol.
+def _unfolded_gradient(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """A gradient valued at ``fold_angles(x)``, in the chart of ``x``
+    itself: where the fold reflects theta, the theta slope changes sign
+    (phi only shifts)."""
+    reflected = np.mod(x[0::2], np.pi) > np.pi / 2
+    out = np.array(grad, dtype=float)
+    out[0::2] = np.where(reflected, -out[0::2], out[0::2])
+    return out
 
-    The start is asked for with its central-difference gradient (2n more
-    rows, step ``QN_GRADIENT_STEP``).  An iteration asks for the whole
-    ladder of ``QN_LINE_STEPS`` along -H g as one list and moves to its
-    lowest point, then asks for the gradient there and updates the inverse
-    Hessian estimate H.  When no rung lies below the current value, the
-    per-coordinate probe rings of every ``_PROBE_STEPS`` size are asked for
-    as one list: the lowest probe below it becomes the next point, and if
-    none is below, the run has converged (the chart's flat edges, e.g. phi
-    at theta = 0, are where a gradient test alone would stop short).  At
-    most ``QN_MAX_ITERS`` iterations run.  The iterate stays unfolded, so
-    steps and curvature pairs are smooth across the theta fold; only the
-    rows asked for and the point returned are folded, which relabels the
-    same projector pair.  Never returns a value above the start's.
+
+def _quasi_newton(start):
+    """Quasi-Newton (BFGS) refinement from ``start``, as a generator that
+    yields each list of points it needs valued next and is sent their
+    values (a list of floats, in the same order) together with their
+    gradients (one row each); it returns the :class:`OptimizerOutcome`.
+
+    The start is asked for alone.  An iteration asks for the whole ladder
+    of ``QN_LINE_STEPS`` along -H g as one list, moves to its lowest point,
+    whose gradient came with it, and updates the inverse Hessian estimate
+    H.  When no rung lies below the current value, the per-coordinate probe
+    rings of every ``_PROBE_STEPS`` size are asked for as one list: the
+    lowest probe below it becomes the next point, and if none is below, the
+    run has converged (the chart's flat edges, e.g. phi at theta = 0, are
+    where a gradient test alone would stop short).  At most
+    ``QN_MAX_ITERS`` iterations run.  The iterate stays unfolded, so steps
+    and curvature pairs are smooth across the theta fold; only the rows
+    asked for and the point returned are folded, which relabels the same
+    projector pair, and each gradient is turned back into the unfolded
+    chart.  Never returns a value above the start's.
     """
     x = np.array(start, dtype=float)
     n = x.size
     eye = np.eye(n)
-    stencil = QN_GRADIENT_STEP * _coordinate_ring(n)
     probes = np.concatenate([delta * _coordinate_ring(n) for delta in _PROBE_STEPS])
 
-    def gradient(values):
-        values = np.asarray(values)
-        return (values[0::2] - values[1::2]) / (2 * QN_GRADIENT_STEP)
-
-    values = yield fold_angles(np.vstack([x, x + stencil]))
-    nfe = 1 + 2 * n
+    values, grads = yield fold_angles(x[None, :])
+    nfe = 1
     value = start_value = values[0]
-    grad = gradient(values[1:])
+    grad = _unfolded_gradient(x, grads[0])
     inverse, scaled = eye, False
     converged = False
     for _ in range(QN_MAX_ITERS):
         candidates = x + np.outer(QN_LINE_STEPS, -inverse @ grad)
-        values = yield fold_angles(candidates)
+        values, grads = yield fold_angles(candidates)
         nfe += len(candidates)
         best = int(np.argmin(values))
         if not values[best] < value:
             candidates = x + probes
-            values = yield fold_angles(candidates)
+            values, grads = yield fold_angles(candidates)
             nfe += len(candidates)
             best = int(np.argmin(values))
             if not values[best] < value:
                 converged = True
                 break
         x_next, value = candidates[best], values[best]
-        next_grad = gradient((yield fold_angles(x_next + stencil)))
-        nfe += 2 * n
+        next_grad = _unfolded_gradient(x_next, grads[best])
         s, y = x_next - x, next_grad - grad
         sy = s @ y
         if sy > 0:
@@ -369,22 +375,29 @@ def _quasi_newton(start):
     )
 
 
-def _run_together(objective, runs) -> list[OptimizerOutcome]:
-    """Advance refinement generators (:func:`_quasi_newton`,
-    :func:`_nelder_mead`) in lockstep until each returns.
+def _run_together(objective, runs, gradient: bool = False) -> list[OptimizerOutcome]:
+    """Advance refinement generators in lockstep until each returns: runs
+    of :func:`_quasi_newton` with ``gradient``, of :func:`_nelder_mead`
+    without.
 
     Every round values the pending points of every unfinished run in one
     ``evaluate_many`` call (rows in run order) and sends each run its own
-    values.
+    values, with their gradients if asked.
     """
     outcomes = [None] * len(runs)
     pending = {index: next(run) for index, run in enumerate(runs)}
     while pending:
-        rows = [point for points in pending.values() for point in points]
-        values = [float(v) for v in objective.evaluate_many(np.array(rows))]
+        rows = np.array([point for points in pending.values() for point in points])
+        if gradient:
+            values, grads = objective.evaluate_many(rows, gradient=True)
+        else:
+            values = objective.evaluate_many(rows)
+        values = [float(v) for v in values]
         first = 0
         for index, points in list(pending.items()):
             own = values[first:first + len(points)]
+            if gradient:
+                own = (own, grads[first:first + len(points)])
             first += len(points)
             try:
                 pending[index] = runs[index].send(own)
@@ -426,7 +439,7 @@ def optimize(objective, n_nodes: int, config: OptimizerConfig | None = None) -> 
     evaluations = scan.evaluations
     best: OptimizerOutcome | None = None
     starts = [_quasi_newton(start) for start in scan.params]
-    for outcome in _run_together(objective, starts):
+    for outcome in _run_together(objective, starts, gradient=True):
         evaluations += outcome.evaluations
         if best is None or outcome.best_value < best.best_value:
             best = outcome

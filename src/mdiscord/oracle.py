@@ -26,16 +26,18 @@ _QUBITS = (2, 2, 2)  # the random samples of the verification checks
 
 
 def _reduce_matrix(matrix: np.ndarray, dims, keep) -> np.ndarray:
-    """Partial trace by reshaping and tracing out one subsystem at a time."""
+    """Partial trace by reshaping and tracing out one subsystem at a time;
+    the leading axes of a stack of matrices are kept."""
     dims = list(dims)
+    lead = matrix.shape[:-2]
     out = matrix
     for pos in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        shape = dims + dims
+        shape = lead + tuple(dims + dims)
         out = out.reshape(shape)
-        out = np.trace(out, axis1=pos, axis2=pos + len(dims))
+        out = np.trace(out, axis1=len(lead) + pos, axis2=len(lead) + pos + len(dims))
         del dims[pos]
         side = int(np.prod(dims))
-        out = out.reshape(side, side)
+        out = out.reshape(lead + (side, side))
     return out
 
 
@@ -60,14 +62,18 @@ def _weighted_entropy(unnormalized: np.ndarray) -> float:
     return p * _entropy_bits(unnormalized / p)
 
 
-def _weighted_entropies(branches: np.ndarray) -> list[float]:
-    """:func:`_weighted_entropy` of every branch in a stack, with one
-    ``eigvalsh`` call for all their spectra."""
+def _weighted_entropies(branches: np.ndarray) -> np.ndarray:
+    """:func:`_weighted_entropy` of every branch in a stack, as one array,
+    with one ``eigvalsh`` call for all their spectra."""
     probs = np.trace(branches, axis1=1, axis2=2).real
     live = ~(probs < _ZERO_PROB)
-    spectra = iter(np.linalg.eigvalsh(branches[live] / probs[live, None, None]))
-    return [p * _spectrum_bits(next(spectra)) if alive else 0.0
-            for p, alive in zip(probs, live)]
+    spectra = np.linalg.eigvalsh(branches[live] / probs[live, None, None])
+    kept = spectra > _CLAMP
+    bits = -np.sum(np.where(kept, spectra * np.log2(np.where(kept, spectra, 1.0)), 0.0),
+                   axis=-1)
+    out = np.zeros(len(probs))
+    out[live] = probs[live] * bits
+    return out
 
 
 def _basis_vectors(theta: float, phi: float):
@@ -151,8 +157,10 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
     disjoint, non-negatively weighted terms, so the product-grid minimum
     factorizes into a per-branch recursion; the value equals full grid
     enumeration at a tiny fraction of the cost.  Each grid cell's embedded
-    projector pair is built once per measured position, not per branch, and
-    the leaves of one node are measured and diagonalized as one stack.
+    projector pair is built once per measured position, not per branch; the
+    branches of one node are measured, reduced and diagonalized as one
+    stack, a leaf's branch reduced to the unmeasured tail (its measured
+    qubits are pure), and the node's best cell is one ``min`` over them.
     """
     n = state.n_subsystems
     level = n if level is None else int(level)
@@ -178,22 +186,12 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
             return 0.0
         projectors = cell_projectors[depth - 1]
         branches = projectors @ sigma @ projectors
-        last = depth == level - 1
-        leaf_terms = _weighted_entropies(branches) if last else None
-        best = np.inf
-        for first in range(0, len(branches), 2):
-            contribution = 0.0
-            for k in (first, first + 1):
-                if last:
-                    contribution += leaf_terms[k]
-                else:
-                    contribution += _weighted_entropy(
-                        _reduce_matrix(branches[k], dims, [depth])
-                    )
-                    contribution += tail_min(branches[k], depth + 1)
-            if contribution < best:
-                best = contribution
-        return best
+        if depth == level - 1:
+            terms = _weighted_entropies(_reduce_matrix(branches, dims, range(depth, n)))
+        else:
+            terms = _weighted_entropies(_reduce_matrix(branches, dims, [depth]))
+            terms += [tail_min(branch, depth + 1) for branch in branches]
+        return float(np.min(terms[0::2] + terms[1::2]))
 
     return base + tail_min(np.asarray(state.matrix), 1)
 

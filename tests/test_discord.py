@@ -22,16 +22,15 @@ from mdiscord import (
 from mdiscord.discord import (
     _MeasuredEntropyObjective,
     _TwoMeasurementObjective,
-    _basis_vectors,
-    _branch_entropy_block,
-    _measure_step,
+    _branch_coefficients,
+    _projector_coefficients,
     result_from_json,
     result_to_json,
 )
 from mdiscord.qstate import x_log2_x
-from mdiscord.optimizer import OptimizerConfig, OptimizerOutcome, optimize
+from mdiscord.optimizer import OptimizerConfig, OptimizerOutcome, _angle_grids, optimize
 from mdiscord.oracle import reference_objective
-from mdiscord.states import cc_example_state, ghz_state, product_state
+from mdiscord.states import bell_mixture, cc_example_state, ghz_state, product_state
 
 from conftest import dm, random_qubits, random_tree
 
@@ -185,56 +184,103 @@ def _random_angles(seed, rows, n_nodes):
     ).reshape(rows, -1)
 
 
+def _basis_vectors(theta, phi):
+    """Basis vectors (outcome x component) for arrays of node angles: the
+    projector path the evaluator used before its Pauli blocks, kept as its
+    reference."""
+    phase = np.exp(1j * phi)
+    cos, sin = np.cos(theta), np.sin(theta)
+    vectors = np.empty(theta.shape + (2, 2), dtype=complex)
+    vectors[..., 0, 0] = cos
+    vectors[..., 0, 1] = phase * sin
+    vectors[..., 1, 0] = sin
+    vectors[..., 1, 1] = -phase * cos
+    return vectors
+
+
 def _node_vectors(chunk, depth):
-    """Basis vectors of the depth-``depth`` nodes, valued for that depth
-    alone: the per-step formula the evaluator used before it valued every
-    node's vectors in one call, kept as its reference."""
+    """Basis vectors of the depth-``depth`` nodes of every row."""
     idx = 2 ** depth - 1 + np.arange(2 ** depth)
     return _basis_vectors(chunk[:, 2 * idx], chunk[:, 2 * idx + 1])
 
 
-def _reference_branch_entropy_qubit(blocks):
-    """p * S(block / p) of 2x2 blocks with one x log2 x call per term: the
-    formula _branch_entropy_qubit stacked into one call, kept as its
-    reference."""
-    a = blocks[..., 0, 0].real
-    d = blocks[..., 1, 1].real
-    off = blocks[..., 0, 1]
-    trace = a + d
-    det = a * d - (off.real ** 2 + off.imag ** 2)
-    disc = np.sqrt(np.maximum(trace * trace - 4.0 * det, 0.0))
-    hi = (trace + disc) / 2.0
-    lo = (trace - disc) / 2.0
-    return x_log2_x(trace) - x_log2_x(hi) - x_log2_x(lo)
-
-
-def _reference_values(objective, chunk):
-    """The integrand of every row, step by step with the reference formulas."""
-    value = np.full(len(chunk), objective.base)
-    rho = objective.rho
-    branches = np.broadcast_to(rho, (len(chunk), 1) + rho.shape)
-    for step in range(1, objective.steps + 1):
-        branches = _measure_step(branches, _node_vectors(chunk, step - 1))
-        if step < objective.steps:
-            quarter = branches.shape[-1] // 2
-            six = branches.reshape(len(chunk), -1, 2, quarter, 2, quarter)
-            terms = _reference_branch_entropy_qubit(np.einsum("npacbc->npab", six))
-        elif branches.shape[-1] == 2:
-            terms = _reference_branch_entropy_qubit(branches)
-        else:
-            terms = _branch_entropy_block(branches)
-        value += terms.sum(axis=-1)
-    return value
-
-
 def _einsum_step(branches, vectors):
-    """The contraction _measure_step replaced, kept as its reference."""
+    """Project the leading qubit of every unnormalized branch onto both
+    basis vectors of its node; the branch count doubles and that qubit drops
+    out."""
     nb = branches.shape[0]
     half = branches.shape[-1] // 2
     blocks = branches.reshape(nb, -1, 2, half, 2, half)
     return np.einsum(
         "npjm,npmrls,npjl->npjrs", vectors.conj(), blocks, vectors, optimize="greedy"
     ).reshape(nb, -1, half, half)
+
+
+def _reference_blocks(objective, chunk):
+    """Per step, every row's branches reduced to the block the step's terms
+    read (the next qubit, or the whole tail at the last step), walked with
+    the projectors themselves."""
+    rho = objective.rho
+    branches = np.broadcast_to(rho, (len(chunk), 1) + rho.shape)
+    out = []
+    for step in range(1, objective.steps + 1):
+        branches = _einsum_step(branches, _node_vectors(chunk, step - 1))
+        if step < objective.steps:
+            quarter = branches.shape[-1] // 2
+            six = branches.reshape(len(chunk), -1, 2, quarter, 2, quarter)
+            out.append(np.einsum("npacbc->npab", six))
+        else:
+            out.append(branches)
+    return out
+
+
+def _reference_entropy(blocks):
+    """p * S(block / p) of unnormalized blocks, from their eigenvalues."""
+    vals = np.linalg.eigvalsh(blocks)
+    return x_log2_x(vals.sum(axis=-1)) - x_log2_x(vals).sum(axis=-1)
+
+
+def _reference_values(objective, chunk):
+    """The integrand of every row, step by step with the reference formulas."""
+    value = np.full(len(chunk), objective.base)
+    for blocks in _reference_blocks(objective, chunk):
+        value += _reference_entropy(blocks).sum(axis=-1)
+    return value
+
+
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                    [[1, 0], [0, -1]]])
+
+
+def _blocks_from_components(comps, last):
+    """Blocks back from a step's components: (t_0 I + t . sigma) / 2 from
+    Pauli components, else real parts then imaginary parts of the entries."""
+    if not last or comps.shape[-1] == 4:
+        return np.einsum("...m,mab->...ab", comps, _PAULIS) / 2
+    entries = comps.shape[-1] // 2
+    side = int(round(entries ** 0.5))
+    blocks = comps[..., :entries] + 1j * comps[..., entries:]
+    return blocks.reshape(comps.shape[:-1] + (side, side))
+
+
+def _reference_tables(objective, points):
+    """The per-branch grid tables, walked with the projectors: every node of
+    depth d sits in cell c_d of its row."""
+    theta_grid, phi_grid = _angle_grids(1, points)
+    cells = points * points
+    cell_angles = np.stack([np.repeat(theta_grid, points), np.tile(phi_grid, points)], 1)
+    tables = []
+    for step in range(1, objective.steps + 1):
+        combos = np.stack(np.unravel_index(np.arange(cells ** step), (cells,) * step), 1)
+        depth_of_node = np.floor(np.log2(np.arange(objective.n_nodes) + 1)).astype(int)
+        depth_of_node = np.minimum(depth_of_node, step - 1)
+        chunk = cell_angles[combos[:, depth_of_node]].reshape(len(combos), -1)
+        blocks = _reference_blocks(objective, chunk)[step - 1]
+        tables.append(_reference_entropy(blocks).reshape((cells,) * step + (-1,)))
+    return tables
+
+
+CASES = [((2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((2, 2, 2, 2), 3), ((2, 2, 3), 3)]
 
 
 class TestMeasureStep:
@@ -247,14 +293,18 @@ class TestMeasureStep:
         ((2, 2, 3), 3, 6),
     ])
     def test_equals_the_einsum_contraction(self, dims, level, rank, rows):
-        rho = np.asarray(random_state(dims, rank, 60 + rank).matrix)
-        chunk = _random_angles(rows, rows, 2 ** (level - 1) - 1)
-        branches = np.broadcast_to(rho, (rows, 1) + rho.shape)
-        for step in range(1, level):
-            vectors = _node_vectors(chunk, step - 1)
-            stepped = _measure_step(branches, vectors)
-            assert np.array_equal(stepped, _einsum_step(branches, vectors))
-            branches = stepped
+        # each step's branch blocks, as the Pauli-block products give them,
+        # equal the projector contraction reduced to what the terms read
+        objective = _MeasuredEntropyObjective(random_state(dims, rank, 60 + rank), level)
+        chunk = _random_angles(rows, rows, objective.n_nodes)
+        factors = _projector_coefficients(chunk[:, 0::2], chunk[:, 1::2])
+        coefficients = _branch_coefficients(factors, objective.steps)
+        reference = _reference_blocks(objective, chunk)
+        for step, (coeff, tensor, expected) in enumerate(
+            zip(coefficients, objective.tensors, reference), start=1
+        ):
+            blocks = _blocks_from_components(coeff @ tensor, step == objective.steps)
+            assert np.max(np.abs(blocks - expected)) < 1e-12
 
     @pytest.mark.parametrize("dims, level", [
         ((2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((2, 2, 3), 3),
@@ -272,13 +322,94 @@ class TestMeasureStep:
         ((2, 2, 3), 3),
     ])
     def test_values_equal_the_per_step_formulas(self, dims, level, rows):
-        # one basis-vector call for every node and one x log2 x call per
-        # qubit block leave every value bit for bit as before
+        # the Pauli-block products round differently from the projector
+        # walk, so the two agree to rounding, not bit for bit
         objective = _MeasuredEntropyObjective(random_state(dims, 3, 73), level)
         chunk = _random_angles(74 + rows, rows, objective.n_nodes)
-        assert np.array_equal(
-            objective.evaluate_many(chunk), _reference_values(objective, chunk)
-        )
+        assert np.max(np.abs(
+            objective.evaluate_many(chunk) - _reference_values(objective, chunk)
+        )) < 1e-12
+
+    @pytest.mark.parametrize("dims, level", CASES)
+    def test_values_equal_the_oracle(self, dims, level):
+        state = random_state(dims, 3, 75)
+        objective = _MeasuredEntropyObjective(state, level)
+        chunk = _random_angles(76, 30, objective.n_nodes)
+        measured = tuple(range(level - 1))
+        for value, row in zip(objective.evaluate_many(chunk), chunk):
+            tree = tree_from_params(dims, measured, MeasParams.from_flat(row))
+            assert abs(value - reference_objective(state, tree, level)) < 1e-12
+
+    @pytest.mark.parametrize("points", [3, 6])
+    @pytest.mark.parametrize("dims, level", CASES)
+    def test_grid_tables_equal_the_projector_tables(self, dims, level, points):
+        if level == 4 and points == 6:
+            points = 2  # 36**3 reference rows would be slow
+        objective = _MeasuredEntropyObjective(random_state(dims, 4, 77), level)
+        base, tables = objective.grid_tables(points)
+        assert base == objective.base
+        for table, expected in zip(tables, _reference_tables(objective, points),
+                                   strict=True):
+            assert table.shape == expected.shape
+            assert np.max(np.abs(table - expected)) < 1e-12
+
+
+def _central_differences(objective, chunk, step=1e-6):
+    grads = np.empty_like(chunk)
+    for k in range(chunk.shape[1]):
+        shift = np.zeros(chunk.shape[1])
+        shift[k] = step
+        grads[:, k] = (objective.evaluate_many(chunk + shift)
+                       - objective.evaluate_many(chunk - shift)) / (2 * step)
+    return grads
+
+
+def _gradient_rows(seed, rows, n_nodes):
+    """Random rows, then rows with every theta at 0 and at pi/2."""
+    chunk = _random_angles(seed, rows, n_nodes)
+    poles = _random_angles(seed + 1, 8, n_nodes)
+    poles[:4, 0::2] = 0.0
+    poles[4:, 0::2] = np.pi / 2
+    return np.vstack([chunk, poles])
+
+
+class TestGradient:
+    @pytest.mark.parametrize("rank", [1, 3, 8])
+    @pytest.mark.parametrize("dims, level", CASES)
+    def test_equals_central_differences(self, dims, level, rank):
+        rank = min(rank, int(np.prod(dims)))
+        objective = _MeasuredEntropyObjective(random_state(dims, rank, 80 + rank), level)
+        chunk = _gradient_rows(81 + rank, 40, objective.n_nodes)
+        values, grads = objective.evaluate_many(chunk, gradient=True)
+        assert np.array_equal(values, objective.evaluate_many(chunk))
+        assert np.max(np.abs(grads - _central_differences(objective, chunk))) < 1e-8
+
+    @pytest.mark.parametrize("state", [bell_mixture(0.9), ghz_state(3)],
+                             ids=["bell_mixture-0.9", "ghz"])
+    def test_catalog_states_equal_central_differences(self, state):
+        objective = _MeasuredEntropyObjective(state, 3)
+        chunk = _gradient_rows(83, 40, objective.n_nodes)
+        _, grads = objective.evaluate_many(chunk, gradient=True)
+        assert np.max(np.abs(grads - _central_differences(objective, chunk))) < 1e-8
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_two_measurement_equals_central_differences(self, rank):
+        objective = _TwoMeasurementObjective(random_state((2, 2), rank, 84 + rank))
+        chunk = _gradient_rows(85 + rank, 40, objective.n_nodes)
+        values, grads = objective.evaluate_many(chunk, gradient=True)
+        assert np.array_equal(values, objective.evaluate_many(chunk))
+        assert np.max(np.abs(grads - _central_differences(objective, chunk))) < 1e-8
+
+    @pytest.mark.parametrize("dims, level", CASES)
+    def test_batched_rows_equal_single_row_gradients(self, dims, level):
+        # the lockstep refinement relies on this, as on the values
+        objective = _MeasuredEntropyObjective(random_state(dims, 3, 86), level)
+        chunk = _random_angles(87, 30, objective.n_nodes)
+        values, grads = objective.evaluate_many(chunk, gradient=True)
+        for value, grad, row in zip(values, grads, chunk):
+            one_value, one_grad = objective.evaluate_many(row[None, :], gradient=True)
+            assert one_value[0] == value
+            assert np.array_equal(one_grad[0], grad)
 
 
 class TestDiscord:

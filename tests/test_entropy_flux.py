@@ -402,8 +402,10 @@ class TestDecomposition:
         assert measured == [1, 2]
 
     def test_values_fewer_entropies_than_four_walks(self, monkeypatch):
-        # the pre and once-measured ledgers in full (15 each) plus I_{B:C|A}
-        # of the twice-measured state (4); the four separate walks took 38
+        # each distinct subset of a stage once: the 7 of the pre and of the
+        # once-measured state, and the 4 that I_{B:C|A} of the twice-measured
+        # state reads; the four separate walks took 38, and one walk per
+        # stage 34
         calls = []
         real_subsystem_entropy = entropy_flux.subsystem_entropy
 
@@ -413,7 +415,7 @@ class TestDecomposition:
 
         monkeypatch.setattr(entropy_flux, "subsystem_entropy", counting)
         entropy_flux._decomposition(random_qubits(34, 3, 5), random_tree(1900, 2))
-        assert len(calls) == 34
+        assert len(calls) == 18
 
     @pytest.mark.parametrize("seed", range(20))
     def test_every_reader_agrees_exactly(self, seed):

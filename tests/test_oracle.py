@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from mdiscord import (
     dense_grid_min,
     identity_suite,
     invariance_residual,
+    random_state,
     reference_objective,
     tree_from_params,
     verification_suite,
@@ -49,7 +51,32 @@ class TestReferenceObjective:
                 assert abs(reference_objective(state, tree)) < 1e-12
 
 
+def _grid_trees(dims, level, points):
+    """Every tree whose node angles all lie on the product grid."""
+    thetas = np.linspace(0, np.pi / 2, points)
+    phis = np.linspace(0, 2 * np.pi, points, endpoint=False)
+    cells = list(itertools.product(thetas, phis))
+    measured = tuple(range(level - 1))
+    for angles in itertools.product(cells, repeat=2 ** (level - 1) - 1):
+        yield tree_from_params(dims, measured, MeasParams(angles))
+
+
 class TestDenseGridMin:
+    @pytest.mark.parametrize("dims, level, points, rank", [
+        ((2, 2), 2, 6, 3),
+        ((2, 2, 2), 2, 6, 5),   # a two-qubit unmeasured tail
+        ((2, 2, 2), 3, 3, 1),
+        ((2, 2, 2), 3, 3, 4),
+        ((2, 2, 2), 3, 3, 8),
+        ((2, 2, 3), 3, 3, 5),
+    ])
+    def test_equals_the_minimum_over_every_grid_tree(self, dims, level, points, rank):
+        # brute force: the raw-definition integrand of every grid tree
+        state = random_state(dims, rank, 500 + rank)
+        brute = min(reference_objective(state, tree, level)
+                    for tree in _grid_trees(dims, level, points))
+        assert abs(dense_grid_min(state, level, points) - brute) < 1e-12
+
     def test_bell_at_fifty_points(self):
         value = dense_grid_min(bell_state(), level=2, points_per_angle=50)
         assert_allclose(value, 1.0, atol=2e-3)
