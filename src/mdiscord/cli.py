@@ -6,11 +6,13 @@ adapter over the library; CSV output is RFC-4180 with 12 significant digits
 and is byte-stable for a fixed configuration and seed.  Every setting is
 read through ``SETTINGS``: a config file value, then the flag laid over it.
 The optimizer settings are the grid density and the number of refinement
-starts; the quasi-Newton refinement's iteration cap, gradient step and step
-ladder, and the polish simplex's cap and tolerance, are fixed constants of
-:mod:`mdiscord.optimizer`.  Exit codes: 0 on success, 1 on verification
-failure, 2 on bad input (configuration errors and inputs the library
-rejects).  Run as ``mdiscord`` or ``python -m mdiscord.cli``.
+starts; the quasi-Newton refinement's iteration cap and step ladder, and
+the polish simplex's cap and tolerance, are fixed constants of
+:mod:`mdiscord.optimizer`.  An ``--out`` path is checked before any work
+starts.  Exit codes: 0 on success, 1 on verification failure, 2 on bad
+input (configuration errors, an output file that cannot be written, and
+inputs the library rejects).  Run as ``mdiscord`` or ``python -m
+mdiscord.cli``.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def _object(value, name: str) -> dict:
 
 def _settings(args) -> dict:
     """The subcommand's settings: its config file, every key checked against
-    ``SETTINGS`` for the subcommand and the type, with the flags laid over it."""
+    ``SETTINGS`` for the subcommand and the type, with the flags laid over it;
+    an output file that cannot be written is refused here, before any work."""
     config = {}
     if args.config is not None:
         config = _load(args.config, "config", json.loads)
@@ -135,6 +138,7 @@ def _settings(args) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
+    _check_out(settings["out"])
     return settings
 
 
@@ -147,11 +151,21 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
+def _check_out(out_path: str | None):
+    """Refuse an output file that cannot be written: one that names a
+    directory, or whose directory does not exist."""
+    if out_path and (Path(out_path).is_dir() or not Path(out_path).parent.is_dir()):
+        raise ConfigError(f"cannot write {out_path}: not a file in an existing directory")
+
+
 def _emit(text: str, out_path: str | None):
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out_path).write_text(text)
+    except OSError as error:
+        raise ConfigError(f"cannot write {out_path}: {error}") from error
 
 
 def _optimizer_config(settings: dict) -> OptimizerConfig:

@@ -13,9 +13,10 @@ dedicated batched evaluator built on Pauli blocks.  A qubit projector is
 partial traces of (Pauli product x I) rho, valued once per state (Luo, PRA
 77, 042303, 2008; Girolami & Adesso, PRA 83, 052108, 2011).  A batch of
 trees then costs one small matmul per measurement step, the exact gradient
-in the angles runs the same products backwards, and the per-branch terms
-over the angle grid come from the same blocks, from which the grid scan
-takes the exact grid minimum by dynamic programming over the tree.
+in the nodes' Bloch vectors runs the same products backwards, and the
+per-branch terms over the angle grid come from the same blocks, from which
+the grid scan takes the exact grid minimum by dynamic programming over the
+tree.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .measure import (
     params_to_json,
     tree_from_params,
 )
-from .optimizer import OptimizerConfig, _angle_grids, optimize, simplex_refine
+from .optimizer import OptimizerConfig, _angle_grids, _bloch_vectors, optimize, simplex_refine
 from .qstate import (
     ENTROPY_EIGENVALUE_CLAMP,
     QState,
@@ -177,14 +178,14 @@ def _block_terms(comps: np.ndarray, slopes: bool):
     return whole - parts.sum(axis=-1), np.concatenate([slope.real, slope.imag], axis=-1)
 
 
-def _pauli_blocks(rho: np.ndarray, dims, count: int) -> list[np.ndarray]:
+def _pauli_blocks(rho: np.ndarray, count: int) -> list[np.ndarray]:
     """Entry k (k = 0..count) stacks Tr_{0..k-1}[(sigma_{i_0} x ... x
     sigma_{i_{k-1}} x I) rho] for every index tuple, i_0 slowest: the 4**k
     blocks over the subsystems from k on.  The first ``count`` subsystems
     must be qubits."""
     blocks = [rho[None]]
     for k in range(count):
-        rest = int(np.prod(dims[k + 1:]))
+        rest = blocks[-1].shape[-1] // 2
         # qubit k's 2x2 block at every (n, r, s) entry of the rest
         split = blocks[-1].reshape(-1, 2, rest, 2, rest).transpose(0, 2, 4, 1, 3)
         traced = (split.reshape(-1, 4) @ _PAULI_TRACE).reshape(-1, rest, rest, 4)
@@ -199,13 +200,10 @@ def _traces(blocks: np.ndarray) -> np.ndarray:
 def _projector_coefficients(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Pauli coefficients (I, X, Y, Z) of both projectors of every node,
     shape (..., 2, 4): outcome j projects on (I + s_j n . sigma) / 2 with
-    s_0 = 1, s_1 = -1 and n = (sin 2t cos p, sin 2t sin p, cos 2t)."""
-    half_sin2 = np.sin(2.0 * theta) / 2.0
+    s_0 = 1, s_1 = -1 and n the node's Bloch vector (:func:`_bloch_vectors`)."""
     out = np.empty(theta.shape + (2, 4))
     out[..., 0] = 0.5
-    out[..., 0, 1] = half_sin2 * np.cos(phi)
-    out[..., 0, 2] = half_sin2 * np.sin(phi)
-    out[..., 0, 3] = np.cos(2.0 * theta) / 2.0
+    out[..., 0, 1:] = _bloch_vectors(theta, phi) / 2.0
     out[..., 1, 1:] = -out[..., 0, 1:]
     return out
 
@@ -253,7 +251,7 @@ class _MeasuredEntropyObjective:
     The exact gradient runs the product backwards: each term's derivative
     in its branch's components (``d Tr f(B) = Tr[f'(B) dB]``, clamped where
     :func:`x_log2_x` clamps) is pulled back through the same matrices to
-    every node's coefficients, and from there to its angles.
+    every node's coefficients, and from there to its Bloch vector.
     """
 
     def __init__(self, state: QState, level: int):
@@ -267,17 +265,17 @@ class _MeasuredEntropyObjective:
         self.n_nodes = node_count(self.steps)
         self.rho = np.asarray(state.matrix)
         self.base = -(entropy(state) - subsystem_entropy(state, (0,)))
-        self.tensors = self._tensors(state)
+        self.tensors = self._tensors()
         # whether the last step's terms follow a rule of their own
         self.last_rule = self.tensors[-1].shape[1] != 4
 
-    def _tensors(self, state: QState) -> list[np.ndarray]:
+    def _tensors(self) -> list[np.ndarray]:
         """Per step s, the matrix (4**s x components) from a branch's Pauli
         coefficients to the components :meth:`_terms` reads: the Pauli
         components of the next qubit's block at an intermediate step; at the
         last step those of the tail if it is one qubit, else the real and
         imaginary parts of its block's entries."""
-        blocks = _pauli_blocks(self.rho, state.dims, self.steps)
+        blocks = _pauli_blocks(self.rho, self.steps)
         tensors = [_traces(blocks[s + 1]).reshape(4 ** s, 4) for s in range(1, self.steps)]
         tail = blocks[-1]
         if tail.shape[-1] == 2:
@@ -299,11 +297,12 @@ class _MeasuredEntropyObjective:
         return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def evaluate_many(self, params_matrix: np.ndarray, gradient: bool = False):
-        """The integrand of every row; with ``gradient``, also its gradient
-        in the row's angles, as a second array of the rows' shape."""
+        """The integrand of every row; with ``gradient``, also its derivative
+        in each node's Bloch vector n, as a second array with three columns
+        per node (node-major)."""
         params_matrix = np.asarray(params_matrix, dtype=float)
         out = np.empty(len(params_matrix))
-        grads = np.empty(params_matrix.shape) if gradient else None
+        grads = np.empty((len(params_matrix), 3 * self.n_nodes)) if gradient else None
         for start in range(0, len(params_matrix), _EVAL_CHUNK):
             part = slice(start, start + _EVAL_CHUNK)
             if gradient:
@@ -317,8 +316,7 @@ class _MeasuredEntropyObjective:
             raise StructuralError(
                 f"expected {2 * self.n_nodes} angles per row, got {chunk.shape[1]}"
             )
-        theta, phi = chunk[:, 0::2], chunk[:, 1::2]
-        factors = _projector_coefficients(theta, phi)
+        factors = _projector_coefficients(chunk[:, 0::2], chunk[:, 1::2])
         coefficients = _branch_coefficients(factors, self.steps)
         comps = [coeff @ tensor for coeff, tensor in zip(coefficients, self.tensors)]
         # the steps of one rule are valued in one call, branches side by side
@@ -337,7 +335,7 @@ class _MeasuredEntropyObjective:
         if not gradient:
             return value
         pulled = [slope @ tensor.T for slope, tensor in zip(slopes, self.tensors)]
-        return value, _angle_gradient(_factor_gradient(factors, coefficients, pulled), theta, phi)
+        return value, _bloch_gradient(factors, coefficients, pulled)
 
     def grid_tables(self, points: int) -> tuple[float, list[np.ndarray]]:
         """``base`` and the per-branch terms of the integrand on
@@ -382,11 +380,12 @@ class _MeasuredEntropyObjective:
         return self.base, tables
 
 
-def _factor_gradient(factors, coefficients, pulled) -> np.ndarray:
-    """The integrand's derivative in every node's projector coefficients
-    (the shape of ``factors``), from each step's derivative in its branch
-    coefficients (``pulled``), by running :func:`_branch_coefficients`
-    backwards."""
+def _bloch_gradient(factors, coefficients, pulled) -> np.ndarray:
+    """The integrand's derivative in every node's Bloch vector (rows x 3 per
+    node, node-major), from each step's derivative in its branch
+    coefficients (``pulled``): :func:`_branch_coefficients` run backwards
+    gives the derivative in each node's projector coefficients, whose two
+    outcomes carry +n / 2 and -n / 2."""
     rows = len(factors)
     out = np.empty_like(factors)
     grad = pulled[-1]
@@ -396,21 +395,7 @@ def _factor_gradient(factors, coefficients, pulled) -> np.ndarray:
         out[:, nodes] = (coefficients[step - 1][:, :, None, None, :] @ split)[:, :, :, 0]
         grad = pulled[step - 1] + (split @ factors[:, nodes, :, :, None])[..., 0].sum(axis=2)
     out[:, 0] = grad
-    return out
-
-
-def _angle_gradient(factor_grad: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Chain the derivative in the projector coefficients (see
-    :func:`_projector_coefficients`) through the Bloch vector n to each
-    node's (theta, phi), interleaved as in a row."""
-    along = (factor_grad[..., 0, 1:] - factor_grad[..., 1, 1:]) / 2.0
-    sin2, cos2 = np.sin(2.0 * theta), np.cos(2.0 * theta)
-    cos, sin = np.cos(phi), np.sin(phi)
-    out = np.empty(theta.shape[:-1] + (2 * theta.shape[-1],))
-    out[..., 0::2] = 2.0 * (cos2 * (along[..., 0] * cos + along[..., 1] * sin)
-                            - sin2 * along[..., 2])
-    out[..., 1::2] = sin2 * (along[..., 1] * cos - along[..., 0] * sin)
-    return out
+    return (out[:, :, 0, 1:] - out[:, :, 1, 1:]).reshape(rows, -1) / 2.0
 
 
 class _TwoMeasurementObjective(_MeasuredEntropyObjective):
@@ -431,8 +416,8 @@ class _TwoMeasurementObjective(_MeasuredEntropyObjective):
         self.steps, self.n_nodes = 2, node_count(2)
         self.last_rule = True
 
-    def _tensors(self, state: QState) -> list[np.ndarray]:
-        blocks = _pauli_blocks(self.rho, state.dims, 2)
+    def _tensors(self) -> list[np.ndarray]:
+        blocks = _pauli_blocks(self.rho, 2)
         return [_traces(blocks[s])[:, None] for s in (1, 2)]
 
     def _terms(self, comps: np.ndarray, last: bool, slopes: bool = False):

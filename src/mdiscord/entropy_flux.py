@@ -200,10 +200,16 @@ def _cmi_family(s) -> dict[str, float]:
     return {
         "I_AB_C": (s(0, 2) - s(2)) - (s(0, 1, 2) - s(1, 2)),
         "I_AC_B": i_ac_b,
-        "I_BC_A": (s(0, 1) - s(0)) - (s(0, 1, 2) - s(0, 2)),
+        "I_BC_A": _i_bc_a(s),
         # tripartite_mutual_info, reusing I_{A:C|B}
         "I_ABC": s(0) + s(2) - s(0, 2) - i_ac_b,
     }
+
+
+def _i_bc_a(s) -> float:
+    """I_{B:C|A} of one stage from its entropies ``s``, as
+    :func:`cond_mutual_info` forms it."""
+    return (s(0, 1) - s(0)) - (s(0, 1, 2) - s(0, 2))
 
 
 def _terms(pre, m1, m2) -> dict[str, float]:
@@ -227,7 +233,7 @@ def _decomposition(state: QState, tree: MeasurementTree) -> dict[str, float]:
     _require_tripartite(state)
     _require_two_level_tree(tree)
     rho1, rho2 = _measured_states(state, tree)
-    m2 = {"I_BC_A": cond_mutual_info(rho2, (1,), (2,), (0,))}
+    m2 = {"I_BC_A": _i_bc_a(_stage_entropies(rho2))}
     pre = _cmi_family(_stage_entropies(state))
     return _terms(pre, _cmi_family(_stage_entropies(rho1)), m2)
 

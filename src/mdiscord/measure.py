@@ -13,6 +13,7 @@ who want a different ordering relabel the state first with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping
@@ -150,6 +151,14 @@ class MeasParams:
         return cls(tuple((flat[2 * i], flat[2 * i + 1]) for i in range(flat.size // 2)))
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, for
+    values valid by construction: its ``__post_init__`` checks do not run."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
 def node_count(depth: int) -> int:
     """Nodes in a complete binary tree measuring ``depth`` qubits."""
     return 2 ** depth - 1
@@ -198,12 +207,13 @@ def _is_json_node(node) -> bool:
 
 def projector_pair_from_angles(theta: float, phi: float) -> ProjectorBasis:
     """Qubit basis {cos t |0> + e^{i p} sin t |1>, sin t |0> - e^{i p} cos t |1>}."""
-    if not (np.isfinite(theta) and np.isfinite(phi)):
+    if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError("angles must be finite")
-    phase = np.exp(1j * phi)
-    v0 = np.array([np.cos(theta), phase * np.sin(theta)])
-    v1 = np.array([np.sin(theta), -phase * np.cos(theta)])
-    return ProjectorBasis.from_vectors([v0, v1])
+    phase, cos, sin = np.exp(1j * phi), np.cos(theta), np.sin(theta)
+    vectors = (np.array([cos, phase * sin]), np.array([sin, -phase * cos]))
+    # orthonormal by construction: the outer products from_vectors builds
+    return _unchecked(ProjectorBasis, dim=2,
+                      projectors=tuple(v[:, None] * v.conj() for v in vectors))
 
 
 def tree_from_params(
@@ -227,12 +237,10 @@ def tree_from_params(
             f"got {len(params.angles)}"
         )
     paths = bfs_paths(k)
-    bases = {
-        path: projector_pair_from_angles(theta, phi)
-        for path, (theta, phi) in zip(paths, params.angles)
-    }
-    children = {path: basis for path, basis in bases.items() if len(path) > 0}
-    return MeasurementTree(measured=measured.indices, root=bases[()], children=children)
+    bases = {path: projector_pair_from_angles(*pair) for path, pair in zip(paths, params.angles)}
+    root = bases.pop(())
+    # a complete tree by construction
+    return _unchecked(MeasurementTree, measured=measured.indices, root=root, children=bases)
 
 
 @dataclass(frozen=True)

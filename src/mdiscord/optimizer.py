@@ -1,5 +1,5 @@
 """Minimization over measurement angles: an exact grid minimum, then
-quasi-Newton refinement.
+quasi-Newton refinement on the Bloch sphere.
 
 A coarse Cartesian grid scan finds the grid minimum within each cell of the
 root node's (theta, phi) grid and keeps the ``refine_starts`` best of those
@@ -16,18 +16,22 @@ integrand is a constant plus terms that each depend only on one branch's
 ancestor nodes, so the grid minimum comes from dynamic programming over the
 tree, and no grid point is valued on its own.  ``evaluate_many(rows,
 gradient=True)`` values a matrix of angle vectors, one row each, and
-returns their gradients as a second matrix; without ``gradient`` it returns
-the values alone, which is all the simplex needs.
+returns as a second matrix each row's derivative in its nodes' Bloch
+vectors n (:func:`_bloch_vectors`, three components per node, node-major);
+without ``gradient`` it returns the values alone, which is all the simplex
+needs.
 
-Refinement runs each start as a generator that yields the points it needs
-next: one ladder of step lengths or one set of probe rings per request,
-each row valued with its gradient.  :func:`optimize` advances its
-``refine_starts`` runs in lockstep and values every pending point of every
-unfinished run in one ``evaluate_many`` call per round; one batched call
-costs about as much as a single-row one.  Each run compares only its own
-values in its own order, and a batched row (value and gradient) equals the
-single-row one bit for bit, so the results are those of refining the
-starts one after another.
+Refinement works on one unnormalized vector u per node, n = u / |u|, where
+the objective is smooth and has no flat edge (Absil, Mahony & Sepulchre,
+*Optimization Algorithms on Matrix Manifolds*, 2008, ch. 3-4).  Each start
+runs as a generator that yields the angle rows it needs next, one ladder of
+step lengths per request, each row valued with its gradient.
+:func:`optimize` advances its ``refine_starts`` runs in lockstep and values
+every pending row of every unfinished run in one ``evaluate_many`` call per
+round; one batched call costs about as much as a single-row one.  Each run
+compares only its own values in its own order, and a batched row (value and
+gradient) equals the single-row one bit for bit, so the results are those
+of refining the starts one after another.
 
 :class:`OptimizerConfig` sets the grid density and the number of starts.
 The refinement's iteration cap ``QN_MAX_ITERS`` and step ladder
@@ -91,6 +95,24 @@ def fold_angles(x: np.ndarray) -> np.ndarray:
     out[..., 0::2] = np.where(reflected, np.pi - theta, theta)
     out[..., 1::2] = np.mod(out[..., 1::2] + np.pi * reflected, 2 * np.pi)
     return out
+
+
+def _bloch_vectors(theta, phi) -> np.ndarray:
+    """The Bloch vector n = (sin 2t cos p, sin 2t sin p, cos 2t) of a node's
+    outcome-0 projector (I + n . sigma) / 2, for every (theta, phi) pair;
+    the components form a new last axis."""
+    sin2 = np.sin(2.0 * theta)
+    return np.stack([sin2 * np.cos(phi), sin2 * np.sin(phi), np.cos(2.0 * theta)], axis=-1)
+
+
+def _angles(u: np.ndarray) -> np.ndarray:
+    """Angle rows of per-node vectors u (three components per node, node-major,
+    last axis), inverting :func:`_bloch_vectors` for n = u / |u|: theta =
+    atan2(|u_xy|, u_z) / 2 in [0, pi/2], exact next to the poles where
+    arccos is not, and phi = atan2(u_y, u_x) mod 2 pi."""
+    x, y, z = u[..., 0::3], u[..., 1::3], u[..., 2::3]
+    angles = [np.arctan2(np.hypot(x, y), z) / 2.0, np.mod(np.arctan2(y, x), 2 * np.pi)]
+    return np.stack(angles, axis=-1).reshape(u.shape[:-1] + (-1,))
 
 
 def _angle_grids(n_nodes: int, points: int):
@@ -294,69 +316,56 @@ def _nelder_mead(start):
     )
 
 
-def _coordinate_ring(n: int) -> np.ndarray:
-    """Unit steps along each coordinate, both signs: +e_0, -e_0, +e_1, ..."""
-    eye = np.eye(n)
-    return np.stack([eye, -eye], axis=1).reshape(2 * n, n)
-
-
-def _unfolded_gradient(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """A gradient valued at ``fold_angles(x)``, in the chart of ``x``
-    itself: where the fold reflects theta, the theta slope changes sign
-    (phi only shifts)."""
-    reflected = np.mod(x[0::2], np.pi) > np.pi / 2
-    out = np.array(grad, dtype=float)
-    out[0::2] = np.where(reflected, -out[0::2], out[0::2])
-    return out
+def _sphere_gradient(u: np.ndarray, bloch_grad: np.ndarray) -> np.ndarray:
+    """The gradient in u of f(u / |u|), node by node, from the derivative
+    ``bloch_grad`` of f in n: (I - n n^T) df/dn / |u|."""
+    u, bloch_grad = u.reshape(-1, 3), bloch_grad.reshape(-1, 3)
+    norm = np.linalg.norm(u, axis=1, keepdims=True)
+    n = u / norm
+    return ((bloch_grad - np.sum(n * bloch_grad, axis=1, keepdims=True) * n) / norm).ravel()
 
 
 def _quasi_newton(start):
     """Quasi-Newton (BFGS) refinement from ``start``, as a generator that
-    yields each list of points it needs valued next and is sent their
+    yields each matrix of angle rows it needs valued next and is sent their
     values (a list of floats, in the same order) together with their
-    gradients (one row each); it returns the :class:`OptimizerOutcome`.
+    derivatives in the nodes' Bloch vectors (one row each); it returns the
+    :class:`OptimizerOutcome`.
 
-    The start is asked for alone.  An iteration asks for the whole ladder
-    of ``QN_LINE_STEPS`` along -H g as one list, moves to its lowest point,
+    The iterate is one unnormalized vector u per node, starting at the
+    start's Bloch vectors, and the rows asked for are the angles of u /
+    |u| (:func:`_angles`), so the chart has no fold and no flat edge (phi
+    at theta = 0 is just a point of the sphere).  The start row is asked
+    for alone, as given.  An iteration asks for the whole ladder of
+    ``QN_LINE_STEPS`` along -H g as one matrix, moves to its lowest row,
     whose gradient came with it, and updates the inverse Hessian estimate
-    H.  When no rung lies below the current value, the per-coordinate probe
-    rings of every ``_PROBE_STEPS`` size are asked for as one list: the
-    lowest probe below it becomes the next point, and if none is below, the
-    run has converged (the chart's flat edges, e.g. phi at theta = 0, are
-    where a gradient test alone would stop short).  At most
-    ``QN_MAX_ITERS`` iterations run.  The iterate stays unfolded, so steps
-    and curvature pairs are smooth across the theta fold; only the rows
-    asked for and the point returned are folded, which relabels the same
-    projector pair, and each gradient is turned back into the unfolded
-    chart.  Never returns a value above the start's.
+    H in u.  When no rung lies below the current value, the run has
+    converged.  At most ``QN_MAX_ITERS`` iterations run.  The point
+    returned is a row that was valued, so its value is the one reported;
+    never returns a value above the start's.
     """
-    x = np.array(start, dtype=float)
-    n = x.size
-    eye = np.eye(n)
-    probes = np.concatenate([delta * _coordinate_ring(n) for delta in _PROBE_STEPS])
+    row = np.array(start, dtype=float)
+    u = _bloch_vectors(row[0::2], row[1::2]).ravel()
+    eye = np.eye(u.size)
 
-    values, grads = yield fold_angles(x[None, :])
+    values, grads = yield row[None, :]
     nfe = 1
     value = start_value = values[0]
-    grad = _unfolded_gradient(x, grads[0])
+    grad = _sphere_gradient(u, grads[0])
     inverse, scaled = eye, False
     converged = False
     for _ in range(QN_MAX_ITERS):
-        candidates = x + np.outer(QN_LINE_STEPS, -inverse @ grad)
-        values, grads = yield fold_angles(candidates)
-        nfe += len(candidates)
+        candidates = u + np.outer(QN_LINE_STEPS, -inverse @ grad)
+        rows = _angles(candidates)
+        values, grads = yield rows
+        nfe += len(rows)
         best = int(np.argmin(values))
         if not values[best] < value:
-            candidates = x + probes
-            values, grads = yield fold_angles(candidates)
-            nfe += len(candidates)
-            best = int(np.argmin(values))
-            if not values[best] < value:
-                converged = True
-                break
-        x_next, value = candidates[best], values[best]
-        next_grad = _unfolded_gradient(x_next, grads[best])
-        s, y = x_next - x, next_grad - grad
+            converged = True
+            break
+        u_next, row, value = candidates[best], rows[best], values[best]
+        next_grad = _sphere_gradient(u_next, grads[best])
+        s, y = u_next - u, next_grad - grad
         sy = s @ y
         if sy > 0:
             if not scaled:
@@ -365,10 +374,10 @@ def _quasi_newton(start):
                 inverse, scaled = (sy / (y @ y)) * eye, True
             v = eye - np.outer(s, y) / sy
             inverse = v @ inverse @ v.T + np.outer(s, s) / sy
-        x, grad = x_next, next_grad
+        u, grad = u_next, next_grad
     return OptimizerOutcome(
         best_value=value,
-        best_params=MeasParams.from_flat(fold_angles(x)),
+        best_params=MeasParams.from_flat(row),
         evaluations=nfe,
         converged=converged,
         grid_best=start_value,
@@ -431,8 +440,8 @@ def optimize(objective, n_nodes: int, config: OptimizerConfig | None = None) -> 
     batched call per round, each for at most ``QN_MAX_ITERS`` iterations.
     Deterministic for fixed config; the refined results are compared in grid
     rank order so ties keep the earlier (lexicographically smaller) start.
-    ``converged`` describes the point returned: no probe of its rings lies
-    below it.
+    ``converged`` describes the point returned: no rung of its last ladder
+    along -H g lies below it.
     """
     config = config or OptimizerConfig()
     scan = grid_scan(objective, n_nodes, config)

@@ -301,6 +301,16 @@ REJECTED = [
      "explicit --state takes no mu"),
     (["flux", "--config", {"state": {"state": "pair.json", "mu": 0.9}}],
      "explicit --state takes no mu"),
+    # an output file that cannot be written is refused before any work
+    (["discord", "--family", "ghz", "--out", "/nonexistent/dir/x.json"], "not a file in an existing directory"),
+    (["discord", "--family", "ghz", "--out", "."], "not a file in an existing directory"),
+    (["sweep", "--family", "werner_ghz", "--out", "/nonexistent/dir/x.csv"],
+     "not a file in an existing directory"),
+    (["sweep", "--family", "werner_ghz", "--out", "."], "not a file in an existing directory"),
+    (["flux", "--family", "ghz", "--out", "/nonexistent/dir/x.csv"], "not a file in an existing directory"),
+    (["flux", "--family", "ghz", "--out", "."], "not a file in an existing directory"),
+    (["verify", "--samples", "2", "--out", "/nonexistent/dir/x.csv"], "not a file in an existing directory"),
+    (["verify", "--samples", "2", "--out", "."], "not a file in an existing directory"),
 ]
 
 

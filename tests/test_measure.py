@@ -55,6 +55,22 @@ class TestProjectorPair:
         with pytest.raises(ValueError):
             projector_pair_from_angles(np.nan, 0.0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pair_equals_the_checked_construction(self, seed):
+        # the pair skips the basis checks, and builds the very projectors
+        # that from_vectors checks
+        rng = np.random.default_rng(100 + seed)
+        theta, phi = rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi)
+        phase = np.exp(1j * phi)
+        checked = ProjectorBasis.from_vectors([
+            [np.cos(theta), phase * np.sin(theta)],
+            [np.sin(theta), -phase * np.cos(theta)],
+        ])
+        basis = projector_pair_from_angles(theta, phi)
+        assert basis.dim == checked.dim
+        for p, q in zip(basis.projectors, checked.projectors, strict=True):
+            assert p.dtype == q.dtype and np.array_equal(p, q)
+
 
 class TestProjectorBasisValidation:
     def test_rejects_incomplete_set(self):
@@ -64,6 +80,12 @@ class TestProjectorBasisValidation:
     def test_rejects_non_projector(self):
         with pytest.raises(ValueError):
             ProjectorBasis(dim=2, projectors=(np.eye(2), np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("vectors", [[KET0, PLUS], [[1, 1], [1, -1]]],
+                             ids=["not-orthogonal", "not-normalized"])
+    def test_from_vectors_rejects_an_invalid_basis(self, vectors):
+        with pytest.raises(ValueError):
+            ProjectorBasis.from_vectors(vectors)
 
 
 class TestTreeFromParams:

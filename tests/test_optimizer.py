@@ -19,12 +19,13 @@ from mdiscord import (
 from mdiscord.discord import _MeasuredEntropyObjective, _TwoMeasurementObjective
 from mdiscord import optimizer
 from mdiscord.optimizer import (
-    _PROBE_STEPS,
     SIMPLEX_MAX_ITERS,
     SIMPLEX_TOL,
     _angle_grids,
+    _angles,
     _quasi_newton,
     _run_together,
+    _sphere_gradient,
     fold_angles,
 )
 from mdiscord.measure import projector_pair_from_angles
@@ -87,12 +88,12 @@ def root_cells(params, points):
 
 
 def bloch(x):
-    """Bloch vector of a node's first basis vector from its (theta, phi);
-    the same for both labels of a folded pair."""
-    theta, phi = x[0], x[1]
-    return np.array([np.sin(2 * theta) * np.cos(phi),
+    """Bloch vectors of the nodes' first basis vectors from an angle row
+    (or each row of a matrix), one row of three per node."""
+    theta, phi = np.asarray(x)[..., 0::2], np.asarray(x)[..., 1::2]
+    return np.stack([np.sin(2 * theta) * np.cos(phi),
                      np.sin(2 * theta) * np.sin(phi),
-                     np.cos(2 * theta)])
+                     np.cos(2 * theta)], axis=-1)
 
 
 def central_difference(fn, x, step=1e-6):
@@ -116,6 +117,33 @@ class BatchRecorder:
         if not gradient:
             return values
         return values, np.array([central_difference(self.fn, row) for row in rows])
+
+
+class SphereRecorder(BatchRecorder):
+    """A function of the nodes' Bloch vectors (one row of three per node),
+    valued at angle rows, with central-difference derivatives in the Bloch
+    components when asked, as the refinement reads them."""
+
+    def __init__(self, fn):
+        super().__init__(lambda row: fn(bloch(row)))
+        self.on_sphere = fn
+
+    def evaluate_many(self, rows, gradient=False):
+        values = super().evaluate_many(rows)
+        if not gradient:
+            return values
+
+        def flat(n):
+            return float(self.on_sphere(n.reshape(-1, 3)))
+
+        return values, np.array([central_difference(flat, bloch(row).ravel())
+                                 for row in rows])
+
+
+def off_plane(rows, a, b):
+    """How far the Bloch vectors of one-node rows lie off the plane of a and b."""
+    normal = np.cross(a, b)
+    return np.abs(bloch(rows)[:, 0] @ (normal / np.linalg.norm(normal)))
 
 
 class TabulatedNode(BatchRecorder):
@@ -354,67 +382,90 @@ class TestSimplexRefine:
 
 
 class TestQuasiNewton:
-    def test_bowl_across_the_theta_fold(self):
-        # the minimum, seen from a start at phi = 1 + pi, lies at theta =
-        # pi/2 + 0.1 of the unfolded chart: the steps cross theta = pi/2,
-        # so every row asked for sits near phi = 1 + pi or, folded, near
-        # phi = 1, never on a way round in phi
-        target = bloch([np.pi / 2 - 0.1, 1.0])
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2], ids=["north", "south"])
+    def test_bowl_across_the_pole(self, theta):
+        # start and minimum lie on the great circle through the pole n = +z
+        # (theta = 0) or n = -z (theta = pi/2), on opposite sides of it:
+        # every row asked for stays on that circle, never on a way round
+        # in phi, however phi jumps by pi at the pole
+        side = 1.0 if theta == 0.0 else -1.0
+        start = np.array([theta + side * 0.2, 1.0])
+        target = bloch([theta + side * 0.1, 1.0 + np.pi])[0]
 
-        def bowl(x):
-            return float(np.sum((bloch(x) - target) ** 2))
+        def bowl(n):
+            return float(np.sum((n - target) ** 2))
 
-        recorder = BatchRecorder(bowl)
-        outcome = refine_alone(recorder, np.array([np.pi / 2 - 0.2, 1.0 + np.pi]))
+        recorder = SphereRecorder(bowl)
+        outcome = refine_alone(recorder, start)
         assert outcome.converged
         assert outcome.best_value < 1e-12
-        assert_allclose(outcome.best_params.to_flat(), [np.pi / 2 - 0.1, 1.0],
-                        atol=1e-6)
-        phi = np.concatenate(recorder.batches)[:, 1]
-        assert np.all((np.abs(phi - 1.0) < 0.2) | (np.abs(phi - 1.0 - np.pi) < 0.2))
+        assert_allclose(bloch(outcome.best_params.to_flat())[0], target, atol=1e-6)
+        rows = np.concatenate(recorder.batches)
+        assert np.max(off_plane(rows, target, [0.0, 0.0, 1.0])) < 1e-6
 
-    def test_gradient_is_turned_back_into_the_unfolded_chart(self):
-        # a start beyond the theta fold is valued at its folded row, and its
-        # first ladder still runs down the slope of the unfolded chart
-        target = bloch([0.4, 2.0])
-
-        def bowl(x):
-            return float(np.sum((bloch(x) - target) ** 2))
-
-        start = np.array([np.pi / 2 + 0.3, 1.0])
+    def test_first_ladder_runs_down_the_sphere_gradient(self):
+        # the start's Bloch vectors are u, and the first ladder runs along
+        # -g for g the gradient in u of f(u / |u|), by central differences
+        objective = _MeasuredEntropyObjective(random_state((2, 2, 2), 4, 88), 3)
+        start = np.array([0.3, 1.0, 1.2, 5.0, 0.0, 2.0])
         run = _quasi_newton(start)
-        values, grads = BatchRecorder(bowl).evaluate_many(next(run), gradient=True)
+        values, grads = objective.evaluate_many(next(run), gradient=True)
         ladder = run.send((list(values), grads))
-        downhill = -central_difference(bowl, start)
-        assert_allclose(ladder, fold_angles(start + np.outer(optimizer.QN_LINE_STEPS, downhill)),
+        u = bloch(start).ravel()
+        downhill = -central_difference(lambda v: objective(_angles(v)), u)
+        assert_allclose(ladder, _angles(u + np.outer(optimizer.QN_LINE_STEPS, downhill)),
                         rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("start", [[0.0, 2.0], [0.6, 2.0]],
-                             ids=["at-the-pole", "off-the-pole"])
-    def test_flat_phi_at_theta_zero_converges_through_the_probe_ring(self, start):
-        # minimum 0 at theta = 0 for every phi; away from it phi matters
-        def cap(x):
-            n = bloch(x)
-            return float(1.0 - n[2] + 0.1 * n[0] ** 2)
+    def test_sphere_gradient_equals_central_differences_in_u(self):
+        # off the unit sphere too: the gradient of f(u / |u|) shrinks as 1 / |u|
+        objective = _MeasuredEntropyObjective(random_state((2, 2, 2), 5, 89), 3)
+        rng = np.random.default_rng(90)
+        for _ in range(5):
+            u = rng.normal(size=9) * np.repeat(rng.uniform(0.5, 2.0, 3), 3)
+            _, grads = objective.evaluate_many(_angles(u)[None, :], gradient=True)
+            expected = central_difference(lambda v: objective(_angles(v)), u)
+            assert np.max(np.abs(_sphere_gradient(u, grads[0]) - expected)) < 1e-8
 
-        recorder = BatchRecorder(cap)
-        outcome = refine_alone(recorder, np.array(start))
+    @pytest.mark.parametrize("phi", [0.0, 2.0], ids=["phi-0", "phi-2"])
+    def test_start_at_theta_zero(self, phi):
+        # at the pole phi names no direction: whatever the start's phi, the
+        # first ladder heads straight for the minimum
+        target = bloch([0.4, 1.0])[0]
+
+        def bowl(n):
+            return float(np.sum((n - target) ** 2))
+
+        recorder = SphereRecorder(bowl)
+        outcome = refine_alone(recorder, np.array([0.0, phi]))
+        assert outcome.converged
+        assert outcome.best_value < 1e-12
+        assert_allclose(bloch(outcome.best_params.to_flat())[0], target, atol=1e-6)
+        assert np.max(off_plane(recorder.batches[1], target, [0.0, 0.0, 1.0])) < 1e-6
+
+    def test_minimum_at_the_pole(self):
+        # minimum 0 at theta = 0 for every phi; away from it phi matters
+        def cap(n):
+            return float(1.0 - n[0, 2] + 0.1 * n[0, 0] ** 2)
+
+        recorder = SphereRecorder(cap)
+        outcome = refine_alone(recorder, np.array([0.6, 2.0]))
         assert outcome.converged
         assert outcome.best_value < 1e-12
         assert outcome.best_params.to_flat()[0] < 1e-6
-        # the run ends on a probe ring that finds nothing lower
-        assert len(recorder.batches[-1]) == 2 * 2 * len(_PROBE_STEPS)
+        # the start, then ladders alone
+        assert all(len(rows) == len(optimizer.QN_LINE_STEPS)
+                   for rows in recorder.batches[1:])
 
     def test_iteration_cap(self, monkeypatch):
-        def ripple(x):
-            return float(np.sum(np.sin(3 * x) ** 2) + 0.1 * np.sum((x - 0.4) ** 2))
+        def ripple(n):
+            return float(np.sum(np.sin(3 * n) ** 2) + 0.1 * np.sum((n - 0.4) ** 2))
 
         monkeypatch.setattr(optimizer, "QN_MAX_ITERS", 2)
         start = np.array([1.2, 2.5, 0.3, 4.0, 0.9, 5.1])
-        outcome = refine_alone(BatchRecorder(ripple), start)
+        outcome = refine_alone(SphereRecorder(ripple), start)
         assert not outcome.converged
-        assert outcome.best_value <= ripple(start)
-        assert outcome.grid_best == ripple(start)
+        assert outcome.best_value <= ripple(bloch(start))
+        assert outcome.grid_best == ripple(bloch(start))
         # the start, then two iterations of a ladder, each row valued with
         # its gradient
         assert outcome.evaluations == 1 + 2 * len(optimizer.QN_LINE_STEPS)
