@@ -25,7 +25,6 @@ from .entropy_flux import (
     delta_monogamy,
     delta_post_discord,
     flux_report,
-    measured_mutual_infos,
     mutual_info,
     tripartite_mutual_info,
 )

@@ -351,7 +351,7 @@ class _MeasuredEntropyObjective:
         under its own ancestors' cells; the largest table holds
         ``(2 * points**2) ** steps`` values.
         """
-        theta_grid, phi_grid = _angle_grids(1, points)
+        theta_grid, phi_grid = _angle_grids(points)
         cells = points * points
         factors = _projector_coefficients(
             np.repeat(theta_grid, points), np.tile(phi_grid, points)

@@ -13,8 +13,14 @@ measures each stage once: both routes read the same once- and twice-measured
 states and depth-1 branches.  The tripartite decomposition that
 :func:`~mdiscord.discord.discord` reports, and that the ``delta_*`` functions
 read, likewise measures each stage once and takes its four terms from the
-same ledger differences as :func:`flux_report`.  Both value each subsystem
-entropy of a stage once (:func:`_stage_entropies`) for their ledgers.
+same ledger differences as :func:`flux_report`.
+
+Each formula is written once, over the entropy table of the state it
+describes (:func:`_entropy_table`), which values each subsystem entropy of
+that state once.  The public primitives, the ledgers of every stage and
+both routes of every cross-check read one table per state, so a value
+reported two ways is the same floating-point expression on the same
+numbers.
 """
 
 from __future__ import annotations
@@ -67,12 +73,8 @@ def cond_entropy(
     given: SubsetSpec | Iterable[int],
 ) -> float:
     """S_{target|given} = S_{target u given} - S_{given}; can be negative."""
-    target = as_subset(target, state.n_subsystems)
-    given = as_subset(given, state.n_subsystems)
-    if set(target.indices) & set(given.indices):
-        raise StructuralError("target and given subsets overlap")
-    joint = tuple(sorted(target.indices + given.indices))
-    return subsystem_entropy(state, joint) - subsystem_entropy(state, given)
+    target, given = _disjoint(state, "target and given subsets overlap", target, given)
+    return _cond(_entropy_table(state), target, given)
 
 
 def cond_entropy_measured(
@@ -109,10 +111,11 @@ def _branch_average(branches, target) -> float:
     return total
 
 
-def _d_branches(state: QState, branches, measured, rest) -> float:
+def _d_branches(s, branches, measured, rest) -> float:
     """d_unminimized of the ``measured`` block against ``rest``, from the
-    branches the tree already produced at that block's depth."""
-    return _branch_average(branches, rest) - cond_entropy(state, rest, measured)
+    entropy table ``s`` of the state measured and the branches the tree
+    already produced at that block's depth."""
+    return _branch_average(branches, rest) - _cond(s, rest, measured)
 
 
 def mutual_info(
@@ -121,16 +124,8 @@ def mutual_info(
     b: SubsetSpec | Iterable[int],
 ) -> float:
     """I_{a:b} = S_a + S_b - S_{ab}."""
-    a = as_subset(a, state.n_subsystems)
-    b = as_subset(b, state.n_subsystems)
-    if set(a.indices) & set(b.indices):
-        raise StructuralError("mutual information subsets overlap")
-    joint = tuple(sorted(a.indices + b.indices))
-    return (
-        subsystem_entropy(state, a)
-        + subsystem_entropy(state, b)
-        - subsystem_entropy(state, joint)
-    )
+    a, b = _disjoint(state, "mutual information subsets overlap", a, b)
+    return _mutual(_entropy_table(state), a, b)
 
 
 def cond_mutual_info(
@@ -141,21 +136,27 @@ def cond_mutual_info(
 ) -> float:
     """I_{a:b|given} = S_{a|given} - S_{a|b u given}; non-negative by strong
     subadditivity."""
-    a = as_subset(a, state.n_subsystems)
-    b = as_subset(b, state.n_subsystems)
-    given = as_subset(given, state.n_subsystems)
-    if set(a.indices) & set(b.indices) or set(a.indices) & set(given.indices) \
-            or set(b.indices) & set(given.indices):
-        raise StructuralError("conditional mutual information subsets overlap")
-    b_given = tuple(sorted(b.indices + given.indices))
-    return cond_entropy(state, a, given) - cond_entropy(state, a, b_given)
+    a, b, given = _disjoint(
+        state, "conditional mutual information subsets overlap", a, b, given
+    )
+    return _cmi(_entropy_table(state), a, b, given)
 
 
 def tripartite_mutual_info(state: QState) -> float:
     """I_{A:B:C} = I_{A:C} - I_{A:C|B} for a three-subsystem state; its sign
     is unconstrained."""
     _require_tripartite(state)
-    return mutual_info(state, (0,), (2,)) - cond_mutual_info(state, (0,), (2,), (1,))
+    return _cmi_family(_entropy_table(state))["I_ABC"]
+
+
+def _disjoint(state: QState, message: str, *specs) -> list[tuple[int, ...]]:
+    """The positions each of ``specs`` names on ``state``; raises
+    StructuralError with ``message`` if two of them share a position."""
+    subsets = [as_subset(spec, state.n_subsystems).indices for spec in specs]
+    positions = [i for subset in subsets for i in subset]
+    if len(set(positions)) < len(positions):
+        raise StructuralError(message)
+    return subsets
 
 
 def _require_tripartite(state: QState):
@@ -172,13 +173,7 @@ def _require_two_level_tree(tree: MeasurementTree):
         )
 
 
-def _measured_states(state, tree):
-    rho1, _ = apply_tree(state, tree, 1)
-    rho2, _ = apply_tree(state, tree, 2)
-    return rho1, rho2
-
-
-def _stage_entropies(state: QState):
+def _entropy_table(state: QState):
     """``s(*positions)``: the entropy of ``state`` reduced to those
     positions (ascending), valued once per subset however often it is
     read."""
@@ -192,24 +187,45 @@ def _stage_entropies(state: QState):
     return s
 
 
+def _cond(s, target, given) -> float:
+    """S_{target|given} = S_{target u given} - S_{given} from the entropy
+    table ``s`` of a state; ``target`` and ``given`` are disjoint ascending
+    position tuples."""
+    return s(*sorted(target + given)) - s(*given)
+
+
+def _mutual(s, a, b) -> float:
+    """I_{a:b} = S_a + S_b - S_{ab} from the entropy table ``s``."""
+    return s(*a) + s(*b) - s(*sorted(a + b))
+
+
+def _cmi(s, a, b, given) -> float:
+    """I_{a:b|given} = S_{a|given} - S_{a|b u given} from the entropy table
+    ``s``."""
+    return _cond(s, a, given) - _cond(s, a, tuple(sorted(b + given)))
+
+
 def _cmi_family(s) -> dict[str, float]:
-    """The conditional and tripartite mutual informations of one stage from
-    its entropies ``s`` (see :func:`_stage_entropies`), with the arithmetic
-    of :func:`cond_mutual_info` and :func:`mutual_info`."""
-    i_ac_b = (s(0, 1) - s(1)) - (s(0, 1, 2) - s(1, 2))
+    """The conditional and tripartite mutual informations of a tripartite
+    state from its entropy table ``s``."""
+    i_ac_b = _cmi(s, (0,), (2,), (1,))
     return {
-        "I_AB_C": (s(0, 2) - s(2)) - (s(0, 1, 2) - s(1, 2)),
+        "I_AB_C": _cmi(s, (0,), (1,), (2,)),
         "I_AC_B": i_ac_b,
-        "I_BC_A": _i_bc_a(s),
-        # tripartite_mutual_info, reusing I_{A:C|B}
-        "I_ABC": s(0) + s(2) - s(0, 2) - i_ac_b,
+        "I_BC_A": _cmi(s, (1,), (2,), (0,)),
+        "I_ABC": _mutual(s, (0,), (2,)) - i_ac_b,
     }
 
 
-def _i_bc_a(s) -> float:
-    """I_{B:C|A} of one stage from its entropies ``s``, as
-    :func:`cond_mutual_info` forms it."""
-    return (s(0, 1) - s(0)) - (s(0, 1, 2) - s(0, 2))
+def _tripartite_ledger(s) -> dict[str, float]:
+    """The ledger of one stage of a tripartite state from its entropy table
+    ``s``, keyed as LEDGER_KEYS_TRIPARTITE."""
+    return {
+        "S_A_BC": _cond(s, (0,), (1, 2)),
+        "S_B_AC": _cond(s, (1,), (0, 2)),
+        "S_C_AB": _cond(s, (2,), (0, 1)),
+        **_cmi_family(s),
+    }
 
 
 def _terms(pre, m1, m2) -> dict[str, float]:
@@ -232,29 +248,11 @@ def _decomposition(state: QState, tree: MeasurementTree) -> dict[str, float]:
     valued only for the I_{B:C|A} they read."""
     _require_tripartite(state)
     _require_two_level_tree(tree)
-    rho1, rho2 = _measured_states(state, tree)
-    m2 = {"I_BC_A": _i_bc_a(_stage_entropies(rho2))}
-    pre = _cmi_family(_stage_entropies(state))
-    return _terms(pre, _cmi_family(_stage_entropies(rho1)), m2)
-
-
-@dataclass(frozen=True)
-class MeasuredMutualInfo:
-    """Conditional and tripartite mutual informations of the once-measured
-    (after_first) and twice-measured (after_second) states."""
-
-    after_first: dict[str, float]
-    after_second: dict[str, float]
-
-
-def measured_mutual_infos(state: QState, tree: MeasurementTree) -> MeasuredMutualInfo:
-    _require_tripartite(state)
-    _require_two_level_tree(tree)
-    rho1, rho2 = _measured_states(state, tree)
-    return MeasuredMutualInfo(
-        after_first=_cmi_family(_stage_entropies(rho1)),
-        after_second=_cmi_family(_stage_entropies(rho2)),
-    )
+    rho1, _ = apply_tree(state, tree, 1)
+    rho2, _ = apply_tree(state, tree, 2)
+    m2 = {"I_BC_A": _cmi(_entropy_table(rho2), (1,), (2,), (0,))}
+    pre = _cmi_family(_entropy_table(state))
+    return _terms(pre, _cmi_family(_entropy_table(rho1)), m2)
 
 
 def d_unminimized(
@@ -265,16 +263,15 @@ def d_unminimized(
 ) -> float:
     """Unminimized discord d = S_{rest|measured-with-measurement} -
     S_{rest|measured}; non-negative for every tree."""
-    measured_block = as_subset(measured_block, state.n_subsystems)
-    rest = as_subset(rest, state.n_subsystems)
-    if measured_block.indices != tree.measured[: len(measured_block)]:
+    measured_block, rest = _disjoint(
+        state, "measured_block and rest overlap", measured_block, rest
+    )
+    if measured_block != tree.measured[: len(measured_block)]:
         raise StructuralError(
             "measured_block must be the leading measured subsystems of the tree"
         )
-    if set(measured_block.indices) & set(rest.indices):
-        raise StructuralError("measured_block and rest overlap")
     _, branches = apply_tree(state, tree, len(measured_block))
-    return _d_branches(state, branches, measured_block, rest)
+    return _d_branches(_entropy_table(state), branches, measured_block, rest)
 
 
 def delta_cond_discord(state: QState, tree: MeasurementTree) -> tuple[float, float]:
@@ -307,57 +304,43 @@ def _check(label: str, first: float, second: float):
 def _tripartite_reports(state, tree) -> tuple[FluxReport, ...]:
     rho1, branches = apply_tree(state, tree, 1)
     rho2, _ = apply_tree(state, tree, 2)
+    s0, s1, s2 = (_entropy_table(rho) for rho in (state, rho1, rho2))
+    pre, m1, m2 = (_tripartite_ledger(s) for s in (s0, s1, s2))
 
-    def ledger(rho):
-        s = _stage_entropies(rho)
-        entries = {
-            "S_A_BC": s(0, 1, 2) - s(1, 2),
-            "S_B_AC": s(0, 1, 2) - s(0, 2),
-            "S_C_AB": s(0, 1, 2) - s(0, 1),
-        }
-        entries.update(_cmi_family(s))
-        return entries
+    def change(target, given):
+        """The change of S_{target|given} under the second measurement."""
+        return _cond(s2, target, given) - _cond(s1, target, given)
 
-    pre, m1, m2 = ledger(state), ledger(rho1), ledger(rho2)
-
-    d_a_b = _d_branches(state, branches, (0,), (1,))
-    d_a_c = _d_branches(state, branches, (0,), (2,))
-    d_a_bc = _d_branches(state, branches, (0,), (1, 2))
+    d_a_b, d_a_c, d_a_bc = (
+        _d_branches(s0, branches, (0,), rest) for rest in ((1,), (2,), (1, 2))
+    )
     # The mutual information route: the terms of the decomposition discord()
     # reports, read off the same ledgers.
     delta_ab_c, delta_ac_b, delta_bc_pia, delta_abc = _terms(pre, m1, m2).values()
     delta_bpiac = m1["I_ABC"] - m2["I_ABC"]
-    ds_pia = subsystem_entropy(rho1, (0,)) - subsystem_entropy(state, (0,))
-    ds_b_pia = cond_entropy(rho2, (1,), (0,)) - cond_entropy(rho1, (1,), (0,))
 
     # Each delta from its discord decomposition; must match the mutual
     # information route used above.
     _check("Delta_AB_C", delta_ab_c, d_a_bc - d_a_c)
     _check("Delta_AC_B", delta_ac_b, d_a_bc - d_a_b)
     _check("Delta_ABC", delta_abc, d_a_b + d_a_c - d_a_bc)
-    d_b_piac = cond_entropy(rho2, (0, 2), (1,)) - cond_entropy(rho1, (0, 2), (1,))
-    d_b_pia = cond_entropy(rho2, (0,), (1,)) - cond_entropy(rho1, (0,), (1,))
-    d_bc_after = cond_entropy(rho2, (2,), (1,)) - cond_entropy(rho1, (2,), (1,))
+    d_b_piac, d_b_pia = change((0, 2), (1,)), change((0,), (1,))
     _check("Delta_BC_PiA", delta_bc_pia, d_b_piac - d_b_pia)
-    _check("Delta_BPiAC", delta_bpiac, d_b_pia + d_bc_after - d_b_piac)
+    _check("Delta_BPiAC", delta_bpiac, d_b_pia + change((2,), (1,)) - d_b_piac)
     _check("d_A_BC decomposition", d_a_bc, delta_ab_c + delta_ac_b + delta_abc)
-    _check(
-        "Delta_BC_PiA conditional entropy form",
-        delta_bc_pia,
-        cond_entropy(rho2, (2,), (0, 1)) - cond_entropy(rho1, (2,), (0, 1)),
-    )
+    _check("Delta_BC_PiA conditional entropy form", delta_bc_pia, change((2,), (0, 1)))
 
     m1_deltas = {
         "d_A_BC": d_a_bc,
         "Delta_AB_C": delta_ab_c,
         "Delta_AC_B": delta_ac_b,
         "Delta_ABC": delta_abc,
-        "dS_PiA": ds_pia,
+        "dS_PiA": s1(0) - s0(0),
     }
     m2_deltas = {
         "Delta_BC_PiA": delta_bc_pia,
         "Delta_BPiAC": delta_bpiac,
-        "dS_B_PiA": ds_b_pia,
+        "dS_B_PiA": change((1,), (0,)),
     }
     return (
         FluxReport("pre", pre, {}),
@@ -368,17 +351,14 @@ def _tripartite_reports(state, tree) -> tuple[FluxReport, ...]:
 
 def _bipartite_reports(state, tree) -> tuple[FluxReport, ...]:
     rho1, branches = apply_tree(state, tree, 1)
-
-    def ledger(rho):
-        return {
-            "S_A_B": cond_entropy(rho, (0,), (1,)),
-            "S_B_A": cond_entropy(rho, (1,), (0,)),
-            "I_AB": mutual_info(rho, (0,), (1,)),
-        }
-
-    pre, m1 = ledger(state), ledger(rho1)
-    d_a_b = _d_branches(state, branches, (0,), (1,))
-    ds_pia = subsystem_entropy(rho1, (0,)) - subsystem_entropy(state, (0,))
+    s0, s1 = _entropy_table(state), _entropy_table(rho1)
+    pre, m1 = (
+        {"S_A_B": _cond(s, (0,), (1,)), "S_B_A": _cond(s, (1,), (0,)),
+         "I_AB": _mutual(s, (0,), (1,))}
+        for s in (s0, s1)
+    )
+    d_a_b = _d_branches(s0, branches, (0,), (1,))
+    ds_pia = s1(0) - s0(0)
     ds_pia_b = m1["S_A_B"] - pre["S_A_B"]
     _check("dS_PiA_B", ds_pia_b, d_a_b + ds_pia)
     _check("d_A_B mutual information form", d_a_b, pre["I_AB"] - m1["I_AB"])

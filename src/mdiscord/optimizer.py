@@ -115,14 +115,11 @@ def _angles(u: np.ndarray) -> np.ndarray:
     return np.stack(angles, axis=-1).reshape(u.shape[:-1] + (-1,))
 
 
-def _angle_grids(n_nodes: int, points: int):
+def _angle_grids(points: int):
+    """The theta and phi grids of one node (see :func:`grid_scan`)."""
     theta_grid = np.linspace(0.0, np.pi / 2, points)
     phi_grid = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
-    grids = []
-    for _ in range(n_nodes):
-        grids.append(theta_grid)
-        grids.append(phi_grid)
-    return grids
+    return theta_grid, phi_grid
 
 
 @dataclass(frozen=True)
@@ -167,7 +164,7 @@ def _tree_minimum(base: float, tables, points: int):
         ancestors = tuple(node_cells[k][:, q >> (depth - k)] for k in range(depth))
         node_cells.append(cell[ancestors + (q,)])
     flat = np.concatenate(node_cells, axis=1)
-    theta_grid, phi_grid = _angle_grids(1, points)
+    theta_grid, phi_grid = _angle_grids(points)
     params = np.empty((cells, 2 * flat.shape[1]))
     params[:, 0::2] = theta_grid[flat // points]
     params[:, 1::2] = phi_grid[flat % points]

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -264,7 +265,9 @@ def to_json(state: QState) -> str:
 
 def from_json(text: str) -> QState:
     """Parse the JSON schema produced by :func:`to_json`; the loaded state
-    must pass :func:`validate`."""
+    must have finite entries (JSON ``NaN`` and ``Infinity`` parse as
+    floats, and an integer may exceed every float) and pass
+    :func:`validate`."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or not {"dims", "matrix"} <= payload.keys():
         raise StructuralError("state JSON must be an object with 'dims' and 'matrix'")
@@ -274,6 +277,10 @@ def from_json(text: str) -> QState:
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
             and all(_is_json_pair(z) for row in rows for z in row)):
         raise StructuralError("matrix must be a list of rows of [re, im] number pairs")
+    for i, row in enumerate(rows):
+        for j, z in enumerate(row):
+            if not all(abs(x) <= sys.float_info.max for x in z):
+                raise StructuralError(f"matrix entry [{i}][{j}] must be finite, got {z}")
     matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
     state = QState(tuple(dims), matrix)
     report = validate(state)

@@ -311,6 +311,14 @@ REJECTED = [
     (["flux", "--family", "ghz", "--out", "."], "not a file in an existing directory"),
     (["verify", "--samples", "2", "--out", "/nonexistent/dir/x.csv"], "not a file in an existing directory"),
     (["verify", "--samples", "2", "--out", "."], "not a file in an existing directory"),
+    # JSON Infinity and NaN are refused by name, before validation
+    (["discord", "--state", {"dims": [2], "matrix": [[[float("inf"), 0], [0, 0]],
+                                                       [[0, 0], [0.5, 0]]]}],
+     "matrix entry [0][0] must be finite"),
+    (["flux", "--state", {"dims": [2, 2], "matrix": [
+        [[0.25, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0.25, 0], [0, float("nan")], [0, 0]],
+        [[0, 0], [0, 0], [0.25, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0.25, 0]]]}],
+     "matrix entry [1][2] must be finite"),
 ]
 
 

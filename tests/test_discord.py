@@ -266,7 +266,7 @@ def _blocks_from_components(comps, last):
 def _reference_tables(objective, points):
     """The per-branch grid tables, walked with the projectors: every node of
     depth d sits in cell c_d of its row."""
-    theta_grid, phi_grid = _angle_grids(1, points)
+    theta_grid, phi_grid = _angle_grids(points)
     cells = points * points
     cell_angles = np.stack([np.repeat(theta_grid, points), np.tile(phi_grid, points)], 1)
     tables = []

@@ -17,9 +17,9 @@ from mdiscord import (
     delta_post_discord,
     discord,
     flux_report,
-    measured_mutual_infos,
     mutual_info,
     random_state,
+    subsystem_entropy,
     tensor,
     tree_from_params,
     tripartite_mutual_info,
@@ -54,8 +54,6 @@ class TestCondEntropy:
         assert_allclose(cond_entropy(state, [1], [0]), 1.0, atol=1e-12)
 
     def test_product_reduces_to_marginal_entropy(self):
-        from mdiscord import subsystem_entropy
-
         state = tensor(random_state((2,), 2, 1), random_state((2,), 2, 2))
         assert_allclose(
             cond_entropy(state, [1], [0]),
@@ -96,7 +94,7 @@ class TestCondEntropyMeasured:
     def test_twice_measured_entropy_decomposition(self, seed):
         # S(rho_m2) - S_A(rho_m2) - S_{B|mA}(rho_m2) equals the average
         # entropy of the depth-2 branches of the original state
-        from mdiscord import entropy, subsystem_entropy
+        from mdiscord import entropy
 
         state = random_qubits(1000 + seed, 3, 1 + seed % 8)
         tree = random_tree(400 + seed, 2)
@@ -164,13 +162,16 @@ class TestTripartiteMutualInfo:
 
 
 class TestMeasuredMutualInfos:
+    """The mutual informations of the once- and twice-measured states, as
+    the after_first and after_second ledgers of flux_report hold them."""
+
     def test_measured_state_with_generating_tree(self):
         # on an already-measured state the tree changes nothing, so the
         # mutual informations before and after coincide componentwise
         state = random_qubits(5, 3, 6)
         tree = random_tree(500, 2)
         measured, _ = apply_tree(state, tree, 2)
-        mm = measured_mutual_infos(measured, tree)
+        _, m1, m2 = flux_report(measured, tree)
         expected = {
             "I_AB_C": cond_mutual_info(measured, [0], [1], [2]),
             "I_AC_B": cond_mutual_info(measured, [0], [2], [1]),
@@ -178,19 +179,19 @@ class TestMeasuredMutualInfos:
             "I_ABC": tripartite_mutual_info(measured),
         }
         for key, value in expected.items():
-            assert_allclose(mm.after_first[key], value, atol=1e-9)
-            assert_allclose(mm.after_second[key], value, atol=1e-9)
+            assert_allclose(m1.ledger[key], value, atol=1e-9)
+            assert_allclose(m2.ledger[key], value, atol=1e-9)
 
     def test_ghz_z_tree(self, ghz, z_tree_3q):
         # measuring A in Z collapses GHZ to the perfectly correlated
         # classical mixture: knowing A then determines B and C, so the
         # conditional mutual informations vanish while the tripartite
         # mutual information rises to one bit
-        mm = measured_mutual_infos(ghz, z_tree_3q)
-        assert_allclose(mm.after_first["I_BC_A"], 0.0, atol=1e-12)
-        assert_allclose(mm.after_first["I_ABC"], 1.0, atol=1e-12)
-        assert_allclose(mm.after_second["I_BC_A"], 0.0, atol=1e-12)
-        assert_allclose(mm.after_second["I_ABC"], 1.0, atol=1e-12)
+        _, m1, m2 = flux_report(ghz, z_tree_3q)
+        assert_allclose(m1.ledger["I_BC_A"], 0.0, atol=1e-12)
+        assert_allclose(m1.ledger["I_ABC"], 1.0, atol=1e-12)
+        assert_allclose(m2.ledger["I_BC_A"], 0.0, atol=1e-12)
+        assert_allclose(m2.ledger["I_ABC"], 1.0, atol=1e-12)
 
 
 class TestUnminimizedDiscord:
@@ -417,6 +418,23 @@ class TestDecomposition:
         entropy_flux._decomposition(random_qubits(34, 3, 5), random_tree(1900, 2))
         assert len(calls) == 18
 
+    @pytest.mark.parametrize("n_qubits, count", [(3, 27), (2, 8)])
+    def test_flux_report_values_each_entropy_once(self, monkeypatch, n_qubits, count):
+        # the 7 (three qubits) or 3 (two) subsets of each stage's table, and
+        # one reduced entropy per depth-1 branch and rest: 3 rests for three
+        # qubits, 1 for two; reading the stages again for the cross-checks
+        # took 55 and 20
+        calls = []
+        real_subsystem_entropy = entropy_flux.subsystem_entropy
+
+        def counting(state, subset):
+            calls.append(subset)
+            return real_subsystem_entropy(state, subset)
+
+        monkeypatch.setattr(entropy_flux, "subsystem_entropy", counting)
+        flux_report(random_qubits(35, n_qubits, 3), random_tree(1950, n_qubits - 1))
+        assert len(calls) == count
+
     @pytest.mark.parametrize("seed", range(20))
     def test_every_reader_agrees_exactly(self, seed):
         state = random_qubits(6000 + seed, 3, 1 + seed % 8)
@@ -429,7 +447,34 @@ class TestDecomposition:
         pre, m1, m2 = flux_report(state, tree)
         deltas = {**m1.deltas, **m2.deltas}
         assert {key: deltas[key] for key in terms} == terms
-        assert tripartite_mutual_info(state) == pre.ledger["I_ABC"]
+        # each public primitive is the ledger's expression on the same table
+        rho1, _ = apply_tree(state, tree, 1)
+        rho2, _ = apply_tree(state, tree, 2)
+        for rho, report in ((state, pre), (rho1, m1), (rho2, m2)):
+            ledger = report.ledger
+            assert cond_entropy(rho, (0,), (1, 2)) == ledger["S_A_BC"]
+            assert cond_entropy(rho, (1,), (0, 2)) == ledger["S_B_AC"]
+            assert cond_entropy(rho, (2,), (0, 1)) == ledger["S_C_AB"]
+            assert cond_mutual_info(rho, (0,), (1,), (2,)) == ledger["I_AB_C"]
+            assert cond_mutual_info(rho, (0,), (2,), (1,)) == ledger["I_AC_B"]
+            assert cond_mutual_info(rho, (1,), (2,), (0,)) == ledger["I_BC_A"]
+            assert tripartite_mutual_info(rho) == ledger["I_ABC"]
+            assert (mutual_info(rho, (0,), (2,)) - cond_mutual_info(rho, (0,), (2,), (1,))
+                    == ledger["I_ABC"])
+        assert d_unminimized(state, tree, (0,), (1, 2)) == m1.deltas["d_A_BC"]
+        assert (subsystem_entropy(rho1, (0,)) - subsystem_entropy(state, (0,))
+                == m1.deltas["dS_PiA"])
+        assert (cond_entropy(rho2, (1,), (0,)) - cond_entropy(rho1, (1,), (0,))
+                == m2.deltas["dS_B_PiA"])
+
+        pair = random_qubits(6100 + seed, 2, 1 + seed % 4)
+        root = random_tree(2100 + seed, 1)
+        pre, m1 = flux_report(pair, root)
+        for rho, report in ((pair, pre), (apply_tree(pair, root, 1)[0], m1)):
+            assert cond_entropy(rho, (0,), (1,)) == report.ledger["S_A_B"]
+            assert cond_entropy(rho, (1,), (0,)) == report.ledger["S_B_A"]
+            assert mutual_info(rho, (0,), (1,)) == report.ledger["I_AB"]
+        assert d_unminimized(pair, root, (0,), (1,)) == m1.deltas["d_A_B"]
 
 
 class TestFluxCsv:

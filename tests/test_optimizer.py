@@ -68,7 +68,7 @@ def sequential_optimize(objective, n_nodes, config):
 
 def grid_points(n_nodes, points):
     """Every point of the angle grid, one row each, in lexicographic order."""
-    grids = _angle_grids(n_nodes, points)
+    grids = _angle_grids(points) * n_nodes
     flat = itertools.chain.from_iterable(itertools.product(*grids))
     return np.fromiter(flat, float).reshape(-1, len(grids))
 
@@ -81,7 +81,7 @@ def brute_force_by_root_cell(objective, points):
 
 def root_cells(params, points):
     """The root cell (theta index * points + phi index) of each start."""
-    theta_grid, phi_grid = _angle_grids(1, points)
+    theta_grid, phi_grid = _angle_grids(points)
     return np.array([np.flatnonzero(theta_grid == theta)[0] * points
                      + np.flatnonzero(phi_grid == phi)[0]
                      for theta, phi in params[:, :2]])

@@ -274,7 +274,14 @@ class TestJson:
         {"dims": [2, 2], "matrix": [[1, 2]]},
         {"dims": [2], "matrix": [[[0.5, 0], ["0", 0]], [[0, 0], [0.5, 0]]]},
         {"dims": [2], "matrix": [[[0.5, 0], [0, 0, 0]], [[0, 0], [0.5, 0]]]},
+        # JSON NaN and Infinity, and an integer beyond every float, are
+        # refused before numpy sees them: validation would warn on the first
+        # two, and the third would not convert
+        {"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[float("nan"), 0], [0.5, 0]]]},
+        {"dims": [2], "matrix": [[[float("inf"), 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+        {"dims": [2], "matrix": [[[0.5, 0], [0, 10 ** 400]], [[0, 0], [0.5, 0]]]},
     ])
+    @pytest.mark.filterwarnings("error")
     def test_reader_rejects_malformed_payload(self, payload):
         with pytest.raises(StructuralError):
             from_json(json.dumps(payload))
