@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -27,6 +26,7 @@ from .qstate import (
     _is_json_number,
     as_subset,
     eig_hermitian,
+    kron_product,
     permute_subsystems,
 )
 
@@ -265,7 +265,7 @@ def _embedded_projector(dims, tree, path):
             factors.append(np.eye(dim))
         else:
             factors.append(tree.basis_at(path[:i]).projectors[path[i]])
-    return reduce(np.kron, factors)
+    return kron_product(factors)
 
 
 def apply_tree(
@@ -378,7 +378,7 @@ def optimal_tree_for_measured_state(
                     proj if q == pos else np.eye(state.dims[q])
                     for q in range(state.n_subsystems)
                 ]
-                embedded = reduce(np.kron, factors)
+                embedded = kron_product(factors)
                 descend(embedded @ matrix @ embedded, path + (j,))
 
     descend(np.array(state.matrix), ())

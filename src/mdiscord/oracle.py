@@ -6,18 +6,19 @@ plain arrays (textbook projector sandwiches, reshape-and-trace partial
 traces, eigenvalue sums) and never touches :mod:`mdiscord.entropy_flux`.
 It computes nothing with the batched evaluator in :mod:`mdiscord.discord`:
 only ``_cross_implementation_check`` imports it, to compare the two paths,
-and that agreement is itself one of the checks.
+and that agreement is itself one of the checks.  The identity checks read
+the subsystem entropies of each matrix from one table of that matrix
+(:func:`_table`), which values each subset once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .measure import MeasParams, MeasurementTree, apply_tree, tree_from_params
-from .qstate import QState, random_state
+from .qstate import QState, kron_product, random_state
 
 _CLAMP = 1e-12
 _ZERO_PROB = 1e-12
@@ -85,11 +86,11 @@ def _basis_vectors(theta: float, phi: float):
 
 
 def _embed(dims, position: int, projector: np.ndarray) -> np.ndarray:
-    """``projector`` at ``position`` and identities elsewhere, as one kron
-    product; a measured branch is ``proj @ rho @ proj``."""
+    """``projector`` at ``position`` and identities elsewhere, as one
+    Kronecker product; a measured branch is ``proj @ rho @ proj``."""
     factors = [projector if pos == position else np.eye(d)
                for pos, d in enumerate(dims)]
-    return reduce(np.kron, factors)
+    return kron_product(factors)
 
 
 def _branch_walk(matrix: np.ndarray, dims, tree: MeasurementTree, depth: int):
@@ -108,23 +109,28 @@ def _branch_walk(matrix: np.ndarray, dims, tree: MeasurementTree, depth: int):
     return levels
 
 
-def _s(matrix: np.ndarray, keep) -> float:
-    """Entropy of a three-qubit matrix reduced to ``keep``."""
-    return _entropy_bits(_reduce_matrix(matrix, _QUBITS, keep))
+def _table(matrix: np.ndarray):
+    """``s(keep)``: the entropy of a three-qubit matrix reduced to the
+    positions ``keep``, each subset valued once."""
+    values = {}
+
+    def s(keep) -> float:
+        keep = tuple(sorted(keep))
+        if keep not in values:
+            values[keep] = _entropy_bits(_reduce_matrix(matrix, _QUBITS, keep))
+        return values[keep]
+
+    return s
 
 
-def _cmi(matrix: np.ndarray, a, b, given) -> float:
-    return (
-        _s(matrix, sorted(a + given)) + _s(matrix, sorted(b + given))
-        - _s(matrix, sorted(a + b + given)) - _s(matrix, given)
-    )
+def _cmi(s, a, b, given) -> float:
+    """I(a;b|given) from the entropy table ``s`` of one matrix."""
+    return s(a + given) + s(b + given) - s(a + b + given) - s(given)
 
 
-def _tri(matrix: np.ndarray) -> float:
-    return (
-        _s(matrix, [0]) + _s(matrix, [2]) - _s(matrix, [0, 2])
-        - _cmi(matrix, [0], [2], [1])
-    )
+def _tri(s) -> float:
+    """I(A;B;C) from the entropy table ``s`` of one matrix."""
+    return s((0,)) + s((2,)) - s((0, 2)) - _cmi(s, (0,), (2,), (1,))
 
 
 def reference_objective(state: QState, tree: MeasurementTree, level: int | None = None) -> float:
@@ -232,6 +238,7 @@ def _sample_identities(rng, sample_index: int) -> dict[str, float]:
     rho = np.asarray(state.matrix)
     branches1, branches2 = _branch_walk(rho, _QUBITS, tree, 2)
     rho1, rho2 = sum(branches1), sum(branches2)
+    s0, s1, s2 = _table(rho), _table(rho1), _table(rho2)
 
     # average branch entropies
     s_rest_m1 = sum(_weighted_entropy(b) for b in branches1)
@@ -246,34 +253,31 @@ def _sample_identities(rng, sample_index: int) -> dict[str, float]:
     # Measured conditional entropy equals the conditional entropy of the
     # measured state.
     violations["measured_state_conditional_entropy"] = abs(
-        s_rest_m1 - (_entropy_bits(rho1) - _s(rho1, [0]))
+        s_rest_m1 - (s1((0, 1, 2)) - s1((0,)))
     )
     # Entropy decomposition of the twice-measured state.
     violations["second_measurement_entropy_decomposition"] = abs(
-        _entropy_bits(rho2) - _s(rho2, [0]) - s_b_m1_of_rho2 - s_c_m2
+        s2((0, 1, 2)) - s2((0,)) - s_b_m1_of_rho2 - s_c_m2
     )
     # The unminimized A;BC discord splits into the two conditional discords
     # plus the monogamy term.
-    d_a_bc = s_rest_m1 - (_entropy_bits(rho) - _s(rho, [0]))
-    delta_ab_c = _cmi(rho, [0], [1], [2]) - _cmi(rho1, [0], [1], [2])
-    delta_ac_b = _cmi(rho, [0], [2], [1]) - _cmi(rho1, [0], [2], [1])
-    delta_abc = _tri(rho) - _tri(rho1)
+    d_a_bc = s_rest_m1 - (s0((0, 1, 2)) - s0((0,)))
+    delta_ab_c = _cmi(s0, (0,), (1,), (2,)) - _cmi(s1, (0,), (1,), (2,))
+    delta_ac_b = _cmi(s0, (0,), (2,), (1,)) - _cmi(s1, (0,), (2,), (1,))
+    delta_abc = _tri(s0) - _tri(s1)
     violations["conditional_discord_decomposition"] = abs(
         d_a_bc - (delta_ab_c + delta_ac_b + delta_abc)
     )
     # The discord integrand equals the sum of all four delta terms.
-    objective = (
-        -(_entropy_bits(rho) - _s(rho, [0])) + s_b_m1 + s_c_m2
-    )
-    delta_bc_pia = _cmi(rho1, [1], [2], [0]) - _cmi(rho2, [1], [2], [0])
+    objective = -(s0((0, 1, 2)) - s0((0,))) + s_b_m1 + s_c_m2
+    delta_bc_pia = _cmi(s1, (1,), (2,), (0,)) - _cmi(s2, (1,), (2,), (0,))
     violations["discord_delta_decomposition"] = abs(
         objective - (delta_ab_c + delta_ac_b + delta_bc_pia + delta_abc)
     )
     # The post-measurement conditional discord as a conditional entropy
     # change of subsystem C.
     violations["post_discord_conditional_entropy_form"] = abs(
-        delta_bc_pia - ((_entropy_bits(rho2) - _s(rho2, [0, 1]))
-                        - (_entropy_bits(rho1) - _s(rho1, [0, 1])))
+        delta_bc_pia - ((s2((0, 1, 2)) - s2((0, 1))) - (s1((0, 1, 2)) - s1((0, 1))))
     )
     # Bookkeeping identities worth pinning while we are here.
     violations["probability_normalization"] = abs(
@@ -316,13 +320,13 @@ def _nonnegativity_checks(rng, samples: int) -> list[VerifyReport]:
         tree, _ = _random_tree(rng, 2)
         rho = np.asarray(state.matrix)
         branches1, branches2 = _branch_walk(rho, _QUBITS, tree, 2)
-        rho1, rho2 = sum(branches1), sum(branches2)
+        s0, s1, s2 = _table(rho), _table(sum(branches1)), _table(sum(branches2))
 
         worst_objective = max(worst_objective, -reference_objective(state, tree))
         deltas = (
-            _cmi(rho, [0], [1], [2]) - _cmi(rho1, [0], [1], [2]),
-            _cmi(rho, [0], [2], [1]) - _cmi(rho1, [0], [2], [1]),
-            _cmi(rho1, [1], [2], [0]) - _cmi(rho2, [1], [2], [0]),
+            _cmi(s0, (0,), (1,), (2,)) - _cmi(s1, (0,), (1,), (2,)),
+            _cmi(s0, (0,), (2,), (1,)) - _cmi(s1, (0,), (2,), (1,)),
+            _cmi(s1, (1,), (2,), (0,)) - _cmi(s2, (1,), (2,), (0,)),
         )
         worst_delta = max(worst_delta, -min(deltas))
 
@@ -330,10 +334,11 @@ def _nonnegativity_checks(rng, samples: int) -> list[VerifyReport]:
         # mutual information change vanishes for every tree
         pair = random_state((2, 2), 1 + index % 4, int(rng.integers(0, 2 ** 31)))
         third = random_state((2,), 1 + index % 2, int(rng.integers(0, 2 ** 31)))
-        product = np.kron(pair.matrix, third.matrix)
+        product = kron_product([pair.matrix, third.matrix])
         (product_branches,) = _branch_walk(product, _QUBITS, tree, 1)
         worst_product_monogamy = max(
-            worst_product_monogamy, abs(_tri(product) - _tri(sum(product_branches)))
+            worst_product_monogamy,
+            abs(_tri(_table(product)) - _tri(_table(sum(product_branches)))),
         )
 
     return [

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import QState, from_json as qstate_from_json, to_json as qstate_to_json
+from .qstate import (
+    QState,
+    from_json as qstate_from_json,
+    kron_product,
+    to_json as qstate_to_json,
+)
 
 MU_FAMILIES = ("werner_ghz", "werner_w", "bell_mixture", "classical_quantum_mix")
 FIXED_FAMILIES = ("cc_example", "ghz", "w_state", "product")
@@ -32,10 +37,9 @@ def _kets(*labels: str) -> np.ndarray:
     digit_maps = {"0": _KET0, "1": _KET1, "+": _PLUS}
     total = 0.0
     for label in labels:
-        term = np.array([1.0])
-        for ch in label:
-            term = np.kron(term, digit_maps[ch])
-        total = total + term
+        # kets as columns after a 1x1 one, so an empty label is the scalar 1
+        columns = [np.ones((1, 1))] + [digit_maps[ch][:, None] for ch in label]
+        total = total + kron_product(columns)[:, 0]
     return total / np.linalg.norm(total)
 
 
@@ -59,7 +63,7 @@ def cc_example_state() -> QState:
     """(|00><00| + |1+><1+|)/2 tensored with |0><0|: a classically
     correlated pair plus an uncorrelated third qubit; zero discord."""
     pair = (_dm(_kets("00")) + _dm(_kets("1+"))) / 2.0
-    return QState((2, 2, 2), np.kron(pair, _dm(_KET0)))
+    return QState((2, 2, 2), kron_product([pair, _dm(_KET0)]))
 
 
 def product_state() -> QState:
@@ -68,7 +72,7 @@ def product_state() -> QState:
     factor_a = 0.8 * _dm(_KET0) + 0.2 * _dm(_KET1)
     factor_b = 0.7 * _dm(_PLUS) + 0.3 * _dm(_MINUS)
     factor_c = 0.65 * _dm(_KET0) + 0.35 * _dm(_KET1)
-    return QState((2, 2, 2), np.kron(np.kron(factor_a, factor_b), factor_c))
+    return QState((2, 2, 2), kron_product([factor_a, factor_b, factor_c]))
 
 
 def werner_ghz(mu: float) -> QState:

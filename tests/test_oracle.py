@@ -141,6 +141,24 @@ class TestVerificationSuite:
         for report in reports:
             assert report.passed, report
 
+    def test_values_each_entropy_once(self, monkeypatch):
+        # per sample: all 7 subsets of rho and of rho1, 4 of rho2 and 10
+        # branch entropies; valuing each subset at each use took 60 per
+        # sample and 342 per suite
+        calls = []
+        real_entropy_bits = oracle._entropy_bits
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real_entropy_bits(matrix)
+
+        monkeypatch.setattr(oracle, "_entropy_bits", counting)
+        oracle._sample_identities(np.random.default_rng(0), 0)
+        assert len(calls) == 28
+        calls.clear()
+        verification_suite(seed=0, samples=3)
+        assert len(calls) == 225
+
 
 def _imported_names(node):
     """Every dotted-name part a node's import statements mention."""

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mdiscord import (
     tensor,
     validate,
 )
-from mdiscord.qstate import from_json, to_json
+from mdiscord.qstate import from_json, kron_product, to_json
 
 from conftest import KET0, KET1, PLUS, dm
 
@@ -96,6 +97,42 @@ class TestTensor:
         expected = dm([1, 0, 0, 0, 0, 0, 1, 0])  # (|000> + |110>)/sqrt(2)
         assert out.dims == (2, 2, 2)
         assert_allclose(out.matrix, expected, atol=1e-15)
+
+
+def assert_same_bits(actual, expected):
+    # raw bits, so that -0.0 and 0.0 differ
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestKronProduct:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 3), (2, 2, 3)])
+    def test_embedded_projectors_match_reduce_kron(self, dims):
+        # the factor lists the embedding sites build: I x P x I
+        rng = np.random.default_rng(sum(dims))
+        for position, dim in enumerate(dims):
+            vector = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            vector /= np.linalg.norm(vector)
+            factors = [np.outer(vector, vector.conj()) if pos == position else np.eye(d)
+                       for pos, d in enumerate(dims)]
+            assert_same_bits(kron_product(factors), reduce(np.kron, factors))
+
+    def test_signed_zeros_and_one_by_one_factors(self):
+        a = np.array([[-0.0, 1.5], [2.0, -0.0], [-3.0, 0.0]])
+        b = np.array([[0.0, -1.0], [-0.0, 5.0]])
+        c = np.array([[-0.0]])
+        d = np.array([[-2.0 + 0.0j, -0.0 - 1.0j]])
+        for factors in ([a, b], [b, a], [c, a], [a, c, b], [c, c], [c], [a, d], [d, b, c]):
+            assert_same_bits(kron_product(factors), reduce(np.kron, factors))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_one_to_four_factors(self, count):
+        rng = np.random.default_rng(count)
+        factors = []
+        for _ in range(count):
+            shape = tuple(rng.integers(1, 4, 2))
+            factors.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert_same_bits(kron_product(factors), reduce(np.kron, factors))
 
 
 class TestPartialTrace:
