@@ -38,7 +38,11 @@ The refinement's iteration cap ``QN_MAX_ITERS`` and step ladder
 ``QN_LINE_STEPS`` are fixed.  The downhill simplex of :func:`simplex_refine`
 (Nelder & Mead 1965, capped at ``SIMPLEX_MAX_ITERS`` iterations, converged
 below a value spread of ``SIMPLEX_TOL``) is kept for the polish passes of
-:func:`mdiscord.discord.discord`.
+:func:`mdiscord.discord.discord`.  It values each iteration's four candidate
+points in one ``evaluate_many`` call, and its convergence probes count a
+point as lower only when it beats the best vertex by more than rounding
+(``_PROBE_GAIN``, relative), so where rounding happens to stop the simplex
+does not decide how long it runs.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .measure import MeasParams
 _MAX_GRID_TOTAL = 100_000_000  # table values a grid scan may hold at once
 _INITIAL_SIMPLEX_EDGE = 0.1
 _PROBE_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+_PROBE_GAIN = 1e-12  # relative drop below the best vertex a probe ring must beat
 _REFLECT, _EXPAND, _CONTRACT, _SHRINK = 1.0, 2.0, 0.5, 0.5
 SIMPLEX_MAX_ITERS = 400  # iterations of one simplex run
 SIMPLEX_TOL = 1e-9       # value spread of a converged simplex
@@ -211,105 +216,89 @@ def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResul
 
 
 def _nelder_mead(start):
-    """The body of :func:`simplex_refine` as a generator: it yields each list
-    of points it needs valued next and is sent their values as a list of
-    floats, in the same order; it returns the :class:`OptimizerOutcome`.
+    """The body of :func:`simplex_refine` as a generator: it yields each
+    matrix of points it needs valued next, one row each, and is sent their
+    values as a list of floats, in the same order; it returns the
+    :class:`OptimizerOutcome`.
 
-    A run asks for its initial and rebuilt simplices, its shrinks and each
-    probe ring as one list, and for a reflect, expand or contract point on
-    its own, because whether it needs the next point depends on this one.
+    Every request is one matrix: the initial simplex (n + 1 rows), an
+    iteration's four candidates (4 rows), a shrink or a rebuilt simplex
+    (n rows) and a probe ring (2n rows).  An iteration asks for all of its
+    candidates at once, the reflection, the expansion, the inside
+    contraction and the outside contraction (built from the folded
+    reflection), and keeps at most one of them, so it costs one call
+    whichever it keeps.  ``evaluations`` counts every row valued.
     """
     if isinstance(start, MeasParams):
         start = start.to_flat()
     x0 = fold_angles(np.asarray(start, dtype=float))
     n = x0.size
-    nfe = 0
+    axes = np.eye(n)
+    ring = np.zeros((2 * n, n))  # +e_0, -e_0, +e_1, -e_1, ...
+    ring[np.arange(2 * n), np.repeat(np.arange(n), 2)] = np.tile([1.0, -1.0], n)
+    moves = np.array([[_REFLECT], [_EXPAND], [-_CONTRACT]])
 
-    def build_simplex(center, edge):
-        points = [center]
-        for i in range(n):
-            step = np.zeros(n)
-            step[i] = edge
-            points.append(fold_angles(center + step))
-        return points
-
-    vertices = build_simplex(x0, _INITIAL_SIMPLEX_EDGE)
-    values = yield vertices
-    nfe += len(vertices)
+    vertices = np.vstack([x0, fold_angles(x0 + _INITIAL_SIMPLEX_EDGE * axes)])
+    values = np.array((yield vertices))
+    nfe = len(vertices)
     start_value = values[0]
 
     converged = False
     for _ in range(SIMPLEX_MAX_ITERS):
         order = np.argsort(values, kind="stable")
-        vertices = [vertices[i] for i in order]
-        values = [values[i] for i in order]
+        vertices, values = vertices[order], values[order]
         if values[-1] - values[0] < SIMPLEX_TOL:
-            probe_point, probe_value, probe_scale = None, values[0], None
+            # a point lower by rounding alone is no improvement
+            probe_value = values[0] - _PROBE_GAIN * abs(values[0])
+            probe_point = None
             for delta in _PROBE_STEPS:
-                candidates = []
-                for i in range(n):
-                    for sign in (1.0, -1.0):
-                        step = np.zeros(n)
-                        step[i] = sign * delta
-                        candidates.append(fold_angles(vertices[0] + step))
+                candidates = fold_angles(vertices[0] + delta * ring)
                 candidate_values = yield candidates
                 nfe += len(candidates)
-                for candidate, candidate_value in zip(candidates, candidate_values):
-                    if candidate_value < probe_value:
-                        probe_point = candidate
-                        probe_value = candidate_value
-                        probe_scale = delta
-                if probe_point is not None:
+                best = int(np.argmin(candidate_values))
+                if candidate_values[best] < probe_value:
+                    probe_point, probe_value = candidates[best], candidate_values[best]
                     break
             if probe_point is None:
                 converged = True
                 break
-            vertices = build_simplex(probe_point, probe_scale)
-            values = [probe_value] + (yield vertices[1:])
+            rebuilt = fold_angles(probe_point + delta * axes)
+            vertices = np.vstack([probe_point, rebuilt])
+            values = np.concatenate([[probe_value], (yield rebuilt)])
             nfe += n
             continue
 
         centroid = np.mean(vertices[:-1], axis=0)
-        reflected = fold_angles(centroid + _REFLECT * (centroid - vertices[-1]))
-        (f_reflected,) = yield [reflected]
-        nfe += 1
+        reflected, expanded, inside = fold_angles(centroid + moves * (centroid - vertices[-1]))
+        outside = fold_angles(centroid + _CONTRACT * (reflected - centroid))
+        f_reflected, f_expanded, f_inside, f_outside = yield np.vstack(
+            [reflected, expanded, inside, outside])
+        nfe += 4
         if f_reflected < values[0]:
-            expanded = fold_angles(centroid + _EXPAND * (centroid - vertices[-1]))
-            (f_expanded,) = yield [expanded]
-            nfe += 1
-            if f_expanded < f_reflected:
-                vertices[-1], values[-1] = expanded, f_expanded
-            else:
-                vertices[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected < values[-2]:
-            vertices[-1], values[-1] = reflected, f_reflected
-            continue
-        if f_reflected < values[-1]:
-            contracted = fold_angles(centroid + _CONTRACT * (reflected - centroid))
+            kept = (expanded, f_expanded) if f_expanded < f_reflected else (reflected, f_reflected)
+        elif f_reflected < values[-2]:
+            kept = (reflected, f_reflected)
         else:
-            contracted = fold_angles(centroid - _CONTRACT * (centroid - vertices[-1]))
-        (f_contracted,) = yield [contracted]
-        nfe += 1
-        if f_contracted < min(f_reflected, values[-1]):
-            vertices[-1], values[-1] = contracted, f_contracted
+            kept = (outside, f_outside) if f_reflected < values[-1] else (inside, f_inside)
+            if not kept[1] < min(f_reflected, values[-1]):
+                kept = None
+        if kept is not None:
+            vertices[-1], values[-1] = kept
             continue
-        best = vertices[0]
-        for i in range(1, n + 1):
-            vertices[i] = fold_angles(best + _SHRINK * (vertices[i] - best))
+        vertices[1:] = fold_angles(vertices[0] + _SHRINK * (vertices[1:] - vertices[0]))
         values[1:] = yield vertices[1:]
         nfe += n
 
     best_index = int(np.argmin(values))
-    best_value, best_vertex = values[best_index], vertices[best_index]
+    best_value, best_vertex = float(values[best_index]), vertices[best_index]
     if start_value <= best_value:
-        best_value, best_vertex = start_value, x0
+        best_value, best_vertex = float(start_value), x0
     return OptimizerOutcome(
         best_value=best_value,
         best_params=MeasParams.from_flat(best_vertex),
         evaluations=nfe,
         converged=converged,
-        grid_best=start_value,
+        grid_best=float(start_value),
     )
 
 
@@ -393,7 +382,7 @@ def _run_together(objective, runs, gradient: bool = False) -> list[OptimizerOutc
     outcomes = [None] * len(runs)
     pending = {index: next(run) for index, run in enumerate(runs)}
     while pending:
-        rows = np.array([point for points in pending.values() for point in points])
+        rows = np.concatenate(list(pending.values()))
         if gradient:
             values, grads = objective.evaluate_many(rows, gradient=True)
         else:
@@ -424,8 +413,17 @@ def simplex_refine(objective, start) -> OptimizerOutcome:
     shrinking step sizes all fail to improve; an improving probe rebuilds
     the simplex at that scale and continues (the angle chart has exactly
     flat edges, e.g. phi at theta = 0, where an untested spread criterion
-    stalls).  Never returns a value worse than the start.  The objective
-    values its points through ``evaluate_many``, as in :func:`optimize`.
+    stalls).  A probe improves only when it lies more than ``_PROBE_GAIN``
+    times the best vertex's magnitude below it: a point lower by rounding
+    alone would rebuild and re-converge the simplex again and again, until
+    the iteration cap.  Never returns a value worse than the start.
+
+    The objective values its points through ``evaluate_many``, as in
+    :func:`optimize`: one call per iteration for all four candidates
+    (reflection, expansion, inside and outside contraction), one per
+    shrink, rebuilt simplex or probe ring.  A batched row equals the
+    single-row value bit for bit, so the run is the one that values only
+    the candidates it compares; ``evaluations`` counts every row valued.
     """
     return _run_together(objective, [_nelder_mead(start)])[0]
 

@@ -1,11 +1,15 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mdiscord import OptimizerConfig, discord, random_state
@@ -367,3 +371,62 @@ def test_module_entry_point(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "check,samples,max_violation,tolerance,pass"
+
+
+# Each integer and number flag with a cheap command around it, the values at
+# its bounds, and the values beyond them.  Level 3 refuses a grid above 70
+# points per angle before it allocates anything, so 71 and up are safe; the
+# upper ends of --points and --samples are left out because they only cost time.
+BOUNDED_FLAGS = {
+    "--grid-points": (["discord", "--family", "werner_ghz", "--mu", "0.5",
+                       "--refine-starts", "1"],
+                      st.one_of(st.sampled_from([2, 3]), st.integers(max_value=1),
+                                st.integers(min_value=71))),
+    "--refine-starts": (["discord", "--family", "werner_w", "--mu", "0.5",
+                         "--grid-points", "2"],
+                        st.one_of(st.sampled_from([1, 4]), st.integers(max_value=0),
+                                  st.integers(min_value=5))),
+    "--points": (["sweep", "--family", "bell_mixture", "--grid-points", "2",
+                  "--refine-starts", "1"],
+                 st.one_of(st.sampled_from([2, 3]), st.integers(max_value=1))),
+    "--samples": (["verify"], st.one_of(st.just(1), st.integers(max_value=0))),
+    "--level": (["discord", "--family", "ghz", "--grid-points", "2",
+                 "--refine-starts", "1"],
+                st.one_of(st.sampled_from([2, 3]), st.integers(max_value=1),
+                          st.integers(min_value=4))),
+    "--mu": (["flux", "--family", "classical_quantum_mix", "--grid-points", "3",
+              "--refine-starts", "1"],
+             st.one_of(st.sampled_from([0.0, 1.0]),
+                       st.floats(allow_nan=True, allow_infinity=True))),
+}
+
+
+# every bound and the first value beyond it, whatever the draws reach
+BOUND_EDGES = [("--grid-points", 1), ("--grid-points", 2), ("--grid-points", 71),
+               ("--refine-starts", 0), ("--refine-starts", 1), ("--points", 1),
+               ("--points", 2), ("--samples", 0), ("--samples", 1), ("--level", 1),
+               ("--level", 2), ("--level", 3), ("--level", 4), ("--mu", -5e-324),
+               ("--mu", 0.0), ("--mu", 1.0), ("--mu", 1.0000000000000002)]
+
+
+def _with_edges(test):
+    for edge in BOUND_EDGES:
+        test = example(edge)(test)
+    return test
+
+
+@_with_edges
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(BOUNDED_FLAGS)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.one_of(
+        BOUNDED_FLAGS[flag][1], st.sampled_from(["nan", "inf", "-inf"])))))
+def test_bounded_flags_exit_zero_or_two_in_one_line(flag_value):
+    flag, value = flag_value
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(BOUNDED_FLAGS[flag][0] + [flag, str(value)])
+    assert code in (0, 2), (flag, value, code)
+    assert len(err.getvalue().splitlines()) <= 1, (flag, value, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()

@@ -16,6 +16,7 @@ from mdiscord import (
     objective_npartite,
     objective_tripartite,
     random_state,
+    states,
     tensor,
     tree_from_params,
 )
@@ -28,7 +29,14 @@ from mdiscord.discord import (
     result_to_json,
 )
 from mdiscord.qstate import x_log2_x
-from mdiscord.optimizer import OptimizerConfig, OptimizerOutcome, _angle_grids, optimize
+from mdiscord.optimizer import (
+    SIMPLEX_MAX_ITERS,
+    OptimizerConfig,
+    OptimizerOutcome,
+    _angle_grids,
+    optimize,
+    simplex_refine,
+)
 from mdiscord.oracle import reference_objective
 from mdiscord.states import bell_mixture, cc_example_state, ghz_state, product_state
 
@@ -545,6 +553,39 @@ class TestDiscord:
             assert result.value < refined.best_value
         else:
             assert result.value == refined.best_value
+
+    @pytest.mark.parametrize("family, mu", [
+        ("werner_ghz", 0.7), ("werner_w", 0.5), ("bell_mixture", 0.9),
+        ("classical_quantum_mix", 0.3),
+    ])
+    def test_every_polish_pass_converges_below_the_cap(self, monkeypatch, family, mu):
+        # on bell_mixture(0.9) each probe ring found a point a few ulps lower,
+        # rebuilt the simplex and re-converged, until the iteration cap
+        passes = []
+
+        def recorded(objective, start):
+            sizes = []
+
+            class Counted:
+                def evaluate_many(self, rows):
+                    sizes.append(len(rows))
+                    return objective.evaluate_many(rows)
+
+            outcome = simplex_refine(Counted(), start)
+            passes.append((outcome, sizes, start.to_flat().size))
+            return outcome
+
+        module = importlib.import_module("mdiscord.discord")
+        monkeypatch.setattr(module, "simplex_refine", recorded)
+        discord(getattr(states, family)(mu), level=3)
+        assert passes
+        for outcome, sizes, n in passes:
+            assert outcome.converged
+            # one iteration per four-row call (with any shrink after it), one
+            # per simplex rebuilt after a 2n-row probe ring, and the last one
+            rebuilds = sum(before == 2 * n and size == n
+                           for before, size in zip(sizes, sizes[1:]))
+            assert sizes.count(4) + rebuilds + 1 < SIMPLEX_MAX_ITERS
 
     def test_level_bounds(self, bell):
         with pytest.raises(StructuralError):

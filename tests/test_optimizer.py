@@ -19,6 +19,7 @@ from mdiscord import (
 from mdiscord.discord import _MeasuredEntropyObjective, _TwoMeasurementObjective
 from mdiscord import optimizer
 from mdiscord.optimizer import (
+    _PROBE_STEPS,
     SIMPLEX_MAX_ITERS,
     SIMPLEX_TOL,
     _angle_grids,
@@ -35,16 +36,29 @@ from conftest import random_qubits, random_tree
 
 
 class BatchCounter:
-    """Wraps a batched objective, counting its ``evaluate_many`` calls."""
+    """Wraps a batched objective, counting its ``evaluate_many`` calls and
+    the rows of each."""
 
     def __init__(self, objective):
         self.objective = objective
         self.grid_tables = objective.grid_tables
         self.calls = 0
+        self.sizes = []
 
     def evaluate_many(self, rows, gradient=False):
         self.calls += 1
+        self.sizes.append(len(rows))
         return self.objective.evaluate_many(rows, gradient=gradient)
+
+
+class RowByRow:
+    """Values a batched objective one row per ``evaluate_many`` call."""
+
+    def __init__(self, objective):
+        self.objective = objective
+
+    def evaluate_many(self, rows):
+        return np.array([self.objective.evaluate_many(row[None, :])[0] for row in rows])
 
 
 def refine_alone(objective, start):
@@ -379,6 +393,39 @@ class TestSimplexRefine:
         objective = _MeasuredEntropyObjective(bell, 2)
         outcome = simplex_refine(objective, MeasParams(((0.2, 0.4),)))
         assert_allclose(outcome.best_value, 1.0, atol=1e-6)
+
+    def test_a_floor_flat_up_to_rounding_converges_at_once(self):
+        # a tilt of a few ulps per probe step: counted as a descent, every
+        # probe ring rebuilt the simplex and re-converged one step further,
+        # until the iteration cap
+        def tilt(x):
+            return 1.0 + 1e-13 * x[1]
+
+        recorder = BatchRecorder(tilt)
+        outcome = simplex_refine(recorder, np.array([0.4, 5.0]))
+        assert outcome.converged
+        assert [len(rows) for rows in recorder.batches] == [3] + [4] * len(_PROBE_STEPS)
+        assert outcome.evaluations == 3 + 4 * len(_PROBE_STEPS)
+
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_batched_iterations_equal_row_by_row_values(self, seed):
+        # an iteration values its four candidates in one call, and a batched
+        # row equals the single-row value bit for bit, so the run is the one
+        # of valuing every point on its own
+        state = random_qubits(seed, 3, 2 + seed % 7)
+        start = np.random.default_rng(seed).uniform(0.0, np.pi, 6)
+        batched = BatchCounter(_MeasuredEntropyObjective(state, 3))
+        outcome = simplex_refine(batched, start)
+        alone = simplex_refine(RowByRow(_MeasuredEntropyObjective(state, 3)), start)
+        assert outcome.best_value == alone.best_value
+        assert np.array_equal(outcome.best_params.to_flat(), alone.best_params.to_flat())
+        assert outcome.converged == alone.converged
+        assert outcome.evaluations == alone.evaluations == sum(batched.sizes)
+        # the start, then iterations, shrinks or rebuilds, and probe rings
+        n = start.size
+        assert batched.sizes[0] == n + 1
+        assert set(batched.sizes[1:]) <= {4, n, 2 * n}
+        assert 4 in batched.sizes
 
 
 class TestQuasiNewton:
