@@ -53,7 +53,6 @@ from .qstate import (
     SubsetSpec,
     ValidityReport,
     entropy,
-    eig_hermitian,
     partial_trace,
     permute_subsystems,
     random_state,
@@ -61,6 +60,6 @@ from .qstate import (
     tensor,
     validate,
 )
-from .states import StateSpec, build
+from .states import build
 
 __version__ = "0.1.0"

@@ -187,7 +187,7 @@ def _resolve_state(settings: dict):
                               "--state takes no mu")
         return _load(state_path, "state", qstate_from_json)
     try:
-        return states.build(states.StateSpec(family=family, mu=settings["state.mu"]))
+        return states.build(family, settings["state.mu"])
     except ValueError as error:
         raise ConfigError(str(error)) from error
 
@@ -204,7 +204,7 @@ def cmd_discord(settings: dict) -> int:
 
 
 def _sweep_point(family: str, mu: float, config: OptimizerConfig) -> list[str]:
-    state = states.build(states.StateSpec(family=family, mu=mu))
+    state = states.build(family, mu)
     result = discord(state, level=3, config=config)
     decomposition = result.decomposition
     return [_format_value(mu), _format_value(result.value)] + [

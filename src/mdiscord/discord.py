@@ -256,6 +256,9 @@ class _MeasuredEntropyObjective:
 
     def __init__(self, state: QState, level: int):
         n = state.n_subsystems
+        if n < 2:
+            raise StructuralError(
+                f"discord needs at least two subsystems, the state has {n}")
         if not 2 <= level <= n:
             raise StructuralError(f"level must lie in [2, {n}], got {level}")
         for pos in range(level - 1):
@@ -450,12 +453,12 @@ def _normalize_order(measured_order, n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _minimize(objective, n_nodes: int, cfg: OptimizerConfig):
+def _minimize(objective, cfg: OptimizerConfig):
     """Grid scan and quasi-Newton refinement (:func:`optimize`), followed by
     rescaled downhill-simplex polish passes.
 
     Returns the best value and params plus bookkeeping for diagnostics."""
-    outcome = optimize(objective, n_nodes, cfg)
+    outcome = optimize(objective, cfg)
     evaluations = outcome.evaluations
     trace = [outcome.best_value]
     best_value = outcome.best_value
@@ -510,7 +513,7 @@ def discord(
         state = permute_subsystems(state, order)
     objective = _MeasuredEntropyObjective(state, level)
     cfg = config or OptimizerConfig()
-    best_value, best_params, diagnostics = _minimize(objective, objective.n_nodes, cfg)
+    best_value, best_params, diagnostics = _minimize(objective, cfg)
 
     decomposition = None
     if level == 3 and n == 3:
@@ -538,9 +541,7 @@ def discord_two_measurement(
     minimum, refinement and polish as :func:`discord`.
     """
     objective = _TwoMeasurementObjective(state)
-    best_value, best_params, diagnostics = _minimize(
-        objective, objective.n_nodes, config or OptimizerConfig()
-    )
+    best_value, best_params, diagnostics = _minimize(objective, config or OptimizerConfig())
     diagnostics.update({"level": 2, "measured_order": [0, 1]})
     return DiscordResult(
         value=best_value,

@@ -5,15 +5,18 @@ the first measured subsystem and, for every outcome path, a child basis for
 the next measured subsystem.  Applying a tree to depth d realizes the
 conditional measurement Pi_{j_1} ox Pi_{j_2|j_1} ox ... ox Pi_{j_d|j_1..j_{d-1}}.
 
-Measured subsystems must be qubits.  Measurement order is explicit: callers
-who want a different ordering relabel the state first with
-:func:`mdiscord.qstate.permute_subsystems`.
+Measured subsystems must be qubits: a tree refuses any basis that is not a
+qubit pair, and :func:`apply_tree` any measured position that is not a qubit.
+Measurement order is explicit: callers who want a different ordering relabel
+the state first with :func:`mdiscord.qstate.permute_subsystems`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -25,7 +28,6 @@ from .qstate import (
     SubsetSpec,
     _is_json_number,
     as_subset,
-    eig_hermitian,
     kron_product,
     permute_subsystems,
 )
@@ -69,11 +71,12 @@ class ProjectorBasis:
 
 @dataclass(frozen=True)
 class MeasurementTree:
-    """Per-outcome-path projector bases over the measured subsystems.
+    """Per-outcome-path qubit projector pairs over the measured subsystems.
 
     ``measured`` lists the measured positions in measurement order,
     ``root`` is the basis for the first of them, and ``children`` maps each
-    outcome path (j_1, ..., j_{k-1}) to the basis used for the k-th.
+    outcome path (j_1, ..., j_{k-1}) to the basis used for the k-th.  Every
+    basis must be a qubit pair.
     """
 
     measured: tuple[int, ...]
@@ -86,18 +89,10 @@ class MeasurementTree:
             raise StructuralError("a tree must measure at least one subsystem")
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "children", dict(self.children))
-        expected = set()
-        for depth in range(1, len(measured)):
-            for path in _paths_at_depth(depth, self._outcome_counts(depth)):
-                expected.add(path)
-        if expected != set(self.children):
+        if any(basis.dim != 2 for basis in (self.root, *self.children.values())):
+            raise StructuralError("every basis of a tree must be a qubit pair")
+        if set(bfs_paths(len(measured))[1:]) != set(self.children):
             raise StructuralError("children do not cover every outcome path exactly once")
-
-    def _outcome_counts(self, depth: int) -> tuple[int, ...]:
-        counts = [self.root.dim]
-        for d in range(1, depth):
-            counts.append(self.basis_at((0,) * d).dim)
-        return tuple(counts)
 
     @property
     def depth(self) -> int:
@@ -107,11 +102,9 @@ class MeasurementTree:
         return self.root if len(path) == 0 else self.children[tuple(path)]
 
 
-def _paths_at_depth(depth, outcome_counts):
-    paths = [()]
-    for d in range(depth):
-        paths = [p + (j,) for p in paths for j in range(outcome_counts[d])]
-    return paths
+def _paths_at_depth(depth: int) -> list[tuple[int, ...]]:
+    """The outcome paths of ``depth`` qubit measurements, in lexicographic order."""
+    return list(itertools.product((0, 1), repeat=depth))
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,7 @@ def bfs_paths(depth: int) -> tuple[tuple[int, ...], ...]:
     """Outcome paths for all nodes, breadth-first: (), (0,), (1,), (0,0), ..."""
     out = []
     for d in range(depth):
-        out.extend(_paths_at_depth(d, (2,) * d))
+        out.extend(_paths_at_depth(d))
     return tuple(out)
 
 
@@ -183,13 +176,19 @@ def params_to_json(params: MeasParams) -> str:
 
 
 def params_from_json(text: str) -> MeasParams:
-    """Parse the JSON schema produced by :func:`params_to_json`."""
+    """Parse the JSON schema produced by :func:`params_to_json`; every angle
+    must be finite (JSON ``NaN`` and ``Infinity`` parse as floats, and an
+    integer may exceed every float)."""
     payload = json.loads(text)
     nodes = payload.get("nodes") if isinstance(payload, dict) else None
     if not (isinstance(nodes, list) and all(map(_is_json_node, nodes))):
         raise StructuralError(
             'params JSON must be {"nodes": [{"path": [...], "theta": t, "phi": p}, ...]}'
         )
+    for node in nodes:
+        for angle in ("theta", "phi"):
+            if not abs(node[angle]) <= sys.float_info.max:
+                raise StructuralError(f"{angle} of node {node['path']} must be finite")
     by_path = {tuple(node["path"]): (node["theta"], node["phi"]) for node in nodes}
     depth = int(np.log2(len(by_path) + 1))
     paths = bfs_paths(depth)
@@ -279,17 +278,14 @@ def apply_tree(
     """
     if not 1 <= depth <= tree.depth:
         raise StructuralError(f"depth must lie in [1, {tree.depth}], got {depth}")
-    for i, pos in enumerate(tree.measured[:depth]):
+    for pos in tree.measured[:depth]:
         if pos >= state.n_subsystems:
             raise StructuralError(f"tree measures position {pos}, state has fewer subsystems")
-        if state.dims[pos] != tree.basis_at((0,) * i).dim:
-            raise StructuralError(
-                f"basis dimension mismatch at measured subsystem {pos}"
-            )
-    outcome_counts = tree._outcome_counts(depth)
+        if state.dims[pos] != 2:
+            raise StructuralError(f"measured subsystem {pos} is not a qubit")
     post = np.zeros_like(state.matrix)
     branches = []
-    for path in _paths_at_depth(depth, outcome_counts):
+    for path in _paths_at_depth(depth):
         proj = _embedded_projector(state.dims, tree, path)
         piece = proj @ state.matrix @ proj
         prob = float(piece.trace().real)
@@ -319,11 +315,7 @@ def _probe_matrix(dim: int, seed: int) -> np.ndarray:
 def _conditioning_basis(state: QState, position: int) -> np.ndarray:
     """Orthonormal qubit basis (rows) diagonalizing ``position`` inside a
     product-conditional block structure, if the state has one."""
-    n = state.n_subsystems
-    if n == 1:
-        _, vecs = eig_hermitian(state, return_vectors=True)
-        return vecs.T.copy()
-    rest = [i for i in range(n) if i != position]
+    rest = [i for i in range(state.n_subsystems) if i != position]
     moved = permute_subsystems(state, [position] + rest)
     rest_dim = moved.side // 2
     sigma = moved.matrix.reshape(2, rest_dim, 2, rest_dim)

@@ -10,7 +10,8 @@ grids are enumerated lexicographically, value ties keep enumeration order,
 and the refinement uses no randomness.
 
 Objectives map a flat angle vector (theta, phi alternating, node-major) to a
-scalar, and :func:`optimize` asks every objective for the same two methods.
+scalar.  Every objective carries ``n_nodes``, the node count of its tree, and
+:func:`optimize` asks every objective for the same two methods.
 ``grid_tables(points)`` supplies per-branch term tables: the discord
 integrand is a constant plus terms that each depend only on one branch's
 ancestor nodes, so the grid minimum comes from dynamic programming over the
@@ -176,7 +177,7 @@ def _tree_minimum(base: float, tables, points: int):
     return root, params
 
 
-def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResult:
+def grid_scan(objective, config: OptimizerConfig) -> GridScanResult:
     """The exact minimum of the objective over the full Cartesian angle grid,
     kept as its ``refine_starts`` best root cells.
 
@@ -188,16 +189,17 @@ def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResul
     ties in grid order, as are ties within a cell).
 
     The objective's ``grid_tables(points)`` supplies ``base`` and
-    per-branch term tables, and the minimum comes from dynamic programming
-    over the measurement tree (:func:`_tree_minimum`) without valuing any
-    grid point on its own; ``evaluations`` is still the grid size.
-    ``_MAX_GRID_TOTAL`` caps the values held at once: the largest table's
-    ``(2 * points**2) ** depth`` for a tree of that depth.
+    per-branch term tables over its tree of ``n_nodes`` nodes, and the
+    minimum comes from dynamic programming over the measurement tree
+    (:func:`_tree_minimum`) without valuing any grid point on its own;
+    ``evaluations`` is still the grid size.  ``_MAX_GRID_TOTAL`` caps the
+    values held at once: the largest table's ``(2 * points**2) ** depth``
+    for a tree of that depth.
     """
     points = config.grid_points_per_angle
     cells = points * points
-    total = cells ** n_nodes
-    depth = (n_nodes + 1).bit_length() - 1
+    total = cells ** objective.n_nodes
+    depth = objective.n_nodes.bit_length()  # a tree of depth d has 2**d - 1 nodes
     held = (2 * cells) ** depth
     if held > _MAX_GRID_TOTAL:
         raise ValueError(
@@ -205,11 +207,6 @@ def grid_scan(objective, n_nodes: int, config: OptimizerConfig) -> GridScanResul
             "large; lower grid_points_per_angle"
         )
     base, tables = objective.grid_tables(points)
-    if len(tables) != depth or 2 ** depth - 1 != n_nodes:
-        raise ValueError(
-            f"objective tables span {len(tables)} depths, not a tree of "
-            f"{n_nodes} nodes"
-        )
     roots, params = _tree_minimum(base, tables, points)
     kept = np.argsort(roots, kind="stable")[:config.refine_starts]
     return GridScanResult(values=roots[kept], params=params[kept], evaluations=total)
@@ -428,7 +425,7 @@ def simplex_refine(objective, start) -> OptimizerOutcome:
     return _run_together(objective, [_nelder_mead(start)])[0]
 
 
-def optimize(objective, n_nodes: int, config: OptimizerConfig | None = None) -> OptimizerOutcome:
+def optimize(objective, config: OptimizerConfig) -> OptimizerOutcome:
     """Grid scan, then quasi-Newton refinement from the top candidates.
 
     The starts are refined in lockstep by :func:`_quasi_newton`, one
@@ -438,8 +435,7 @@ def optimize(objective, n_nodes: int, config: OptimizerConfig | None = None) -> 
     ``converged`` describes the point returned: no rung of its last ladder
     along -H g lies below it.
     """
-    config = config or OptimizerConfig()
-    scan = grid_scan(objective, n_nodes, config)
+    scan = grid_scan(objective, config)
     evaluations = scan.evaluations
     best: OptimizerOutcome | None = None
     starts = [_quasi_newton(start) for start in scan.params]

@@ -201,38 +201,6 @@ def permute_subsystems(state: QState, order: Sequence[int]) -> QState:
     return QState(dims, t.reshape(side, side))
 
 
-def eig_hermitian(state: QState, return_vectors: bool = False):
-    """Eigenvalues of a Hermitian state, sorted descending.
-
-    With ``return_vectors=True`` also returns the matching orthonormal
-    eigenvectors as columns.  Exactly degenerate eigenvalues are ordered by
-    lexicographic comparison of their eigenvector entries so repeated runs
-    produce identical output.
-    """
-    m = state.matrix
-    if float(np.max(np.abs(m - m.conj().T))) >= HERMITICITY_TOL:
-        raise StructuralError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(m)
-    order = list(np.argsort(-vals, kind="stable"))
-
-    def vec_key(i):
-        return tuple((float(x.real), float(x.imag)) for x in vecs[:, i])
-
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        while stop < len(order) and vals[order[stop]] == vals[order[start]]:
-            stop += 1
-        if stop - start > 1:
-            order[start:stop] = sorted(order[start:stop], key=vec_key)
-        start = stop
-
-    sorted_vals = vals[order]
-    if return_vectors:
-        return sorted_vals, vecs[:, order]
-    return sorted_vals
-
-
 def x_log2_x(values: np.ndarray) -> np.ndarray:
     """Elementwise x log2 x, with entries at or below
     ``ENTROPY_EIGENVALUE_CLAMP`` contributing exactly 0."""

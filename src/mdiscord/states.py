@@ -6,21 +6,13 @@ build(mu) = mu * build(1) + (1 - mu) * build(0) entrywise.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
-from .qstate import (
-    QState,
-    from_json as qstate_from_json,
-    kron_product,
-    to_json as qstate_to_json,
-)
+from .qstate import QState, kron_product
 
 MU_FAMILIES = ("werner_ghz", "werner_w", "bell_mixture", "classical_quantum_mix")
 FIXED_FAMILIES = ("cc_example", "ghz", "w_state", "product")
-FAMILIES = MU_FAMILIES + FIXED_FAMILIES + ("explicit",)
+FAMILIES = MU_FAMILIES + FIXED_FAMILIES
 
 _KET0 = np.array([1.0, 0.0])
 _KET1 = np.array([0.0, 1.0])
@@ -120,50 +112,16 @@ _BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class StateSpec:
-    """Names a state: a catalog family (with mu where applicable) or an
-    explicit density matrix."""
-
-    family: str
-    mu: float | None = None
-    explicit: QState | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.mu is None and self.family in MU_FAMILIES:
-            raise ValueError(f"family {self.family!r} is mu-parameterized and needs mu")
-        if self.mu is not None and self.family not in MU_FAMILIES:
-            raise ValueError(
-                f"family {self.family!r} takes no mu; only {', '.join(MU_FAMILIES)} do"
-            )
-        if (self.explicit is not None) != (self.family == "explicit"):
-            raise ValueError("explicit matrix goes with family='explicit' only")
-
-
-def build(spec: StateSpec) -> QState:
-    if spec.family == "explicit":
-        return spec.explicit
-    if spec.family in MU_FAMILIES:
-        return _BUILDERS[spec.family](spec.mu)
-    return _BUILDERS[spec.family]()
-
-
-def spec_to_json(spec: StateSpec) -> str:
-    payload: dict = {"family": spec.family}
-    if spec.mu is not None:
-        payload["mu"] = spec.mu
-    if spec.explicit is not None:
-        payload["explicit_matrix"] = json.loads(qstate_to_json(spec.explicit))
-    return json.dumps(payload)
-
-
-def spec_from_json(text: str) -> StateSpec:
-    payload = json.loads(text)
-    explicit = None
-    if "explicit_matrix" in payload:
-        explicit = qstate_from_json(json.dumps(payload["explicit_matrix"]))
-    return StateSpec(
-        family=payload["family"], mu=payload.get("mu"), explicit=explicit
-    )
+def build(family: str, mu: float | None = None) -> QState:
+    """The catalog state ``family``, at ``mu`` for a mu-parameterized one."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if family in MU_FAMILIES:
+        if mu is None:
+            raise ValueError(f"family {family!r} is mu-parameterized and needs mu")
+        return _BUILDERS[family](mu)
+    if mu is not None:
+        raise ValueError(
+            f"family {family!r} takes no mu; only {', '.join(MU_FAMILIES)} do"
+        )
+    return _BUILDERS[family]()

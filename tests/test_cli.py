@@ -4,16 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mdiscord import OptimizerConfig, discord, random_state
-from mdiscord import cli, oracle
+from mdiscord import MeasParams, OptimizerConfig, discord, random_state
+from mdiscord import cli, oracle, states
 from mdiscord.measure import params_to_json
 from mdiscord.qstate import to_json
 
@@ -129,8 +131,6 @@ class TestSweepCommand:
 class TestFluxCommand:
     def test_with_explicit_params(self, tmp_path):
         params_file = tmp_path / "params.json"
-        from mdiscord import MeasParams
-
         params_file.write_text(params_to_json(MeasParams(((0.0, 0.0),) * 3)))
         out = tmp_path / "flux.csv"
         code = cli.main(["flux", "--family", "ghz", "--params", str(params_file),
@@ -323,6 +323,16 @@ REJECTED = [
         [[0.25, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0.25, 0], [0, float("nan")], [0, 0]],
         [[0, 0], [0, 0], [0.25, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0.25, 0]]]}],
      "matrix entry [1][2] must be finite"),
+    # an angle beyond every float is refused before it is converted
+    (["flux", "--family", "ghz", "--params",
+      {"nodes": [{"path": [], "theta": 10 ** 400, "phi": 0.0}]}],
+     "theta of node [] must be finite"),
+    (["discord", "--state", {"dims": [2], "matrix": [[[0.5, 0], [0, 0]],
+                                                       [[0, 0], [0.5, 0]]]}],
+     "discord needs at least two subsystems, the state has 1"),
+    (["flux", "--state", {"dims": [4], "matrix": [
+        [[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)]}],
+     "discord needs at least two subsystems, the state has 1"),
 ]
 
 
@@ -430,3 +440,175 @@ def test_bounded_flags_exit_zero_or_two_in_one_line(flag_value):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert out.getvalue() and not err.getvalue()
+
+
+# The file fuzzer draws config, state and params files.  A config draws its
+# keys from cli.SETTINGS for the subcommand, each with its own values at and
+# beyond its bounds or one of HOSTILE: non-finite numbers, 400-digit integers
+# and every wrong JSON type.  A key whose valid values only cost time upward
+# (sweep points, samples) never draws a large one, and a grid either is cheap
+# (2 or 3 points per angle) or lies beyond the size cap at every level.
+BIG = 10 ** 400
+HOSTILE = [float("nan"), float("inf"), float("-inf"), -BIG, None, True, "2", [2], {"2": 2}]
+# paths inside the run's directory: the state and params files (absent
+# unless drawn), a new file, a missing directory and the directory itself
+PATH_NAMES = st.sampled_from(["state.json", "params.json", "out.csv", "no-dir/x.json", "."])
+
+
+def _values(*own, big=True):
+    return st.one_of(*own, st.sampled_from(HOSTILE + [BIG] * big))
+
+
+CONFIG_VALUES = {
+    "out": _values(PATH_NAMES),
+    "level": _values(st.integers(-1, 5)),
+    "order": _values(st.lists(st.integers(-1, 3), max_size=4)),
+    "params": _values(PATH_NAMES),
+    "samples": _values(st.integers(max_value=1), big=False),
+    "seed": _values(st.integers(min_value=-2)),
+    "state.family": _values(st.sampled_from(states.FAMILIES + ("nope",))),
+    "state.mu": _values(st.sampled_from([0.0, 1.0, -5e-324, 1.0000000000000002]),
+                        st.floats()),
+    "state.state": _values(PATH_NAMES),
+    "sweep.points": _values(st.integers(max_value=3), big=False),
+    "sweep.start": _values(st.sampled_from([0.0, 1.0]), st.floats()),
+    "sweep.stop": _values(st.sampled_from([0.0, 1.0]), st.floats()),
+    "optimizer.grid_points_per_angle": _values(st.integers(max_value=3),
+                                               st.integers(min_value=10 ** 4)),
+    "optimizer.refine_starts": _values(st.integers(max_value=1)),
+}
+# a cheap value for each costly setting a config leaves unset
+CHEAP = {"optimizer.grid_points_per_angle": "2", "optimizer.refine_starts": "1",
+         "sweep.points": "2", "samples": "1"}
+PATH_KEYS = ("out", "params", "state.state")
+DROP = object()  # removes the value it replaces
+
+
+def _places(payload, place=()):
+    """The key paths of every value inside a JSON payload, its root first."""
+    yield place
+    items = payload.items() if isinstance(payload, dict) else (
+        enumerate(payload) if isinstance(payload, list) else ())
+    for key, value in items:
+        yield from _places(value, place + (key,))
+
+
+def _replaced(payload, place, value):
+    if not place:
+        return value
+    out = dict(payload) if isinstance(payload, dict) else list(payload)
+    key, rest = place[0], place[1:]
+    if value is DROP and not rest:
+        del out[key]
+    else:
+        out[key] = _replaced(payload[key], rest, value)
+    return out
+
+
+@st.composite
+def _corrupted(draw, payload):
+    """``payload``, or a copy with one value inside it dropped or replaced by
+    a hostile or small one."""
+    if draw(st.booleans()):
+        return payload
+    place = draw(st.sampled_from(list(_places(payload))))
+    value = draw(st.sampled_from(HOSTILE + [BIG, 0, 1, 2, 3] + [DROP] * bool(place)))
+    return _replaced(payload, place, value)
+
+
+@st.composite
+def state_files(draw):
+    dims = draw(st.sampled_from([(2,), (4,), (2, 2), (2, 3), (3, 2), (2, 2, 2)]))
+    rank = draw(st.integers(1, int(np.prod(dims))))
+    state = random_state(dims, rank, draw(st.integers(0, 9)))
+    return draw(_corrupted(json.loads(to_json(state))))
+
+
+@st.composite
+def params_files(draw):
+    nodes = 2 ** draw(st.integers(1, 3)) - 1
+    angles = np.random.default_rng(draw(st.integers(0, 9))).uniform(0.0, 7.0, 2 * nodes)
+    return draw(_corrupted(json.loads(params_to_json(MeasParams.from_flat(angles)))))
+
+
+def _holder(config, key):
+    """The object of a nested config that would hold ``key``, if it is one,
+    and the key's name inside it."""
+    block, _, inner = key.rpartition(".")
+    holder = config.get(block) if block and isinstance(config, dict) else config
+    return (holder if isinstance(holder, dict) else {}), inner
+
+
+@st.composite
+def config_files(draw, command):
+    """A config file: the subcommand's keys from cli.SETTINGS and a stray
+    one, in their blocks, perhaps with a block replaced by a hostile value;
+    a hostile value in place of the whole object; or a missing file or a
+    directory as its path."""
+    keys = [key for key, row in cli.SETTINGS.items() if command in row[2]]
+    optional = {key: CONFIG_VALUES[key] for key in keys}
+    optional["nope"] = st.just(1)
+    flat = draw(st.fixed_dictionaries({}, optional=optional))
+    config = {}
+    for key, value in flat.items():
+        block, _, inner = key.rpartition(".")
+        (config.setdefault(block, {}) if block else config)[inner] = value
+    if config and draw(st.booleans()):
+        config[draw(st.sampled_from(sorted(config)))] = draw(st.sampled_from(HOSTILE))
+    return draw(st.sampled_from([config] * 8 + [None] + HOSTILE
+                                + [Path("missing.json"), Path(".")]))
+
+
+STATE_FLAGS = {
+    "discord": [[], ["--state", "state.json"], ["--family", "werner_ghz", "--mu", "0.5"]],
+    "flux": [[], ["--state", "state.json"], ["--family", "ghz"],
+             ["--params", "params.json"], ["--state", "state.json", "--params", "params.json"],
+             ["--family", "ghz", "--params", "params.json"]],
+    "sweep": [[], ["--family", "werner_w"]],
+    "verify": [[]],
+}
+
+
+@st.composite
+def file_runs(draw):
+    command = draw(st.sampled_from(sorted(STATE_FLAGS)))
+    argv = [command] + draw(st.sampled_from(STATE_FLAGS[command]))
+    return (argv, draw(config_files(command)), draw(st.none() | state_files()),
+            draw(st.none() | params_files()))
+
+
+@example((["flux", "--family", "ghz", "--params", "params.json"], None, None,
+          {"nodes": [{"path": [], "theta": BIG, "phi": 0.0}]}))
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(file_runs())
+def test_files_exit_zero_or_two_in_one_line(run_files):
+    argv, config, state, params = run_files
+    with tempfile.TemporaryDirectory() as name:
+        directory = Path(name)
+        for payload, file in ((state, "state.json"), (params, "params.json")):
+            if payload is not None:
+                (directory / file).write_text(json.dumps(payload))
+        argv = [str(directory / arg) if arg.endswith(".json") else arg for arg in argv]
+        if isinstance(config, Path):
+            argv += ["--config", str(directory / config)]
+        elif config is not None:
+            config = json.loads(json.dumps(config))  # a copy to resolve paths in
+            for key in PATH_KEYS:
+                holder, inner = _holder(config, key)
+                if isinstance(holder.get(inner), str):
+                    holder[inner] = str(directory / holder[inner])
+            (directory / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(directory / "config.json")]
+        # a config's value of a costly setting is in force; else a cheap flag
+        for key, value in CHEAP.items():
+            holder, inner = _holder(config, key)
+            if argv[0] in cli.SETTINGS[key][2] and inner not in holder:
+                argv += [cli.SETTINGS[key][3], value]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 2), (argv, config, code, err.getvalue())
+    assert len(err.getvalue().splitlines()) <= 1, (argv, config, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not err.getvalue()

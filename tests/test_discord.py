@@ -535,7 +535,7 @@ class TestDiscord:
         self, monkeypatch, polished_converged
     ):
         state = random_qubits(17, 3, 4)
-        refined = optimize(_MeasuredEntropyObjective(state, 3), 3, OptimizerConfig())
+        refined = optimize(_MeasuredEntropyObjective(state, 3), OptimizerConfig())
         assert refined.converged
 
         def slightly_lower(objective, start):

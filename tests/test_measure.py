@@ -225,6 +225,15 @@ class TestOptimalTree:
         post, _ = apply_tree(measured, tree, depth)
         assert np.max(np.abs(post.matrix - measured.matrix)) < 1e-10
 
+    @pytest.mark.parametrize("matrix", [np.diag([0.75, 0.25]), np.eye(2) / 2, dm(PLUS)],
+                             ids=["diagonal", "maximally-mixed", "plus"])
+    def test_one_qubit_state_is_a_fixed_point(self, matrix):
+        # no rest to condition on: the probe loop meets a rest of dimension 1
+        state = QState((2,), matrix)
+        tree = optimal_tree_for_measured_state(state, (0,))
+        post, _ = apply_tree(state, tree, 1)
+        assert np.max(np.abs(post.matrix - state.matrix)) < 1e-12
+
     def test_degenerate_probabilities(self, ghz):
         # X-basis root measurement gives equal outcome probabilities with
         # distinct conditional states; the marginal alone cannot identify the
@@ -244,6 +253,15 @@ class TestTreeStructure:
         basis = projector_pair_from_angles(0.0, 0.0)
         with pytest.raises(StructuralError):
             MeasurementTree(measured=(0, 1), root=basis, children={(0,): basis})
+
+    def test_qutrit_basis_rejected(self):
+        qutrit = ProjectorBasis.from_vectors(np.eye(3))
+        with pytest.raises(StructuralError, match="qubit pair"):
+            MeasurementTree(measured=(0,), root=qutrit, children={})
+        qubit = projector_pair_from_angles(0.0, 0.0)
+        with pytest.raises(StructuralError, match="qubit pair"):
+            MeasurementTree(measured=(0, 1), root=qubit,
+                            children={(0,): qubit, (1,): qutrit})
 
     def test_parameter_count_scaling(self):
         for n_parties in (2, 3, 4):
@@ -286,6 +304,12 @@ class TestParamsJson:
         {"nodes": [{"path": [], "theta": "0.1", "phi": 0.2}]},
         {"nodes": [{"path": [], "theta": 0.1}]},
         {"nodes": [{"path": [], "theta": 0.1, "phi": None}]},
+        # a 400-digit integer exceeds every float
+        {"nodes": [{"path": [], "theta": 10 ** 400, "phi": 0.2}]},
+        {"nodes": [{"path": [], "theta": 0.1, "phi": float("nan")}]},
+        {"nodes": [{"path": [], "theta": 0.1, "phi": 0.2},
+                   {"path": [0], "theta": float("-inf"), "phi": 0.2},
+                   {"path": [1], "theta": 0.1, "phi": 0.2}]},
     ])
     def test_rejects_malformed_payload(self, payload):
         with pytest.raises(StructuralError):

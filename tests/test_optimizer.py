@@ -41,6 +41,7 @@ class BatchCounter:
 
     def __init__(self, objective):
         self.objective = objective
+        self.n_nodes = objective.n_nodes
         self.grid_tables = objective.grid_tables
         self.calls = 0
         self.sizes = []
@@ -66,10 +67,10 @@ def refine_alone(objective, start):
     return _run_together(objective, [_quasi_newton(start)], gradient=True)[0]
 
 
-def sequential_optimize(objective, n_nodes, config):
+def sequential_optimize(objective, config):
     """The refinement one start at a time: each grid start through
     _quasi_newton alone, in rank order."""
-    scan = grid_scan(objective, n_nodes, config)
+    scan = grid_scan(objective, config)
     evaluations = scan.evaluations
     best = None
     for start in scan.params:
@@ -230,7 +231,7 @@ class TestFoldAngles:
 class TestGridScan:
     def test_two_parameter_grid_size(self):
         objective = TabulatedNode(lambda x: float(np.sum(x ** 2)))
-        scan = grid_scan(objective, 1, OptimizerConfig())
+        scan = grid_scan(objective, OptimizerConfig())
         assert scan.evaluations == 36
         assert sum(len(rows) for rows in objective.batches) == 36
 
@@ -238,26 +239,26 @@ class TestGridScan:
         # batched objective: still one evaluation per grid point
         state = random_qubits(1, 3, 8)
         objective = _MeasuredEntropyObjective(state, 3)
-        scan = grid_scan(objective, 3, OptimizerConfig())
+        scan = grid_scan(objective, OptimizerConfig())
         assert scan.evaluations == 6 ** 6 == 46656
         assert len(scan.values) == 4
 
     def test_constant_objective_tie_break(self):
         objective = TabulatedNode(lambda x: 1.0)
-        scan = grid_scan(objective, 1, OptimizerConfig())
+        scan = grid_scan(objective, OptimizerConfig())
         assert_allclose(scan.params[0], [0.0, 0.0])
         assert scan.values[0] == 1.0
 
     def test_sorted_ascending(self):
         objective = TabulatedNode(lambda x: float(np.sum((x - 0.7) ** 2)))
-        scan = grid_scan(objective, 1, OptimizerConfig())
+        scan = grid_scan(objective, OptimizerConfig())
         assert np.all(np.diff(scan.values) >= 0)
 
     def test_theta_endpoints_and_phi_open_interval(self):
         objective = TabulatedNode(lambda x: -x[0] + x[1] / 100)
         # 16 starts keep the whole 4 x 4 grid, down to its worst point
         config = OptimizerConfig(grid_points_per_angle=4, refine_starts=16)
-        scan = grid_scan(objective, 1, config)
+        scan = grid_scan(objective, config)
         best = scan.params[0]
         assert_allclose(best[0], np.pi / 2)  # theta hits the upper endpoint
         assert_allclose(best[1], 0.0)
@@ -283,7 +284,7 @@ class TestGridScan:
         for starts in (1, 4, 7, cells + 1):
             config = OptimizerConfig(grid_points_per_angle=points,
                                      refine_starts=starts)
-            scan = grid_scan(objective, objective.n_nodes, config)
+            scan = grid_scan(objective, config)
             kept = root_cells(scan.params, points)
             first = ranked[:starts]
             assert scan.evaluations == values.size
@@ -325,7 +326,7 @@ class TestGridScan:
         cell_min = brute_force_by_root_cell(objective, points).min(axis=1)
         cells = points * points
         config = OptimizerConfig(grid_points_per_angle=points, refine_starts=cells)
-        scan = grid_scan(objective, objective.n_nodes, config)
+        scan = grid_scan(objective, config)
         kept = root_cells(scan.params, points)
         assert np.array_equal(np.sort(kept), np.arange(cells))
         assert_allclose(scan.values, cell_min[kept], rtol=0, atol=1e-12)
@@ -342,7 +343,7 @@ class TestGridScan:
         state = random_state(dims, rank, 400 + rank)
         objective = _MeasuredEntropyObjective(state, level)
         config = OptimizerConfig(grid_points_per_angle=points, refine_starts=7)
-        scan = grid_scan(objective, objective.n_nodes, config)
+        scan = grid_scan(objective, config)
         reference = dense_grid_min(state, level=level, points_per_angle=points)
         assert abs(scan.values[0] - reference) < 1e-12
         # every start's angles reproduce its value
@@ -354,10 +355,10 @@ class TestGridScan:
         # values, not its 46,656 grid values
         objective = _MeasuredEntropyObjective(random_state((2, 2, 2), 3, 5), 3)
         monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 5184)
-        grid_scan(objective, 3, OptimizerConfig())
+        grid_scan(objective, OptimizerConfig())
         monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 5183)
         with pytest.raises(ValueError, match="too large"):
-            grid_scan(objective, 3, OptimizerConfig())
+            grid_scan(objective, OptimizerConfig())
 
 
 class TestSimplexRefine:
@@ -522,7 +523,7 @@ class TestQuasiNewton:
         # the simplex stalled at 3.1e-3 to 6.2e-3 from starts 0, 2, 4 and 6
         state, _ = apply_tree(random_qubits(30_041, 3, 2), random_tree(40_041, 2), 2)
         objective = _MeasuredEntropyObjective(state, 3)
-        scan = grid_scan(objective, 3, OptimizerConfig(refine_starts=8))
+        scan = grid_scan(objective, OptimizerConfig(refine_starts=8))
         outcome = refine_alone(objective, scan.params[rank])
         assert outcome.best_value < 1e-9
         assert outcome.converged
@@ -533,26 +534,26 @@ class TestOptimize:
         tree = random_tree(70, 2)
         measured, _ = apply_tree(random_qubits(5, 3, 6), tree, 2)
         objective = _MeasuredEntropyObjective(measured, 3)
-        outcome = optimize(objective, 3, OptimizerConfig())
+        outcome = optimize(objective, OptimizerConfig())
         assert outcome.best_value < 1e-9
         assert outcome.converged
 
     def test_ghz_tripartite(self, ghz):
         objective = _MeasuredEntropyObjective(ghz, 3)
-        outcome = optimize(objective, 3, OptimizerConfig())
+        outcome = optimize(objective, OptimizerConfig())
         assert_allclose(outcome.best_value, 1.0, atol=1e-4)
 
     def test_monotonicity(self):
         state = random_qubits(9, 3, 7)
         objective = _MeasuredEntropyObjective(state, 3)
-        outcome = optimize(objective, 3, OptimizerConfig())
+        outcome = optimize(objective, OptimizerConfig())
         assert outcome.best_value <= outcome.grid_best + 1e-12
 
     def test_deterministic(self):
         state = random_qubits(10, 3, 3)
         objective = _MeasuredEntropyObjective(state, 3)
-        first = optimize(objective, 3, OptimizerConfig())
-        second = optimize(objective, 3, OptimizerConfig())
+        first = optimize(objective, OptimizerConfig())
+        second = optimize(objective, OptimizerConfig())
         assert first.best_value == second.best_value
         assert np.array_equal(
             first.best_params.to_flat(), second.best_params.to_flat()
@@ -564,8 +565,8 @@ class TestOptimize:
 
         pair = random_state((2, 2), 2, 33)
         state = tensor(pair, random_state((2,), 2, 34))
-        tri = optimize(_MeasuredEntropyObjective(state, 3), 3, OptimizerConfig())
-        bi = optimize(_MeasuredEntropyObjective(pair, 2), 1, OptimizerConfig())
+        tri = optimize(_MeasuredEntropyObjective(state, 3), OptimizerConfig())
+        bi = optimize(_MeasuredEntropyObjective(pair, 2), OptimizerConfig())
         assert abs(tri.best_value - bi.best_value) < 1e-5
 
     @pytest.mark.parametrize("starts", [1, 4, 7])
@@ -575,8 +576,8 @@ class TestOptimize:
         config = OptimizerConfig(refine_starts=starts)
         lockstep = BatchCounter(_MeasuredEntropyObjective(state, 3))
         sequential = BatchCounter(_MeasuredEntropyObjective(state, 3))
-        outcome = optimize(lockstep, 3, config)
-        best, evaluations = sequential_optimize(sequential, 3, config)
+        outcome = optimize(lockstep, config)
+        best, evaluations = sequential_optimize(sequential, config)
         assert outcome.best_value == best.best_value
         assert np.array_equal(outcome.best_params.to_flat(), best.best_params.to_flat())
         assert outcome.evaluations == evaluations

@@ -13,7 +13,6 @@ from mdiscord import (
     StructuralError,
     SubsetSpec,
     entropy,
-    eig_hermitian,
     partial_trace,
     permute_subsystems,
     random_state,
@@ -23,7 +22,7 @@ from mdiscord import (
 )
 from mdiscord.qstate import from_json, kron_product, to_json
 
-from conftest import KET0, KET1, PLUS, dm
+from conftest import KET0, KET1, dm
 
 
 def binary_entropy(p):
@@ -169,36 +168,6 @@ class TestPartialTrace:
         assert np.linalg.eigvalsh(reduced.matrix).min() > -1e-9
 
 
-class TestEigHermitian:
-    def test_maximally_mixed(self):
-        assert_allclose(eig_hermitian(QState((2,), np.eye(2) / 2)), [0.5, 0.5])
-
-    def test_plus_projector(self):
-        vals = eig_hermitian(QState((2,), dm(PLUS)))
-        assert_allclose(vals, [1.0, 0.0], atol=1e-12)
-
-    def test_diagonal_state(self):
-        vals = eig_hermitian(QState((2,), np.diag([0.75, 0.25])))
-        assert_allclose(vals, [0.75, 0.25])
-
-    def test_descending_with_orthonormal_vectors(self):
-        state = random_state((2, 2), 4, 11)
-        vals, vecs = eig_hermitian(state, return_vectors=True)
-        assert np.all(np.diff(vals) <= 1e-15)
-        assert_allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-9)
-        assert_allclose(state.matrix @ vecs, vecs @ np.diag(vals), atol=1e-9)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(StructuralError):
-            eig_hermitian(QState((2,), np.array([[0.5, 1.0], [0.0, 0.5]])))
-
-    def test_degenerate_order_is_deterministic(self):
-        state = QState((2, 2), np.eye(4) / 4)
-        _, first = eig_hermitian(state, return_vectors=True)
-        _, second = eig_hermitian(state, return_vectors=True)
-        assert np.array_equal(first, second)
-
-
 class TestEntropy:
     def test_pure_state(self):
         assert entropy(QState((2,), dm(KET0))) == 0.0
@@ -276,7 +245,7 @@ class TestProperties:
     @pytest.mark.parametrize("seed", range(10))
     def test_eigenvalues_form_a_distribution(self, seed):
         state = random_state((2, 2, 2), 1 + seed % 8, seed)
-        vals = eig_hermitian(state)
+        vals = np.linalg.eigvalsh(state.matrix)
         assert vals.min() > -1e-10
         assert vals.max() < 1.0 + 1e-10
         assert abs(vals.sum() - 1.0) < 1e-9

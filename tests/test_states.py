@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +6,6 @@ from mdiscord import QState, entropy, subsystem_entropy, validate
 from mdiscord.states import (
     FAMILIES,
     MU_FAMILIES,
-    StateSpec,
     bell_mixture,
     bell_state,
     build,
@@ -16,8 +13,6 @@ from mdiscord.states import (
     classical_quantum_mix,
     ghz_state,
     product_state,
-    spec_from_json,
-    spec_to_json,
     w_state,
     werner_ghz,
     werner_w,
@@ -80,15 +75,15 @@ class TestMuFamilies:
     @pytest.mark.parametrize("family", MU_FAMILIES)
     def test_valid_on_a_21_point_grid(self, family):
         for i in range(21):
-            state = build(StateSpec(family, mu=i / 20))
+            state = build(family, mu=i / 20)
             assert validate(state).ok, (family, i / 20)
 
     @pytest.mark.parametrize("family", ("werner_ghz", "werner_w"))
     def test_affine_in_mu(self, family):
-        top = build(StateSpec(family, mu=1.0)).matrix
-        bottom = build(StateSpec(family, mu=0.0)).matrix
+        top = build(family, mu=1.0).matrix
+        bottom = build(family, mu=0.0).matrix
         for mu in (0.125, 0.5, 0.8):
-            direct = build(StateSpec(family, mu=mu)).matrix
+            direct = build(family, mu=mu).matrix
             assert np.array_equal(direct, mu * top + (1 - mu) * bottom)
 
     def test_mu_range_enforced(self):
@@ -98,27 +93,14 @@ class TestMuFamilies:
             werner_w(-0.1)
 
 
-class TestStateSpec:
+class TestBuild:
     def test_family_names(self):
         assert set(MU_FAMILIES) < set(FAMILIES)
         with pytest.raises(ValueError):
-            StateSpec("unknown")
+            build("unknown")
 
     def test_mu_only_for_mu_families(self):
         with pytest.raises(ValueError):
-            StateSpec("ghz", mu=0.5)
+            build("ghz", mu=0.5)
         with pytest.raises(ValueError):
-            StateSpec("werner_ghz")
-
-    def test_explicit_round_trip(self):
-        state = QState((2,), np.diag([0.25, 0.75]))
-        spec = StateSpec("explicit", explicit=state)
-        loaded = spec_from_json(spec_to_json(spec))
-        assert_allclose(build(loaded).matrix, state.matrix, atol=1e-15)
-
-    def test_mu_spec_round_trip(self):
-        spec = StateSpec("werner_w", mu=0.3)
-        loaded = spec_from_json(spec_to_json(spec))
-        assert loaded == spec
-        payload = json.loads(spec_to_json(spec))
-        assert payload == {"family": "werner_w", "mu": 0.3}
+            build("werner_ghz")
