@@ -13,6 +13,7 @@ the state first with :func:`mdiscord.qstate.permute_subsystems`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -305,11 +306,15 @@ def apply_tree(
 _PROBE_SEEDS = (20_201, 47_111, 90_017)
 
 
+@functools.cache  # three seeds per rest dimension: a few entries
 def _probe_matrix(dim: int, seed: int) -> np.ndarray:
+    """The probe of one (dim, seed), made once and shared read-only."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g + g.conj().T
-    return m / np.linalg.norm(m)
+    probe = m / np.linalg.norm(m)
+    probe.setflags(write=False)
+    return probe
 
 
 def _conditioning_basis(state: QState, position: int) -> np.ndarray:

@@ -194,22 +194,22 @@ def grid_scan(objective, config: OptimizerConfig) -> GridScanResult:
     (:func:`_tree_minimum`) without valuing any grid point on its own;
     ``evaluations`` is still the grid size.  ``_MAX_GRID_TOTAL`` caps the
     values held at once: the largest table's ``(2 * points**2) ** depth``
-    for a tree of that depth.
+    for a tree of that depth.  The cap is checked on the table of one node
+    first, so a huge ``points`` is refused before any power of it is formed.
     """
     points = config.grid_points_per_angle
     cells = points * points
-    total = cells ** objective.n_nodes
     depth = objective.n_nodes.bit_length()  # a tree of depth d has 2**d - 1 nodes
-    held = (2 * cells) ** depth
-    if held > _MAX_GRID_TOTAL:
+    if 2 * cells > _MAX_GRID_TOTAL or (2 * cells) ** depth > _MAX_GRID_TOTAL:
         raise ValueError(
-            f"grid of {total} points needs {held} values at once, which is too "
-            "large; lower grid_points_per_angle"
+            f"a grid of {points} points per angle needs more than {_MAX_GRID_TOTAL} "
+            "values at once, which is too large; lower grid_points_per_angle"
         )
     base, tables = objective.grid_tables(points)
     roots, params = _tree_minimum(base, tables, points)
     kept = np.argsort(roots, kind="stable")[:config.refine_starts]
-    return GridScanResult(values=roots[kept], params=params[kept], evaluations=total)
+    return GridScanResult(values=roots[kept], params=params[kept],
+                          evaluations=cells ** objective.n_nodes)
 
 
 def _nelder_mead(start):

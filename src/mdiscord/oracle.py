@@ -6,13 +6,20 @@ plain arrays (textbook projector sandwiches, reshape-and-trace partial
 traces, eigenvalue sums) and never touches :mod:`mdiscord.entropy_flux`.
 It computes nothing with the batched evaluator in :mod:`mdiscord.discord`:
 only ``_cross_implementation_check`` imports it, to compare the two paths,
-and that agreement is itself one of the checks.  The identity checks read
-the subsystem entropies of each matrix from one table of that matrix
-(:func:`_table`), which values each subset once.
+and that agreement is itself one of the checks.
+
+Each check draws all of its random samples first, in a fixed order, then
+values them as one stack: the branches of every sample's tree are walked
+together, and each subset's entropies come from one ``eigvalsh`` call over
+all samples (:func:`_table` values each subset once).  Spectra are summed
+eigenvalue by eigenvalue, so a stack gives the bits of its matrices valued
+one at a time.  The invariance check alone runs per sample, through the
+package's own tree routines.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,43 +44,32 @@ def _reduce_matrix(matrix: np.ndarray, dims, keep) -> np.ndarray:
         out = out.reshape(shape)
         out = np.trace(out, axis1=len(lead) + pos, axis2=len(lead) + pos + len(dims))
         del dims[pos]
-        side = int(np.prod(dims))
+        side = math.prod(dims)
         out = out.reshape(lead + (side, side))
     return out
 
 
-def _spectrum_bits(vals: np.ndarray) -> float:
-    """Entropy in bits of a density matrix's eigenvalues."""
-    total = 0.0
-    for v in vals:
-        if v > _CLAMP:
-            total -= v * np.log2(v)
+def _entropies(matrices: np.ndarray) -> np.ndarray:
+    """Entropy in bits of every density matrix in a stack, leading axes
+    kept, from one ``eigvalsh`` call.  Each spectrum is summed eigenvalue by
+    eigenvalue in ascending order, so a stack of one gives the bits of a
+    single matrix's loop; a pairwise ``np.sum`` would not."""
+    spectra = np.linalg.eigvalsh(matrices)
+    kept = spectra > _CLAMP
+    terms = np.where(kept, spectra * np.log2(np.where(kept, spectra, 1.0)), 0.0)
+    total = np.zeros(spectra.shape[:-1])
+    for k in range(spectra.shape[-1]):
+        total = total - terms[..., k]
     return total
 
 
-def _entropy_bits(matrix: np.ndarray) -> float:
-    return _spectrum_bits(np.linalg.eigvalsh(matrix))
-
-
-def _weighted_entropy(unnormalized: np.ndarray) -> float:
-    """p * S(sigma / p) for an unnormalized branch sigma with trace p."""
-    p = float(unnormalized.trace().real)
-    if p < _ZERO_PROB:
-        return 0.0
-    return p * _entropy_bits(unnormalized / p)
-
-
 def _weighted_entropies(branches: np.ndarray) -> np.ndarray:
-    """:func:`_weighted_entropy` of every branch in a stack, as one array,
-    with one ``eigvalsh`` call for all their spectra."""
-    probs = np.trace(branches, axis1=1, axis2=2).real
+    """p * S(sigma / p) of every unnormalized branch sigma, of trace p, in a
+    stack; a branch with p below ``_ZERO_PROB`` gives 0 and is not valued."""
+    probs = np.trace(branches, axis1=-2, axis2=-1).real
     live = ~(probs < _ZERO_PROB)
-    spectra = np.linalg.eigvalsh(branches[live] / probs[live, None, None])
-    kept = spectra > _CLAMP
-    bits = -np.sum(np.where(kept, spectra * np.log2(np.where(kept, spectra, 1.0)), 0.0),
-                   axis=-1)
-    out = np.zeros(len(probs))
-    out[live] = probs[live] * bits
+    out = np.zeros(probs.shape)
+    out[live] = probs[live] * _entropies(branches[live] / probs[live, None, None])
     return out
 
 
@@ -87,72 +83,83 @@ def _basis_vectors(theta: float, phi: float):
 
 def _embed(dims, position: int, projector: np.ndarray) -> np.ndarray:
     """``projector`` at ``position`` and identities elsewhere, as one
-    Kronecker product; a measured branch is ``proj @ rho @ proj``."""
+    Kronecker product (a stack of projectors gives a stack); a measured
+    branch is ``proj @ rho @ proj``."""
     factors = [projector if pos == position else np.eye(d)
                for pos, d in enumerate(dims)]
     return kron_product(factors)
 
 
-def _branch_walk(matrix: np.ndarray, dims, tree: MeasurementTree, depth: int):
-    """Unnormalized branches of the first ``depth`` tree levels: entry k-1
-    lists the depth-k branches in outcome-path order."""
+def _branch_walk(matrices: np.ndarray, dims, trees, depth: int):
+    """Unnormalized branches of the first ``depth`` levels of each sample's
+    tree, for a stack holding one matrix per tree: entry k-1 stacks the
+    depth-k branches in outcome-path order, ``(2**k, samples, side, side)``."""
     levels = []
-    branches = [((), matrix)]
-    for position in tree.measured[:depth]:
+    branches = [((), matrices)]
+    for position in trees[0].measured[:depth]:
         measured = []
         for path, sigma in branches:
-            for outcome, projector in enumerate(tree.basis_at(path).projectors):
-                proj = _embed(dims, position, projector)
+            for outcome in (0, 1):
+                proj = _embed(dims, position, np.array(
+                    [tree.basis_at(path).projectors[outcome] for tree in trees]))
                 measured.append((path + (outcome,), proj @ sigma @ proj))
         branches = measured
-        levels.append([sigma for _, sigma in branches])
+        levels.append(np.array([sigma for _, sigma in branches]))
     return levels
 
 
-def _table(matrix: np.ndarray):
-    """``s(keep)``: the entropy of a three-qubit matrix reduced to the
-    positions ``keep``, each subset valued once."""
+def _table(matrices: np.ndarray):
+    """``s(keep)``: the entropies of a stack of three-qubit matrices reduced
+    to the positions ``keep``, each subset valued once for the whole stack."""
     values = {}
 
-    def s(keep) -> float:
+    def s(keep) -> np.ndarray:
         keep = tuple(sorted(keep))
         if keep not in values:
-            values[keep] = _entropy_bits(_reduce_matrix(matrix, _QUBITS, keep))
+            values[keep] = _entropies(_reduce_matrix(matrices, _QUBITS, keep))
         return values[keep]
 
     return s
 
 
-def _cmi(s, a, b, given) -> float:
-    """I(a;b|given) from the entropy table ``s`` of one matrix."""
+def _cmi(s, a, b, given):
+    """I(a;b|given) from the entropy table ``s`` of a stack."""
     return s(a + given) + s(b + given) - s(a + b + given) - s(given)
 
 
-def _tri(s) -> float:
-    """I(A;B;C) from the entropy table ``s`` of one matrix."""
+def _tri(s):
+    """I(A;B;C) from the entropy table ``s`` of a stack."""
     return s((0,)) + s((2,)) - s((0, 2)) - _cmi(s, (0,), (2,), (1,))
 
 
-def reference_objective(state: QState, tree: MeasurementTree, level: int | None = None) -> float:
+def _base_terms(matrices: np.ndarray, dims) -> np.ndarray:
+    """-(S(rho) - S(rho_A)) of every matrix in a stack."""
+    return -(_entropies(matrices) - _entropies(_reduce_matrix(matrices, dims, [0])))
+
+
+def reference_objective(state, tree, level: int | None = None):
     """Discord integrand computed branch by branch from the definitions.
 
-    Separate code path from :func:`mdiscord.discord.objective_npartite`;
-    the two must agree to 1e-10 on any (state, tree) pair.
+    ``state`` and ``tree`` are one QState and its tree, which gives a float,
+    or equally long sequences of states of one ``dims`` and their trees,
+    valued as one stack, which gives an array.  Separate code path from
+    :func:`mdiscord.discord.objective_npartite`; the two must agree to 1e-10
+    on any (state, tree) pair.
     """
-    n = state.n_subsystems
+    single = isinstance(state, QState)
+    states, trees = ([state], [tree]) if single else (state, tree)
+    n = states[0].n_subsystems
     level = n if level is None else int(level)
-    dims = state.dims
-    value = -(_entropy_bits(state.matrix) - _entropy_bits(_reduce_matrix(state.matrix, dims, [0])))
-    levels = _branch_walk(np.asarray(state.matrix), dims, tree, level - 1)
+    dims = states[0].dims
+    matrices = np.array([item.matrix for item in states])
+    values = _base_terms(matrices, dims)
+    levels = _branch_walk(matrices, dims, trees, level - 1)
     for depth, branches in enumerate(levels, start=1):
-        for sigma in branches:
-            if depth < level - 1:
-                value += _weighted_entropy(
-                    _reduce_matrix(sigma, dims, [depth])
-                )
-            else:
-                value += _weighted_entropy(sigma)
-    return value
+        if depth < level - 1:
+            branches = _reduce_matrix(branches, dims, [depth])
+        for terms in _weighted_entropies(branches):
+            values = values + terms
+    return float(values[0]) if single else values
 
 
 def dense_grid_min(state: QState, level: int | None = None, points_per_angle: int = 12) -> float:
@@ -173,17 +180,13 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
     dims = state.dims
     thetas = np.linspace(0.0, np.pi / 2, points_per_angle)
     phis = np.linspace(0.0, 2 * np.pi, points_per_angle, endpoint=False)
-    base = -(_entropy_bits(state.matrix) - _entropy_bits(_reduce_matrix(state.matrix, dims, [0])))
+    base = _base_terms(np.asarray(state.matrix), dims)
     # cell_projectors[position]: the embedded projector pair of every
     # (theta, phi) cell, stacked pair after pair
-    cell_projectors = [
-        np.array([
-            _embed(dims, position, np.outer(vector, vector.conj()))
-            for theta in thetas for phi in phis
-            for vector in _basis_vectors(theta, phi)
-        ])
-        for position in range(level - 1)
-    ]
+    vectors = np.array([vector for theta in thetas for phi in phis
+                        for vector in _basis_vectors(theta, phi)])
+    pairs = vectors[:, :, None] * vectors.conj()[:, None, :]
+    cell_projectors = [_embed(dims, position, pairs) for position in range(level - 1)]
 
     def tail_min(sigma: np.ndarray, depth: int) -> float:
         """Minimum over this node's grid of the terms its subtree controls;
@@ -199,7 +202,7 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
             terms += [tail_min(branch, depth + 1) for branch in branches]
         return float(np.min(terms[0::2] + terms[1::2]))
 
-    return base + tail_min(np.asarray(state.matrix), 1)
+    return float(base + tail_min(np.asarray(state.matrix), 1))
 
 
 def invariance_residual(state: QState, tree: MeasurementTree) -> float:
@@ -229,25 +232,33 @@ def _random_tree(rng, depth: int) -> tuple[MeasurementTree, MeasParams]:
     return tree_from_params((2,) * (depth + 1), tuple(range(depth)), params), params
 
 
-def _sample_identities(rng, sample_index: int) -> dict[str, float]:
-    """Max identity violations for one random 3-qubit state and tree, with
-    every side computed from raw definitions."""
-    rank = 1 + sample_index % 8
-    state = random_state(_QUBITS, rank, int(rng.integers(0, 2 ** 31)))
-    tree, _ = _random_tree(rng, 2)
-    rho = np.asarray(state.matrix)
-    branches1, branches2 = _branch_walk(rho, _QUBITS, tree, 2)
+def _draw(rng, index: int) -> tuple[QState, MeasurementTree, MeasParams]:
+    """Sample ``index`` of a check: a random 3-qubit state of rank
+    ``1 + index % 8``, then a random depth-2 tree, drawn in that order."""
+    state = random_state(_QUBITS, 1 + index % 8, int(rng.integers(0, 2 ** 31)))
+    return (state, *_random_tree(rng, 2))
+
+
+def _worst(violations: np.ndarray) -> float:
+    """The largest of a check's per-sample violations, and 0 at least."""
+    return max(0.0, float(np.max(violations)))
+
+
+def _identity_violations(states, trees) -> dict[str, np.ndarray]:
+    """Every identity's violation on each random 3-qubit state with its
+    tree, valued as one stack, with every side computed from raw
+    definitions."""
+    rho = np.array([state.matrix for state in states])
+    branches1, branches2 = _branch_walk(rho, _QUBITS, trees, 2)
     rho1, rho2 = sum(branches1), sum(branches2)
     s0, s1, s2 = _table(rho), _table(rho1), _table(rho2)
 
     # average branch entropies
-    s_rest_m1 = sum(_weighted_entropy(b) for b in branches1)
-    s_b_m1 = sum(_weighted_entropy(_reduce_matrix(b, _QUBITS, [1]))
-                 for b in branches1)
-    s_c_m2 = sum(_weighted_entropy(b) for b in branches2)
-    (rho2_branches1,) = _branch_walk(rho2, _QUBITS, tree, 1)
-    s_b_m1_of_rho2 = sum(_weighted_entropy(_reduce_matrix(b, _QUBITS, [1]))
-                         for b in rho2_branches1)
+    s_rest_m1 = sum(_weighted_entropies(branches1))
+    s_b_m1 = sum(_weighted_entropies(_reduce_matrix(branches1, _QUBITS, [1])))
+    s_c_m2 = sum(_weighted_entropies(branches2))
+    (rho2_branches1,) = _branch_walk(rho2, _QUBITS, trees, 1)
+    s_b_m1_of_rho2 = sum(_weighted_entropies(_reduce_matrix(rho2_branches1, _QUBITS, [1])))
 
     violations = {}
     # Measured conditional entropy equals the conditional entropy of the
@@ -281,7 +292,7 @@ def _sample_identities(rng, sample_index: int) -> dict[str, float]:
     )
     # Bookkeeping identities worth pinning while we are here.
     violations["probability_normalization"] = abs(
-        sum(float(b.trace().real) for b in branches2) - 1.0
+        sum(np.trace(branches2, axis1=-2, axis2=-1).real) - 1.0
     )
     return violations
 
@@ -300,54 +311,43 @@ def identity_suite(seed: int = 0, samples: int = 100) -> tuple[VerifyReport, ...
     """Run every entropy identity on ``samples`` random 3-qubit states with
     random trees; reports the worst violation per identity."""
     rng = np.random.default_rng(seed)
-    worst = {name: 0.0 for name in _IDENTITY_CHECKS}
-    for index in range(samples):
-        for name, violation in _sample_identities(rng, index).items():
-            worst[name] = max(worst[name], violation)
+    states, trees, _ = zip(*(_draw(rng, index) for index in range(samples)))
+    violations = _identity_violations(states, trees)
     return tuple(
-        VerifyReport(name=name, samples=samples, max_violation=worst[name],
+        VerifyReport(name=name, samples=samples, max_violation=_worst(violations[name]),
                      tolerance=IDENTITY_TOL)
         for name in _IDENTITY_CHECKS
     )
 
 
 def _nonnegativity_checks(rng, samples: int) -> list[VerifyReport]:
-    worst_objective = 0.0
-    worst_delta = 0.0
-    worst_product_monogamy = 0.0
+    draws = []
     for index in range(samples):
-        state = random_state(_QUBITS, 1 + index % 8, int(rng.integers(0, 2 ** 31)))
-        tree, _ = _random_tree(rng, 2)
-        rho = np.asarray(state.matrix)
-        branches1, branches2 = _branch_walk(rho, _QUBITS, tree, 2)
-        s0, s1, s2 = _table(rho), _table(sum(branches1)), _table(sum(branches2))
-
-        worst_objective = max(worst_objective, -reference_objective(state, tree))
-        deltas = (
-            _cmi(s0, (0,), (1,), (2,)) - _cmi(s1, (0,), (1,), (2,)),
-            _cmi(s0, (0,), (2,), (1,)) - _cmi(s1, (0,), (2,), (1,)),
-            _cmi(s1, (1,), (2,), (0,)) - _cmi(s2, (1,), (2,), (0,)),
-        )
-        worst_delta = max(worst_delta, -min(deltas))
-
+        state, tree, _ = _draw(rng, index)
         # product of a correlated pair with a third system: the tripartite
         # mutual information change vanishes for every tree
         pair = random_state((2, 2), 1 + index % 4, int(rng.integers(0, 2 ** 31)))
         third = random_state((2,), 1 + index % 2, int(rng.integers(0, 2 ** 31)))
-        product = kron_product([pair.matrix, third.matrix])
-        (product_branches,) = _branch_walk(product, _QUBITS, tree, 1)
-        worst_product_monogamy = max(
-            worst_product_monogamy,
-            abs(_tri(_table(product)) - _tri(_table(sum(product_branches)))),
-        )
-
+        draws.append((state, tree, pair.matrix, third.matrix))
+    states, trees, pairs, thirds = zip(*draws)
+    rho = np.array([state.matrix for state in states])
+    branches1, branches2 = _branch_walk(rho, _QUBITS, trees, 2)
+    s0, s1, s2 = _table(rho), _table(sum(branches1)), _table(sum(branches2))
+    deltas = np.min([
+        _cmi(s0, (0,), (1,), (2,)) - _cmi(s1, (0,), (1,), (2,)),
+        _cmi(s0, (0,), (2,), (1,)) - _cmi(s1, (0,), (2,), (1,)),
+        _cmi(s1, (1,), (2,), (0,)) - _cmi(s2, (1,), (2,), (0,)),
+    ], axis=0)
+    product = kron_product([np.array(pairs), np.array(thirds)])
+    (product_branches,) = _branch_walk(product, _QUBITS, trees, 1)
+    monogamy = abs(_tri(_table(product)) - _tri(_table(sum(product_branches))))
     return [
-        VerifyReport("objective_non_negativity", samples, worst_objective,
+        VerifyReport("objective_non_negativity", samples,
+                     _worst(-reference_objective(states, trees)), IDENTITY_TOL),
+        VerifyReport("conditional_discord_non_negativity", samples, _worst(-deltas),
                      IDENTITY_TOL),
-        VerifyReport("conditional_discord_non_negativity", samples, worst_delta,
+        VerifyReport("product_pair_monogamy_zero", samples, _worst(monogamy),
                      IDENTITY_TOL),
-        VerifyReport("product_pair_monogamy_zero", samples,
-                     worst_product_monogamy, IDENTITY_TOL),
     ]
 
 
@@ -356,9 +356,8 @@ def _invariance_check(rng, samples: int) -> VerifyReport:
 
     worst = 0.0
     for index in range(samples):
-        state = random_state(_QUBITS, 1 + index % 8, int(rng.integers(0, 2 ** 31)))
+        state, tree, _ = _draw(rng, index)
         depth = 1 + index % 2
-        tree, _ = _random_tree(rng, 2)
         measured_state, _ = apply_tree(state, tree, depth)
         rebuilt = optimal_tree_for_measured_state(measured_state, tuple(range(depth)))
         post, _ = apply_tree(measured_state, rebuilt, depth)
@@ -369,13 +368,11 @@ def _invariance_check(rng, samples: int) -> VerifyReport:
 def _cross_implementation_check(rng, samples: int) -> VerifyReport:
     from .discord import _MeasuredEntropyObjective
 
-    worst = 0.0
-    for index in range(samples):
-        state = random_state(_QUBITS, 1 + index % 8, int(rng.integers(0, 2 ** 31)))
-        tree, params = _random_tree(rng, 2)
-        fast = _MeasuredEntropyObjective(state, 3)(params.to_flat())
-        worst = max(worst, abs(fast - reference_objective(state, tree)))
-    return VerifyReport("cross_implementation_objective", samples, worst, 1e-10)
+    states, trees, params = zip(*(_draw(rng, index) for index in range(samples)))
+    fast = np.array([_MeasuredEntropyObjective(state, 3)(node_params.to_flat())
+                     for state, node_params in zip(states, params)])
+    return VerifyReport("cross_implementation_objective", samples,
+                        _worst(np.abs(fast - reference_objective(states, trees))), 1e-10)
 
 
 def verification_suite(seed: int = 0, samples: int = 100) -> tuple[VerifyReport, ...]:

@@ -142,18 +142,20 @@ def validate(state: QState) -> ValidityReport:
 
 
 def kron_product(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of 2-D arrays, the first factor slowest.
+    """Kronecker product of matrices, the first factor slowest.
 
     Each pairwise product is one broadcast multiply, the same elementwise
     products ``np.kron`` forms, so the result equals
     ``functools.reduce(np.kron, factors)`` bit for bit, signed zeros
-    included, without ``np.kron``'s per-call overhead.
+    included, without ``np.kron``'s per-call overhead.  Leading axes
+    broadcast: factors that are stacks of matrices give the stack of their
+    products, each equal to the product of its own matrices.
     """
     product, *rest = factors
     for factor in rest:
-        (rows, cols), (f_rows, f_cols) = product.shape, factor.shape
-        product = (product[:, None, :, None] * factor[None, :, None, :]).reshape(
-            rows * f_rows, cols * f_cols)
+        (rows, cols), (f_rows, f_cols) = product.shape[-2:], factor.shape[-2:]
+        product = product[..., :, None, :, None] * factor[..., None, :, None, :]
+        product = product.reshape(product.shape[:-4] + (rows * f_rows, cols * f_cols))
     return product
 
 

@@ -176,18 +176,28 @@ class TestVerifyCommand:
 
     def test_injected_bias_fails_with_exit_one(self, tmp_path, monkeypatch):
         # a biased branch-entropy routine breaks the decomposition identities
-        true_fn = oracle._weighted_entropy
+        true_fn = oracle._weighted_entropies
 
-        def biased(matrix):
-            return true_fn(matrix) + 0.01
+        def biased(branches):
+            return true_fn(branches) + 0.01
 
-        monkeypatch.setattr(oracle, "_weighted_entropy", biased)
+        monkeypatch.setattr(oracle, "_weighted_entropies", biased)
         out = tmp_path / "verify.csv"
         code = cli.main(["verify", "--samples", "5", "--out", str(out)])
         assert code == 1
         rows = out.read_text().strip().splitlines()[1:]
         failed = {row.split(",")[0] for row in rows if row.endswith(",0")}
         assert "conditional_discord_decomposition" in failed
+
+    def test_output_matches_the_pinned_file(self, tmp_path):
+        # the file holds this command's output at an earlier commit, the
+        # rounding-level digits of every violation included, so a change to
+        # how the checks sum or stack their samples shows here
+        out = tmp_path / "verify.csv"
+        code = cli.main(["verify", "--samples", "100", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        pinned = Path(__file__).parent / "data" / "verify_seed0_samples100.csv"
+        assert out.read_bytes() == pinned.read_bytes()
 
 
 class TestParserErrors:
@@ -211,6 +221,7 @@ class TestParserErrors:
 
 WERNER_GHZ = {"family": "werner_ghz"}
 PAIR = json.loads(to_json(random_state((2, 2), 2, 77)))
+FOUR_QUBITS = json.loads(to_json(random_state((2, 2, 2, 2), 3, 5)))
 
 # (argv, a fragment of the error line that shows which check fired); a dict
 # or a list in argv stands for a JSON file holding it
@@ -333,6 +344,10 @@ REJECTED = [
     (["flux", "--state", {"dims": [4], "matrix": [
         [[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)]}],
      "discord needs at least two subsystems, the state has 1"),
+    # a level-4 grid whose point count has more digits than an integer may
+    # print: refused before any power of the points is formed
+    (["discord", "--state", FOUR_QUBITS, "--grid-points", str(10 ** 400)],
+     "points per angle needs more than 100000000 values at once"),
 ]
 
 
@@ -426,6 +441,7 @@ def _with_edges(test):
 
 
 @_with_edges
+@example(("--grid-points", 10 ** 400))
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(sorted(BOUNDED_FLAGS)).flatmap(
     lambda flag: st.tuples(st.just(flag), st.one_of(
@@ -438,6 +454,8 @@ def test_bounded_flags_exit_zero_or_two_in_one_line(flag_value):
     assert code in (0, 2), (flag, value, code)
     assert len(err.getvalue().splitlines()) <= 1, (flag, value, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # a refusal may echo the value, but formats no number built from it
+    assert len(err.getvalue()) <= len(str(value)) + 200, (flag, len(err.getvalue()))
     if code == 0:
         assert out.getvalue() and not err.getvalue()
 

@@ -2,6 +2,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mdiscord import (
@@ -28,7 +30,7 @@ from mdiscord.discord import (
     result_from_json,
     result_to_json,
 )
-from mdiscord.qstate import x_log2_x
+from mdiscord.qstate import kron_product, x_log2_x
 from mdiscord.optimizer import (
     SIMPLEX_MAX_ITERS,
     OptimizerConfig,
@@ -619,3 +621,55 @@ class TestResultJson:
         assert loaded.optimal_params == result.optimal_params
         assert loaded.diagnostics == result.diagnostics
         assert loaded.decomposition == result.decomposition
+
+
+# Discord minimizes over every measurement tree, so local unitaries
+# U_A (x) U_B (x) U_C leave it unchanged (Ollivier & Zurek, PRL 88, 017901,
+# 2001): a missed minimum in one orientation of the landscape shows here.
+INVARIANCE_TOL = 1e-9
+
+
+def _local_rotation(seed, n_qubits):
+    """A Haar-random unitary per qubit, made as the benchmark's
+    ``local_unitaries`` makes them, as one Kronecker product."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for _ in range(n_qubits):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        q, r = np.linalg.qr(z)
+        factors.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    return kron_product(factors)
+
+
+def _rotated(state, seed):
+    u = _local_rotation(seed, state.n_subsystems)
+    return QState(state.dims, u @ state.matrix @ u.conj().T)
+
+
+@st.composite
+def _base_states(draw):
+    """A catalog state at a drawn mu, or a random 3-qubit state of rank 1-8."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(states.FAMILIES))
+        mu = draw(st.floats(0.0, 1.0)) if family in states.MU_FAMILIES else None
+        return states.build(family, mu)
+    return random_state((2, 2, 2), draw(st.integers(1, 8)), draw(st.integers(0, 2 ** 31)))
+
+
+class TestLocalUnitaryInvariance:
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(_base_states(), st.integers(0, 2 ** 31))
+    def test_rotated_state_keeps_its_discord(self, state, seed):
+        plain = discord(state)
+        turned = discord(_rotated(state, seed))
+        assert plain.converged and turned.converged
+        assert abs(turned.value - plain.value) <= INVARIANCE_TOL, (plain.value, turned.value)
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2 ** 31), st.integers(0, 2 ** 31))
+    def test_rotated_measured_state_stays_at_zero(self, rank, state_seed, seed):
+        tree = random_tree(state_seed, 2)
+        measured, _ = apply_tree(random_state((2, 2, 2), rank, state_seed), tree, 2)
+        result = discord(_rotated(measured, seed))
+        assert result.converged
+        assert abs(result.value) <= INVARIANCE_TOL, result.value

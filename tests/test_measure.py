@@ -16,6 +16,7 @@ from mdiscord import (
     random_state,
     tree_from_params,
 )
+from mdiscord import measure
 from mdiscord.measure import bfs_paths, node_count, params_from_json, params_to_json
 
 from conftest import KET0, KET1, PLUS, dm, random_tree
@@ -233,6 +234,12 @@ class TestOptimalTree:
         tree = optimal_tree_for_measured_state(state, (0,))
         post, _ = apply_tree(state, tree, 1)
         assert np.max(np.abs(post.matrix - state.matrix)) < 1e-12
+
+    def test_probes_are_made_once_and_read_only(self):
+        # every conditioning basis of one rest dimension shares its probes
+        first = measure._probe_matrix(4, 20_201)
+        assert measure._probe_matrix(4, 20_201) is first
+        assert not first.flags.writeable
 
     def test_degenerate_probabilities(self, ghz):
         # X-basis root measurement gives equal outcome probabilities with

@@ -144,20 +144,93 @@ class TestVerificationSuite:
     def test_values_each_entropy_once(self, monkeypatch):
         # per sample: all 7 subsets of rho and of rho1, 4 of rho2 and 10
         # branch entropies; valuing each subset at each use took 60 per
-        # sample and 342 per suite
-        calls = []
-        real_entropy_bits = oracle._entropy_bits
+        # sample and 342 per suite.  Each check values its samples as one
+        # stack, so one call values every sample's matrix of one subset.
+        matrices = []
+        real_entropies = oracle._entropies
 
-        def counting(matrix):
-            calls.append(matrix)
-            return real_entropy_bits(matrix)
+        def counting(stack):
+            matrices.append(int(np.prod(stack.shape[:-2])))
+            return real_entropies(stack)
 
-        monkeypatch.setattr(oracle, "_entropy_bits", counting)
-        oracle._sample_identities(np.random.default_rng(0), 0)
-        assert len(calls) == 28
-        calls.clear()
+        monkeypatch.setattr(oracle, "_entropies", counting)
+        identity_suite(seed=0, samples=1)
+        assert sum(matrices) == 28
+        matrices.clear()
         verification_suite(seed=0, samples=3)
-        assert len(calls) == 225
+        assert sum(matrices) == 225
+        # 22 stacks for the identities, 35 for the non-negativity checks and
+        # 4 for the cross-implementation references: 61, not one per matrix
+        assert len(matrices) == 61
+
+    def test_eigvalsh_calls_fall_with_stacking(self, monkeypatch):
+        # 231 calls per suite when every matrix was valued on its own; the
+        # evaluator's own calls in the cross-implementation check remain
+        calls = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def counting(matrices, *args, **kwargs):
+            calls.append(matrices.shape)
+            return real_eigvalsh(matrices, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        verification_suite(seed=0, samples=3)
+        assert len(calls) == 67
+        calls.clear()
+        verification_suite(seed=0, samples=6)
+        assert len(calls) == 61 + 2 * 6
+
+
+def _loop_entropy(matrix):
+    """Entropy in bits of one matrix, its eigenvalues added one at a time."""
+    total = 0.0
+    for value in np.linalg.eigvalsh(matrix):
+        if value > 1e-12:
+            total -= value * np.log2(value)
+    return total
+
+
+def _loop_weighted_entropy(branch):
+    p = float(branch.trace().real)
+    return 0.0 if p < 1e-12 else p * _loop_entropy(branch / p)
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestStackedHelpers:
+    @pytest.mark.parametrize("side", [2, 3, 4, 8])
+    @pytest.mark.parametrize("samples", [1, 2, 7])
+    def test_stack_equals_each_matrix_on_its_own(self, side, samples):
+        rng = np.random.default_rng(side * 100 + samples)
+        stack = np.array([random_state((side,), int(rng.integers(1, side + 1)),
+                                       int(rng.integers(0, 2 ** 31))).matrix
+                          for _ in range(samples)])
+        weights = rng.uniform(0.0, 1.0, samples)
+        weights[0] = 0.0  # a branch of zero probability gives 0
+        branches = stack * weights[:, None, None]
+        entropies = oracle._entropies(stack)
+        weighted = oracle._weighted_entropies(branches)
+        for i in range(samples):
+            assert _same_bits(entropies[i], _loop_entropy(stack[i]))
+            assert _same_bits(oracle._entropies(stack[i]), _loop_entropy(stack[i]))
+            assert _same_bits(weighted[i], _loop_weighted_entropy(branches[i]))
+        # a second leading axis changes nothing
+        assert np.array_equal(oracle._entropies(stack[None]), entropies[None])
+        assert np.array_equal(oracle._weighted_entropies(branches[:, None]),
+                              weighted[:, None])
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_reference_objective_stack_equals_single_calls(self, level):
+        states = [random_qubits(seed, 3, 1 + seed % 8) for seed in range(5)]
+        trees = [random_tree(100 + seed, 2) for seed in range(5)]
+        values = reference_objective(states, trees, level)
+        for state, tree, value in zip(states, trees, values):
+            assert _same_bits(value, reference_objective(state, tree, level))
+        (one,) = reference_objective(states[:1], trees[:1], level)
+        assert _same_bits(one, values[0])
+        assert isinstance(reference_objective(states[0], trees[0], level), float)
 
 
 def _imported_names(node):
