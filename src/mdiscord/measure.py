@@ -179,7 +179,7 @@ def params_to_json(params: MeasParams) -> str:
 def params_from_json(text: str) -> MeasParams:
     """Parse the JSON schema produced by :func:`params_to_json`; every angle
     must be finite (JSON ``NaN`` and ``Infinity`` parse as floats, and an
-    integer may exceed every float)."""
+    integer may exceed every float), and no node path may appear twice."""
     payload = json.loads(text)
     nodes = payload.get("nodes") if isinstance(payload, dict) else None
     if not (isinstance(nodes, list) and all(map(_is_json_node, nodes))):
@@ -190,7 +190,12 @@ def params_from_json(text: str) -> MeasParams:
         for angle in ("theta", "phi"):
             if not abs(node[angle]) <= sys.float_info.max:
                 raise StructuralError(f"{angle} of node {node['path']} must be finite")
-    by_path = {tuple(node["path"]): (node["theta"], node["phi"]) for node in nodes}
+    by_path = {}
+    for node in nodes:
+        path = tuple(node["path"])
+        if path in by_path:
+            raise StructuralError(f"node path {node['path']} is given twice")
+        by_path[path] = (node["theta"], node["phi"])
     depth = int(np.log2(len(by_path) + 1))
     paths = bfs_paths(depth)
     if set(paths) != set(by_path):

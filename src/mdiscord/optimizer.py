@@ -24,26 +24,27 @@ needs.
 
 Refinement works on one unnormalized vector u per node, n = u / |u|, where
 the objective is smooth and has no flat edge (Absil, Mahony & Sepulchre,
-*Optimization Algorithms on Matrix Manifolds*, 2008, ch. 3-4).  Each start
-runs as a generator that yields the angle rows it needs next, one ladder of
-step lengths per request, each row valued with its gradient.
-:func:`optimize` advances its ``refine_starts`` runs in lockstep and values
-every pending row of every unfinished run in one ``evaluate_many`` call per
-round; one batched call costs about as much as a single-row one.  Each run
-compares only its own values in its own order, and a batched row (value and
-gradient) equals the single-row one bit for bit, so the results are those
-of refining the starts one after another.
+*Optimization Algorithms on Matrix Manifolds*, 2008, ch. 3-4).
+:func:`_quasi_newton` refines every start at once as one array program: the
+iterates, gradients and inverse Hessian estimates are stacked over the
+unfinished starts, each iteration values every start's ladder of step
+lengths in one ``evaluate_many`` call (one batched call costs about as much
+as a single-row one), and a start leaves the stack when it stops.  Each
+start compares only its own values, and batched rows and stacked products
+equal their one-start counterparts bit for bit, so the results are those of
+refining the starts one after another.
 
 :class:`OptimizerConfig` sets the grid density and the number of starts.
 The refinement's iteration cap ``QN_MAX_ITERS`` and step ladder
 ``QN_LINE_STEPS`` are fixed.  The downhill simplex of :func:`simplex_refine`
 (Nelder & Mead 1965, capped at ``SIMPLEX_MAX_ITERS`` iterations, converged
-below a value spread of ``SIMPLEX_TOL``) is kept for the polish passes of
-:func:`mdiscord.discord.discord`.  It values each iteration's four candidate
-points in one ``evaluate_many`` call, and its convergence probes count a
-point as lower only when it beats the best vertex by more than rounding
-(``_PROBE_GAIN``, relative), so where rounding happens to stop the simplex
-does not decide how long it runs.
+below a value spread of ``SIMPLEX_TOL``) serves the polish passes of
+:func:`mdiscord.discord.discord`, which follow :func:`optimize`.  It is a
+plain loop that values each iteration's four candidate points in one
+``evaluate_many`` call, and its convergence probes count a point as lower
+only when it beats the best vertex by more than rounding (``_PROBE_GAIN``,
+relative), so where rounding happens to stop the simplex does not decide
+how long it runs.
 """
 
 from __future__ import annotations
@@ -212,19 +213,31 @@ def grid_scan(objective, config: OptimizerConfig) -> GridScanResult:
                           evaluations=cells ** objective.n_nodes)
 
 
-def _nelder_mead(start):
-    """The body of :func:`simplex_refine` as a generator: it yields each
-    matrix of points it needs valued next, one row each, and is sent their
-    values as a list of floats, in the same order; it returns the
-    :class:`OptimizerOutcome`.
+def simplex_refine(objective, start) -> OptimizerOutcome:
+    """Downhill simplex (Nelder-Mead) from ``start``.
 
-    Every request is one matrix: the initial simplex (n + 1 rows), an
-    iteration's four candidates (4 rows), a shrink or a rebuilt simplex
-    (n rows) and a probe ring (2n rows).  An iteration asks for all of its
-    candidates at once, the reflection, the expansion, the inside
-    contraction and the outside contraction (built from the folded
-    reflection), and keeps at most one of them, so it costs one call
-    whichever it keeps.  ``evaluations`` counts every row valued.
+    Coefficients are the classic (1, 2, 0.5, 0.5); every trial point is
+    folded back into the angle ranges before evaluation; converged when the
+    simplex value spread drops below ``SIMPLEX_TOL`` within
+    ``SIMPLEX_MAX_ITERS`` iterations.  A small value spread alone is
+    accepted only after per-coordinate probes of the best vertex at
+    shrinking step sizes all fail to improve; an improving probe rebuilds
+    the simplex at that scale and continues (the angle chart has exactly
+    flat edges, e.g. phi at theta = 0, where an untested spread criterion
+    stalls).  A probe improves only when it lies more than ``_PROBE_GAIN``
+    times the best vertex's magnitude below it: a point lower by rounding
+    alone would rebuild and re-converge the simplex again and again, until
+    the iteration cap.  Never returns a value worse than the start.
+
+    Every matrix of points is valued in one ``evaluate_many`` call: the
+    initial simplex (n + 1 rows), an iteration's four candidates (4 rows), a
+    shrink or a rebuilt simplex (n rows) and a probe ring (2n rows).  An
+    iteration values all of its candidates at once, the reflection, the
+    expansion, the inside contraction and the outside contraction (built
+    from the folded reflection), and keeps at most one of them.  A batched
+    row equals the single-row value bit for bit, so the run is the one that
+    values only the candidates it compares; ``evaluations`` counts every
+    row valued.
     """
     if isinstance(start, MeasParams):
         start = start.to_flat()
@@ -236,7 +249,7 @@ def _nelder_mead(start):
     moves = np.array([[_REFLECT], [_EXPAND], [-_CONTRACT]])
 
     vertices = np.vstack([x0, fold_angles(x0 + _INITIAL_SIMPLEX_EDGE * axes)])
-    values = np.array((yield vertices))
+    values = objective.evaluate_many(vertices)
     nfe = len(vertices)
     start_value = values[0]
 
@@ -250,7 +263,7 @@ def _nelder_mead(start):
             probe_point = None
             for delta in _PROBE_STEPS:
                 candidates = fold_angles(vertices[0] + delta * ring)
-                candidate_values = yield candidates
+                candidate_values = objective.evaluate_many(candidates)
                 nfe += len(candidates)
                 best = int(np.argmin(candidate_values))
                 if candidate_values[best] < probe_value:
@@ -261,15 +274,15 @@ def _nelder_mead(start):
                 break
             rebuilt = fold_angles(probe_point + delta * axes)
             vertices = np.vstack([probe_point, rebuilt])
-            values = np.concatenate([[probe_value], (yield rebuilt)])
+            values = np.concatenate([[probe_value], objective.evaluate_many(rebuilt)])
             nfe += n
             continue
 
         centroid = np.mean(vertices[:-1], axis=0)
         reflected, expanded, inside = fold_angles(centroid + moves * (centroid - vertices[-1]))
         outside = fold_angles(centroid + _CONTRACT * (reflected - centroid))
-        f_reflected, f_expanded, f_inside, f_outside = yield np.vstack(
-            [reflected, expanded, inside, outside])
+        f_reflected, f_expanded, f_inside, f_outside = objective.evaluate_many(
+            np.vstack([reflected, expanded, inside, outside]))
         nfe += 4
         if f_reflected < values[0]:
             kept = (expanded, f_expanded) if f_expanded < f_reflected else (reflected, f_reflected)
@@ -283,7 +296,7 @@ def _nelder_mead(start):
             vertices[-1], values[-1] = kept
             continue
         vertices[1:] = fold_angles(vertices[0] + _SHRINK * (vertices[1:] - vertices[0]))
-        values[1:] = yield vertices[1:]
+        values[1:] = objective.evaluate_many(vertices[1:])
         nfe += n
 
     best_index = int(np.argmin(values))
@@ -301,135 +314,110 @@ def _nelder_mead(start):
 
 def _sphere_gradient(u: np.ndarray, bloch_grad: np.ndarray) -> np.ndarray:
     """The gradient in u of f(u / |u|), node by node, from the derivative
-    ``bloch_grad`` of f in n: (I - n n^T) df/dn / |u|."""
-    u, bloch_grad = u.reshape(-1, 3), bloch_grad.reshape(-1, 3)
-    norm = np.linalg.norm(u, axis=1, keepdims=True)
+    ``bloch_grad`` of f in n: (I - n n^T) df/dn / |u|; one row per start
+    for rows of u (three components per node, node-major, last axis)."""
+    rows = u.shape[:-1]
+    u, bloch_grad = u.reshape(rows + (-1, 3)), bloch_grad.reshape(rows + (-1, 3))
+    norm = np.linalg.norm(u, axis=-1, keepdims=True)
     n = u / norm
-    return ((bloch_grad - np.sum(n * bloch_grad, axis=1, keepdims=True) * n) / norm).ravel()
+    grad = (bloch_grad - np.sum(n * bloch_grad, axis=-1, keepdims=True) * n) / norm
+    return grad.reshape(rows + (-1,))
 
 
-def _quasi_newton(start):
-    """Quasi-Newton (BFGS) refinement from ``start``, as a generator that
-    yields each matrix of angle rows it needs valued next and is sent their
-    values (a list of floats, in the same order) together with their
-    derivatives in the nodes' Bloch vectors (one row each); it returns the
-    :class:`OptimizerOutcome`.
+def _quasi_newton(objective, starts) -> list[OptimizerOutcome]:
+    """Quasi-Newton (BFGS) refinement from each row of ``starts``, all at
+    once: one :class:`OptimizerOutcome` per start, in order.
 
-    The iterate is one unnormalized vector u per node, starting at the
-    start's Bloch vectors, and the rows asked for are the angles of u /
+    Each start's iterate is one unnormalized vector u per node, starting
+    at the start's Bloch vectors, and the rows valued are the angles of u /
     |u| (:func:`_angles`), so the chart has no fold and no flat edge (phi
-    at theta = 0 is just a point of the sphere).  The start row is asked
-    for alone, as given.  An iteration asks for the whole ladder of
-    ``QN_LINE_STEPS`` along -H g as one matrix, moves to its lowest row,
-    whose gradient came with it, and updates the inverse Hessian estimate
-    H in u.  When no rung lies below the current value, the run has
-    converged.  At most ``QN_MAX_ITERS`` iterations run.  The point
-    returned is a row that was valued, so its value is the one reported;
-    never returns a value above the start's.
-    """
-    row = np.array(start, dtype=float)
-    u = _bloch_vectors(row[0::2], row[1::2]).ravel()
-    eye = np.eye(u.size)
+    at theta = 0 is just a point of the sphere).  The iterates, their
+    gradients in u, their inverse Hessian estimates H and their values are
+    arrays with one entry per unfinished start.  The starts are valued as
+    given, in one ``evaluate_many`` call with gradients.  Each iteration
+    then values the ladder of ``QN_LINE_STEPS`` along -H g of every
+    unfinished start in one call, moves each to its lowest rung, whose
+    gradient came with it, and updates each H in u by stacked products
+    (skipped for a start whose step shows no positive curvature, s . y <=
+    0).  A start none of whose rungs lies below its current value has
+    converged and leaves the arrays.  At most ``QN_MAX_ITERS`` iterations
+    run.  The point returned is a row that was valued, so its value is the
+    one reported; never returns a value above the start's.
 
-    values, grads = yield row[None, :]
-    nfe = 1
-    value = start_value = values[0]
-    grad = _sphere_gradient(u, grads[0])
-    inverse, scaled = eye, False
-    converged = False
-    for _ in range(QN_MAX_ITERS):
-        candidates = u + np.outer(QN_LINE_STEPS, -inverse @ grad)
+    Each start compares only its own values, and a batched row (value and
+    gradient) equals the single-row one bit for bit, as do the stacked
+    products and the per-start ones, so every outcome is that of refining
+    its start alone.
+    """
+    row = np.array(starts, dtype=float)
+    u = _bloch_vectors(row[:, 0::2], row[:, 1::2]).reshape(len(row), -1)
+    eye = np.eye(u.shape[1])
+    ladder = np.array(QN_LINE_STEPS)[:, None]
+    rungs = len(ladder)
+
+    value, grads = objective.evaluate_many(row, gradient=True)
+    grad = _sphere_gradient(u, grads)
+    start_value = value
+    inverse = np.repeat(eye[None], len(row), axis=0)
+    scaled = np.zeros(len(row), dtype=bool)
+    live = np.arange(len(row))  # the original index of each unfinished start
+    outcomes = [None] * len(row)
+
+    def finish(index, converged, iterations):
+        # the outcomes of unfinished starts ``index`` at their current points
+        for k in index:
+            outcomes[live[k]] = OptimizerOutcome(
+                best_value=float(value[k]),
+                best_params=MeasParams.from_flat(row[k]),
+                evaluations=1 + iterations * rungs,
+                converged=converged,
+                grid_best=float(start_value[k]),
+            )
+
+    for iteration in range(1, QN_MAX_ITERS + 1):
+        step = ((-inverse) @ grad[:, :, None]).swapaxes(-1, -2)
+        candidates = (u[:, None, :] + ladder * step).reshape(-1, u.shape[1])
         rows = _angles(candidates)
-        values, grads = yield rows
-        nfe += len(rows)
-        best = int(np.argmin(values))
-        if not values[best] < value:
-            converged = True
-            break
-        u_next, row, value = candidates[best], rows[best], values[best]
-        next_grad = _sphere_gradient(u_next, grads[best])
+        values, grads = objective.evaluate_many(rows, gradient=True)
+        # the row of each start's lowest rung (the first of equal ones)
+        pick = values.reshape(-1, rungs).argmin(axis=1) + rungs * np.arange(len(u))
+        lower = values.take(pick) < value
+        if not lower.all():
+            finish(np.flatnonzero(~lower), True, iteration)
+            at = np.flatnonzero(lower)
+            if not at.size:
+                return outcomes
+            live, u, grad, inverse, scaled, start_value, pick = (
+                a[at] for a in (live, u, grad, inverse, scaled, start_value, pick))
+        u_next, row, value = candidates.take(pick, 0), rows.take(pick, 0), values.take(pick)
+        next_grad = _sphere_gradient(u_next, grads.take(pick, 0))
         s, y = u_next - u, next_grad - grad
-        sy = s @ y
-        if sy > 0:
-            if not scaled:
-                # Nocedal & Wright (6.20): size the first estimate to the
-                # curvature seen along the first step
-                inverse, scaled = (sy / (y @ y)) * eye, True
-            v = eye - np.outer(s, y) / sy
-            inverse = v @ inverse @ v.T + np.outer(s, s) / sy
+        sy = (s[:, None, :] @ y[:, :, None])[:, 0, 0]
+        # a start whose step shows no positive curvature keeps its estimate
+        curved = sy > 0
+        first = curved & ~scaled
+        if first.any():
+            # Nocedal & Wright (6.20): size the first estimate to the
+            # curvature seen along the first step
+            yy = y[first, None, :] @ y[first, :, None]
+            inverse[first] = sy[first, None, None] / yy * eye
+            scaled |= first
+        # a slice when every start updates: fancy indexing would copy
+        update = slice(None) if curved.all() else np.flatnonzero(curved)
+        s, y, sy = s[update], y[update], sy[update, None, None]
+        v = eye - s[:, :, None] * y[:, None, :] / sy
+        inverse[update] = (v @ inverse[update] @ v.swapaxes(-1, -2)
+                           + s[:, :, None] * s[:, None, :] / sy)
         u, grad = u_next, next_grad
-    return OptimizerOutcome(
-        best_value=value,
-        best_params=MeasParams.from_flat(row),
-        evaluations=nfe,
-        converged=converged,
-        grid_best=start_value,
-    )
-
-
-def _run_together(objective, runs, gradient: bool = False) -> list[OptimizerOutcome]:
-    """Advance refinement generators in lockstep until each returns: runs
-    of :func:`_quasi_newton` with ``gradient``, of :func:`_nelder_mead`
-    without.
-
-    Every round values the pending points of every unfinished run in one
-    ``evaluate_many`` call (rows in run order) and sends each run its own
-    values, with their gradients if asked.
-    """
-    outcomes = [None] * len(runs)
-    pending = {index: next(run) for index, run in enumerate(runs)}
-    while pending:
-        rows = np.concatenate(list(pending.values()))
-        if gradient:
-            values, grads = objective.evaluate_many(rows, gradient=True)
-        else:
-            values = objective.evaluate_many(rows)
-        values = [float(v) for v in values]
-        first = 0
-        for index, points in list(pending.items()):
-            own = values[first:first + len(points)]
-            if gradient:
-                own = (own, grads[first:first + len(points)])
-            first += len(points)
-            try:
-                pending[index] = runs[index].send(own)
-            except StopIteration as done:
-                outcomes[index] = done.value
-                del pending[index]
+    finish(range(len(live)), False, QN_MAX_ITERS)
     return outcomes
-
-
-def simplex_refine(objective, start) -> OptimizerOutcome:
-    """Downhill simplex (Nelder-Mead) from ``start``.
-
-    Coefficients are the classic (1, 2, 0.5, 0.5); every trial point is
-    folded back into the angle ranges before evaluation; converged when the
-    simplex value spread drops below ``SIMPLEX_TOL`` within
-    ``SIMPLEX_MAX_ITERS`` iterations.  A small value spread alone is
-    accepted only after per-coordinate probes of the best vertex at
-    shrinking step sizes all fail to improve; an improving probe rebuilds
-    the simplex at that scale and continues (the angle chart has exactly
-    flat edges, e.g. phi at theta = 0, where an untested spread criterion
-    stalls).  A probe improves only when it lies more than ``_PROBE_GAIN``
-    times the best vertex's magnitude below it: a point lower by rounding
-    alone would rebuild and re-converge the simplex again and again, until
-    the iteration cap.  Never returns a value worse than the start.
-
-    The objective values its points through ``evaluate_many``, as in
-    :func:`optimize`: one call per iteration for all four candidates
-    (reflection, expansion, inside and outside contraction), one per
-    shrink, rebuilt simplex or probe ring.  A batched row equals the
-    single-row value bit for bit, so the run is the one that values only
-    the candidates it compares; ``evaluations`` counts every row valued.
-    """
-    return _run_together(objective, [_nelder_mead(start)])[0]
 
 
 def optimize(objective, config: OptimizerConfig) -> OptimizerOutcome:
     """Grid scan, then quasi-Newton refinement from the top candidates.
 
-    The starts are refined in lockstep by :func:`_quasi_newton`, one
-    batched call per round, each for at most ``QN_MAX_ITERS`` iterations.
+    The starts are refined together by :func:`_quasi_newton`, one batched
+    call per iteration, each for at most ``QN_MAX_ITERS`` iterations.
     Deterministic for fixed config; the refined results are compared in grid
     rank order so ties keep the earlier (lexicographically smaller) start.
     ``converged`` describes the point returned: no rung of its last ladder
@@ -438,8 +426,7 @@ def optimize(objective, config: OptimizerConfig) -> OptimizerOutcome:
     scan = grid_scan(objective, config)
     evaluations = scan.evaluations
     best: OptimizerOutcome | None = None
-    starts = [_quasi_newton(start) for start in scan.params]
-    for outcome in _run_together(objective, starts, gradient=True):
+    for outcome in _quasi_newton(objective, scan.params):
         evaluations += outcome.evaluations
         if best is None or outcome.best_value < best.best_value:
             best = outcome

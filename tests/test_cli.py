@@ -348,6 +348,11 @@ REJECTED = [
     # print: refused before any power of the points is formed
     (["discord", "--state", FOUR_QUBITS, "--grid-points", str(10 ** 400)],
      "points per angle needs more than 100000000 values at once"),
+    # a node given twice: the later angles would silently win
+    (["flux", "--family", "ghz", "--params",
+      {"nodes": [{"path": [], "theta": 0.3, "phi": 0.0},
+                 {"path": [], "theta": 1.0, "phi": 0.0}]}],
+     "node path [] is given twice"),
 ]
 
 
@@ -385,6 +390,30 @@ def test_fields_match_the_pinned_output(capsys, argv, pinned):
     for row, want in zip(rows[1:], expected[1:]):
         assert_allclose([float(v) for v in row], [float(v) for v in want],
                         rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["discord", "--family", "werner_ghz", "--mu", "0.7"], "discord_werner_ghz_mu0.7.json"),
+    (["discord", "--family", "werner_w", "--mu", "0.4", "--order", "2,0"],
+     "discord_werner_w_mu0.4_order2_0.json"),
+], ids=["werner_ghz", "werner_w-order"])
+def test_discord_output_matches_the_pinned_file(capsys, argv, pinned):
+    # the files hold this command's output at an earlier commit; values
+    # are compared as numbers, and evaluation counts not at all, because
+    # the last digits and the iterations they take depend on the BLAS
+    code, text = run(capsys, argv)
+    assert code == 0
+    result = json.loads(text)
+    expected = json.loads((Path(__file__).parent / "data" / pinned).read_text())
+    assert result.keys() == expected.keys()
+    assert result["diagnostics"].keys() == expected["diagnostics"].keys()
+    assert result["decomposition"].keys() == expected["decomposition"].keys()
+    assert [node.keys() for node in result["params"]["nodes"]] == [
+        node.keys() for node in expected["params"]["nodes"]]
+    assert abs(result["value"] - expected["value"]) <= 1e-9
+    for term, value in expected["decomposition"].items():
+        assert abs(result["decomposition"][term] - value) <= 1e-9
+    assert result["diagnostics"]["converged"] is expected["diagnostics"]["converged"]
 
 
 def test_module_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +298,21 @@ class TestParamsJson:
             {"path": [0, 1], "theta": 0.1, "phi": 0.2},
         ]}
         with pytest.raises(StructuralError):
+            params_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("payload, path", [
+        ({"nodes": [{"path": [], "theta": 0.3, "phi": 0.0},
+                    {"path": [], "theta": 1.0, "phi": 0.0}]}, "[]"),
+        ({"nodes": [{"path": [], "theta": 0.1, "phi": 0.2},
+                    {"path": [0], "theta": 0.1, "phi": 0.2},
+                    {"path": [1], "theta": 0.1, "phi": 0.2},
+                    {"path": [0], "theta": 0.4, "phi": 0.2}]}, "[0]"),
+    ], ids=["root", "child"])
+    def test_rejects_a_repeated_path(self, payload, path):
+        # the paths still form a complete tree, but one node's angles
+        # would silently replace another's
+        message = f"node path {path} is given twice"
+        with pytest.raises(StructuralError, match=re.escape(message)):
             params_from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("payload", [

@@ -24,8 +24,8 @@ from mdiscord.optimizer import (
     SIMPLEX_TOL,
     _angle_grids,
     _angles,
+    _bloch_vectors,
     _quasi_newton,
-    _run_together,
     _sphere_gradient,
     fold_angles,
 )
@@ -37,18 +37,24 @@ from conftest import random_qubits, random_tree
 
 class BatchCounter:
     """Wraps a batched objective, counting its ``evaluate_many`` calls and
-    the rows of each."""
+    keeping the rows of each."""
 
     def __init__(self, objective):
         self.objective = objective
         self.n_nodes = objective.n_nodes
         self.grid_tables = objective.grid_tables
-        self.calls = 0
-        self.sizes = []
+        self.batches = []
+
+    @property
+    def calls(self):
+        return len(self.batches)
+
+    @property
+    def sizes(self):
+        return [len(rows) for rows in self.batches]
 
     def evaluate_many(self, rows, gradient=False):
-        self.calls += 1
-        self.sizes.append(len(rows))
+        self.batches.append(np.array(rows))
         return self.objective.evaluate_many(rows, gradient=gradient)
 
 
@@ -63,8 +69,48 @@ class RowByRow:
 
 
 def refine_alone(objective, start):
-    """One quasi-Newton refinement, driven on its own."""
-    return _run_together(objective, [_quasi_newton(start)], gradient=True)[0]
+    """One quasi-Newton refinement, run on its own."""
+    return _quasi_newton(objective, [start])[0]
+
+
+def refine_by_vectors(objective, start):
+    """Quasi-Newton refinement of one start with one-start vector products
+    (``np.outer``, 1-D ``@``), as a reference for the stacked refinement;
+    also returns how many BFGS updates were skipped for want of positive
+    curvature (s . y <= 0)."""
+    row = np.array(start, dtype=float)
+    u = _bloch_vectors(row[0::2], row[1::2]).ravel()
+    eye = np.eye(u.size)
+    values, grads = objective.evaluate_many(row[None, :], gradient=True)
+    nfe, skipped = 1, 0
+    value = start_value = float(values[0])
+    grad = _sphere_gradient(u, grads[0])
+    inverse, scaled, converged = eye, False, False
+    for _ in range(optimizer.QN_MAX_ITERS):
+        candidates = u + np.outer(optimizer.QN_LINE_STEPS, -inverse @ grad)
+        rows = _angles(candidates)
+        values, grads = objective.evaluate_many(rows, gradient=True)
+        nfe += len(rows)
+        best = int(np.argmin(values))
+        if not values[best] < value:
+            converged = True
+            break
+        u_next, row, value = candidates[best], rows[best], float(values[best])
+        next_grad = _sphere_gradient(u_next, grads[best])
+        s, y = u_next - u, next_grad - grad
+        sy = s @ y
+        if sy > 0:
+            if not scaled:
+                inverse, scaled = (sy / (y @ y)) * eye, True
+            v = eye - np.outer(s, y) / sy
+            inverse = v @ inverse @ v.T + np.outer(s, s) / sy
+        else:
+            skipped += 1
+        u, grad = u_next, next_grad
+    outcome = optimizer.OptimizerOutcome(
+        best_value=value, best_params=MeasParams.from_flat(row), evaluations=nfe,
+        converged=converged, grid_best=start_value)
+    return outcome, skipped
 
 
 def sequential_optimize(objective, config):
@@ -79,6 +125,28 @@ def sequential_optimize(objective, config):
         if best is None or outcome.best_value < best.best_value:
             best = outcome
     return best, evaluations
+
+
+def assert_lockstep_equals_sequential(seed, starts):
+    """optimize() with ``starts`` refinement starts equals refining them one
+    at a time, and every start's outcome, not only the best, is the one of
+    refining it alone with one-start vector products."""
+    state = random_qubits(seed, 3, 2 + seed % 7)
+    config = OptimizerConfig(refine_starts=starts)
+    lockstep = BatchCounter(_MeasuredEntropyObjective(state, 3))
+    sequential = BatchCounter(_MeasuredEntropyObjective(state, 3))
+    outcome = optimize(lockstep, config)
+    best, evaluations = sequential_optimize(sequential, config)
+    assert outcome.best_value == best.best_value
+    assert np.array_equal(outcome.best_params.to_flat(), best.best_params.to_flat())
+    assert outcome.evaluations == evaluations
+    assert outcome.converged == best.converged
+    if starts > 1:
+        assert lockstep.calls < sequential.calls
+    objective = lockstep.objective
+    params = grid_scan(objective, config).params
+    assert _quasi_newton(objective, params) == [
+        refine_by_vectors(objective, start)[0] for start in params]
 
 
 def grid_points(n_nodes, points):
@@ -456,9 +524,9 @@ class TestQuasiNewton:
         # -g for g the gradient in u of f(u / |u|), by central differences
         objective = _MeasuredEntropyObjective(random_state((2, 2, 2), 4, 88), 3)
         start = np.array([0.3, 1.0, 1.2, 5.0, 0.0, 2.0])
-        run = _quasi_newton(start)
-        values, grads = objective.evaluate_many(next(run), gradient=True)
-        ladder = run.send((list(values), grads))
+        recorder = BatchCounter(objective)
+        _quasi_newton(recorder, [start])
+        ladder = recorder.batches[1]
         u = bloch(start).ravel()
         downhill = -central_difference(lambda v: objective(_angles(v)), u)
         assert_allclose(ladder, _angles(u + np.outer(optimizer.QN_LINE_STEPS, downhill)),
@@ -473,6 +541,15 @@ class TestQuasiNewton:
             _, grads = objective.evaluate_many(_angles(u)[None, :], gradient=True)
             expected = central_difference(lambda v: objective(_angles(v)), u)
             assert np.max(np.abs(_sphere_gradient(u, grads[0]) - expected)) < 1e-8
+
+    def test_stacked_sphere_gradient_equals_each_row_on_its_own(self):
+        rng = np.random.default_rng(91)
+        for starts, nodes in ((1, 1), (4, 3), (8, 3), (5, 7)):
+            u = rng.normal(size=(starts, 3 * nodes)) * rng.uniform(0.5, 2.0, (starts, 1))
+            bloch_grad = rng.normal(size=(starts, 3 * nodes))
+            stacked = _sphere_gradient(u, bloch_grad)
+            alone = np.array([_sphere_gradient(a, b) for a, b in zip(u, bloch_grad)])
+            assert stacked.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("phi", [0.0, 2.0], ids=["phi-0", "phi-2"])
     def test_start_at_theta_zero(self, phi):
@@ -572,18 +649,31 @@ class TestOptimize:
     @pytest.mark.parametrize("starts", [1, 4, 7])
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_lockstep_starts_equal_sequential_refinement(self, seed, starts):
-        state = random_qubits(seed, 3, 2 + seed % 7)
-        config = OptimizerConfig(refine_starts=starts)
-        lockstep = BatchCounter(_MeasuredEntropyObjective(state, 3))
-        sequential = BatchCounter(_MeasuredEntropyObjective(state, 3))
-        outcome = optimize(lockstep, config)
-        best, evaluations = sequential_optimize(sequential, config)
-        assert outcome.best_value == best.best_value
-        assert np.array_equal(outcome.best_params.to_flat(), best.best_params.to_flat())
-        assert outcome.evaluations == evaluations
-        assert outcome.converged == best.converged
-        if starts > 1:
-            assert lockstep.calls < sequential.calls
+        assert_lockstep_equals_sequential(seed, starts)
+
+    # starts leave the stack in different rounds: all at the cap at 2 and
+    # 5, some at the cap and some converged at 17, and all converged, in
+    # 15 to 23 rounds, at the default cap above
+    @pytest.mark.parametrize("starts", [1, 4, 7])
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    @pytest.mark.parametrize("cap", [2, 5, 17])
+    def test_capped_lockstep_starts_equal_sequential_refinement(
+            self, cap, seed, starts, monkeypatch):
+        monkeypatch.setattr(optimizer, "QN_MAX_ITERS", cap)
+        assert_lockstep_equals_sequential(seed, starts)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rank, seed, skipped", [(4, 1003, 4), (2, 1025, 12), (6, 1229, 6)])
+    def test_starts_without_positive_curvature_keep_their_estimates(self, rank, seed, skipped):
+        # some steps show s . y <= 0: those starts skip their BFGS update
+        # while the others update theirs in the same stacked products; at
+        # seed 1229 two starts skip their first step's, and so the scaling
+        # of their first estimate, which waits for a step that curves up
+        objective = _MeasuredEntropyObjective(random_state((2, 2, 2), rank, seed), 3)
+        params = grid_scan(objective, OptimizerConfig(refine_starts=8)).params
+        reference = [refine_by_vectors(objective, start) for start in params]
+        assert _quasi_newton(objective, params) == [outcome for outcome, _ in reference]
+        assert sum(count for _, count in reference) == skipped
 
     @pytest.mark.parametrize("seed", range(20))
     def test_dense_grid_oracle_dominance(self, seed):
