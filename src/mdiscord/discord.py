@@ -14,9 +14,9 @@ partial traces of (Pauli product x I) rho, valued once per state (Luo, PRA
 77, 042303, 2008; Girolami & Adesso, PRA 83, 052108, 2011).  A batch of
 trees then costs one small matmul per measurement step, the exact gradient
 in the nodes' Bloch vectors runs the same products backwards, and the
-per-branch terms over the angle grid come from the same blocks, from which
-the grid scan takes the exact grid minimum by dynamic programming over the
-tree.
+exact minimum over the angle grid comes from the same blocks, by dynamic
+programming over the tree that reduces the branch terms block by block as
+they are made.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
 _PAULI_TRACE = _PAULIS.transpose(2, 1, 0).reshape(4, 4)
 _LOG2_E = 1.0 / np.log(2.0)
 _SPREAD, _SCALE = np.array([0.0, 1.0, -1.0]), np.array([1.0, 0.5, 0.5])
-_GRID_BLOCK = 1 << 16  # branches a grid table values at once
+_GRID_BLOCK = 1 << 16  # branch terms the grid minimum values at once
 
 
 def _x_log2_x_and_slope(values: np.ndarray):
@@ -244,7 +244,7 @@ class _MeasuredEntropyObjective:
     matrix, one small matmul.  Each branch adds its term by :meth:`_terms`:
     the entropy of the next qubit at an intermediate step and of the whole
     unmeasured tail at the last one, both weighted by the branch
-    probability.  :meth:`evaluate_many` and :meth:`grid_tables` share the
+    probability.  :meth:`evaluate_many` and :meth:`grid_minimum` share the
     matrices and the term rule.  Agrees with :func:`objective_npartite` on
     the corresponding tree.
 
@@ -340,30 +340,35 @@ class _MeasuredEntropyObjective:
         pulled = [slope @ tensor.T for slope, tensor in zip(slopes, self.tensors)]
         return value, _bloch_gradient(factors, coefficients, pulled)
 
-    def grid_tables(self, points: int) -> tuple[float, list[np.ndarray]]:
-        """``base`` and the per-branch terms of the integrand on
-        :func:`grid_scan`'s angle grid with ``points`` values per angle.
+    def grid_minimum(self, points: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every root cell's least integrand on :func:`grid_scan`'s angle grid
+        with ``points`` values per angle, and one grid point (a flat angle
+        row) attaining it.
 
-        ``tables[s - 1][c_0, ..., c_{s-1}, b]`` is the term of outcome branch
-        ``b`` after step ``s`` when its ancestor node at depth ``d`` sits in
-        cell ``c_d``, a (theta, phi) grid pair with theta slower.  A branch
-        depends only on the nodes along its path, so its coefficients are a
-        product of one cell's coefficients per depth, and each step's matrix
-        is contracted with the cells' coefficients one depth at a time.  The
-        integrand at a grid point is ``base`` plus every node's two terms
-        under its own ancestors' cells; the largest table holds
-        ``(2 * points**2) ** steps`` values.
+        A cell is a (theta, phi) grid pair, theta slower.  A branch term
+        depends only on the cells of the nodes along its path, so its
+        coefficients are a product of one cell's coefficients per depth, and
+        each step's matrix is contracted with the cells' coefficients one
+        depth at a time.  Node ``q`` of a depth owns branches ``2q`` and
+        ``2q + 1``, and its children see only their own ancestors' cells,
+        so the minimum factorizes over subtrees.  The steps run deepest
+        first, in blocks of about ``_GRID_BLOCK`` branches; each block is
+        reduced as it is made: every node's two terms plus its children's
+        subtree minima, minimized over the node's own cell with the argmin
+        kept (ties go to the lowest cell, which is grid order).  The root
+        step keeps each cell's value, and each root cell's best point is
+        decoded from the argmins, so no step's full term table is held.
         """
         theta_grid, phi_grid = _angle_grids(points)
         cells = points * points
         factors = _projector_coefficients(
             np.repeat(theta_grid, points), np.tile(phi_grid, points)
         ).reshape(2 * cells, 4)
-        tables = []
-        for step, tensor in enumerate(self.tensors, start=1):
+        subtree, argmins = None, []
+        for step in range(self.steps, 0, -1):
             # partial[p, q, i, k]: the depths before the last contracted, for
             # ancestor cells p and outcomes q (both row-major, oldest first)
-            partial = tensor.reshape(1, 1, 4, -1)
+            partial = self.tensors[step - 1].reshape(1, 1, 4, -1)
             for _ in range(step - 1):
                 p, q, _, rest = partial.shape
                 partial = (factors @ partial).reshape(p, q, cells, 2, 4, rest // 4)
@@ -371,16 +376,36 @@ class _MeasuredEntropyObjective:
                     p * cells, 2 * q, 4, rest // 4
                 )
             p, q = partial.shape[:2]
-            table = np.empty((p, cells, q, 2))
-            # the last depth meets blocks of about _GRID_BLOCK branches, which
-            # bounds the temporaries
+            best, cell = np.empty((p, q)), np.empty((p, q), dtype=np.intp)
             block = max(1, _GRID_BLOCK // (2 * q * cells))
             for first in range(0, p, block):
                 terms = self._terms(factors @ partial[first:first + block],
                                     step == self.steps and self.last_rule)
-                table[first:first + block] = terms.reshape(-1, q, cells, 2).transpose(0, 2, 1, 3)
-            tables.append(table.reshape((cells,) * step + (2 ** step,)))
-        return self.base, tables
+                terms = terms.reshape(-1, q, cells, 2)
+                node = terms[..., 0] + terms[..., 1]
+                if subtree is not None:
+                    below = subtree[first * cells:(first + block) * cells].reshape(-1, cells, q, 2)
+                    node = node + (below[..., 0] + below[..., 1]).swapaxes(1, 2)
+                at = node.argmin(axis=-1)
+                cell[first:first + block] = at
+                best[first:first + block] = np.take_along_axis(node, at[..., None], -1)[..., 0]
+            subtree = best
+            argmins.append(cell.reshape((cells,) * (step - 1) + (q,)))
+        # the root step is one block, whose per-cell values are the roots
+        roots = self.base + node[0, 0]
+
+        # every node's cell, from the root down; the root step's own argmin,
+        # argmins[-1], is not needed, since each root cell is kept
+        node_cells = [np.arange(cells)[:, None]]
+        for depth, cell in enumerate(argmins[-2::-1], start=1):
+            q = np.arange(2 ** depth)
+            ancestors = tuple(node_cells[k][:, q >> (depth - k)] for k in range(depth))
+            node_cells.append(cell[ancestors + (q,)])
+        flat = np.concatenate(node_cells, axis=1)
+        params = np.empty((cells, 2 * flat.shape[1]))
+        params[:, 0::2] = theta_grid[flat // points]
+        params[:, 1::2] = phi_grid[flat % points]
+        return roots, params
 
 
 def _bloch_gradient(factors, coefficients, pulled) -> np.ndarray:

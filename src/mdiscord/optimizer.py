@@ -12,10 +12,11 @@ and the refinement uses no randomness.
 Objectives map a flat angle vector (theta, phi alternating, node-major) to a
 scalar.  Every objective carries ``n_nodes``, the node count of its tree, and
 :func:`optimize` asks every objective for the same two methods.
-``grid_tables(points)`` supplies per-branch term tables: the discord
-integrand is a constant plus terms that each depend only on one branch's
-ancestor nodes, so the grid minimum comes from dynamic programming over the
-tree, and no grid point is valued on its own.  ``evaluate_many(rows,
+``grid_minimum(points)`` returns each root cell's least value on the grid
+and a grid point attaining it: the discord integrand is a constant plus
+terms that each depend only on one branch's ancestor nodes, so the
+objective takes the grid minimum by dynamic programming over the tree, and
+no grid point is valued on its own.  ``evaluate_many(rows,
 gradient=True)`` values a matrix of angle vectors, one row each, and
 returns as a second matrix each row's derivative in its nodes' Bloch
 vectors n (:func:`_bloch_vectors`, three components per node, node-major);
@@ -55,7 +56,7 @@ import numpy as np
 
 from .measure import MeasParams
 
-_MAX_GRID_TOTAL = 100_000_000  # table values a grid scan may hold at once
+_MAX_GRID_TOTAL = 100_000_000  # branch terms a grid scan may value in one step
 _INITIAL_SIMPLEX_EDGE = 0.1
 _PROBE_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _PROBE_GAIN = 1e-12  # relative drop below the best vertex a probe ring must beat
@@ -131,51 +132,12 @@ def _angle_grids(points: int):
 
 @dataclass(frozen=True)
 class GridScanResult:
-    """The best grid starts, ascending by objective value."""
+    """The best grid starts, ascending by objective value: the root cells of
+    least grid minimum, each at a grid point attaining it."""
 
     values: np.ndarray   # the kept starts' values, ascending
     params: np.ndarray   # one flat angle vector per kept start
     evaluations: int     # grid points the exact minimum covers: the whole grid
-
-
-def _tree_minimum(base: float, tables, points: int):
-    """Every root cell's minimum of ``base`` plus the terms of ``tables``
-    over the rest of the grid, and one grid point attaining it.
-
-    ``tables[d][c_0, ..., c_d, b]`` is the term of outcome branch ``b`` of
-    the depth-``d`` nodes when their ancestor at depth ``k`` sits in cell
-    ``c_k`` (see ``grid_tables`` in :mod:`mdiscord.discord`).  Node ``q`` of
-    a depth owns branches ``2q`` and ``2q + 1``, and child ``2q + j`` sees
-    only its own ancestors' cells, so the minimum factorizes over subtrees:
-    from the deepest nodes up, each node's two terms plus its children's
-    subtree minima are minimized over the node's own cell, keeping the argmin
-    (ties go to the lowest cell, which is grid order).  The best point of
-    each root cell is decoded from those argmins.
-    """
-    def pairs(terms):
-        return terms[..., 0::2] + terms[..., 1::2]
-
-    argmins = []
-    node = pairs(tables[-1])
-    for table in tables[-2::-1]:
-        cell = np.argmin(node, axis=-2)
-        argmins.append(cell)
-        subtree = np.take_along_axis(node, cell[..., None, :], axis=-2)[..., 0, :]
-        node = pairs(table) + pairs(subtree)
-    root = base + node[:, 0]
-
-    cells = points * points
-    node_cells = [np.arange(cells)[:, None]]
-    for depth, cell in enumerate(reversed(argmins), start=1):
-        q = np.arange(2 ** depth)
-        ancestors = tuple(node_cells[k][:, q >> (depth - k)] for k in range(depth))
-        node_cells.append(cell[ancestors + (q,)])
-    flat = np.concatenate(node_cells, axis=1)
-    theta_grid, phi_grid = _angle_grids(points)
-    params = np.empty((cells, 2 * flat.shape[1]))
-    params[:, 0::2] = theta_grid[flat // points]
-    params[:, 1::2] = phi_grid[flat % points]
-    return root, params
 
 
 def grid_scan(objective, config: OptimizerConfig) -> GridScanResult:
@@ -189,14 +151,15 @@ def grid_scan(objective, config: OptimizerConfig) -> GridScanResult:
     the kept cells are the first ones of a stable sort of those minima (value
     ties in grid order, as are ties within a cell).
 
-    The objective's ``grid_tables(points)`` supplies ``base`` and
-    per-branch term tables over its tree of ``n_nodes`` nodes, and the
-    minimum comes from dynamic programming over the measurement tree
-    (:func:`_tree_minimum`) without valuing any grid point on its own;
-    ``evaluations`` is still the grid size.  ``_MAX_GRID_TOTAL`` caps the
-    values held at once: the largest table's ``(2 * points**2) ** depth``
-    for a tree of that depth.  The cap is checked on the table of one node
-    first, so a huge ``points`` is refused before any power of it is formed.
+    The objective's ``grid_minimum(points)`` gives every root cell's
+    minimum and best point over its tree of ``n_nodes`` nodes, by dynamic
+    programming over the measurement tree, without valuing any grid point
+    on its own; ``evaluations`` is still the grid size.  ``_MAX_GRID_TOTAL``
+    caps the branch terms the deepest step values, ``(2 * points**2) **
+    depth`` for a tree of that depth; they are reduced block by block as
+    they are made, so memory stays far below them.  The cap is checked on
+    the terms of one node first, so a huge ``points`` is refused before any
+    power of it is formed.
     """
     points = config.grid_points_per_angle
     cells = points * points
@@ -204,10 +167,9 @@ def grid_scan(objective, config: OptimizerConfig) -> GridScanResult:
     if 2 * cells > _MAX_GRID_TOTAL or (2 * cells) ** depth > _MAX_GRID_TOTAL:
         raise ValueError(
             f"a grid of {points} points per angle needs more than {_MAX_GRID_TOTAL} "
-            "values at once, which is too large; lower grid_points_per_angle"
+            "branch terms, which is too large; lower grid_points_per_angle"
         )
-    base, tables = objective.grid_tables(points)
-    roots, params = _tree_minimum(base, tables, points)
+    roots, params = objective.grid_minimum(points)
     kept = np.argsort(roots, kind="stable")[:config.refine_starts]
     return GridScanResult(values=roots[kept], params=params[kept],
                           evaluations=cells ** objective.n_nodes)

@@ -8,13 +8,15 @@ It computes nothing with the batched evaluator in :mod:`mdiscord.discord`:
 only ``_cross_implementation_check`` imports it, to compare the two paths,
 and that agreement is itself one of the checks.
 
-Each check draws all of its random samples first, in a fixed order, then
-values them as one stack: the branches of every sample's tree are walked
+Each check draws its random samples in a fixed order and values them in
+stacks of ``_VERIFY_BLOCK`` samples, so that memory does not grow with the
+samples: the branches of every sample's tree in a stack are walked
 together, and each subset's entropies come from one ``eigvalsh`` call over
-all samples (:func:`_table` values each subset once).  Spectra are summed
+the stack (:func:`_table` values each subset once).  Spectra are summed
 eigenvalue by eigenvalue, so a stack gives the bits of its matrices valued
-one at a time.  The invariance check alone runs per sample, through the
-package's own tree routines.
+one at a time, and a check's worst violation does not depend on the block
+size.  The invariance check alone runs per sample, through the package's
+own tree routines.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ _CLAMP = 1e-12
 _ZERO_PROB = 1e-12
 IDENTITY_TOL = 1e-9
 _QUBITS = (2, 2, 2)  # the random samples of the verification checks
+_VERIFY_BLOCK = 256  # samples a check values as one stack
 
 
 def _reduce_matrix(matrix: np.ndarray, dims, keep) -> np.ndarray:
@@ -239,15 +242,34 @@ def _draw(rng, index: int) -> tuple[QState, MeasurementTree, MeasParams]:
     return (state, *_random_tree(rng, 2))
 
 
-def _worst(violations: np.ndarray) -> float:
-    """The largest of a check's per-sample violations, and 0 at least."""
-    return max(0.0, float(np.max(violations)))
+def _worst(violation) -> float:
+    """The largest of a check's violations, and 0 at least; NaN, which
+    fails the check, if any violation is NaN."""
+    worst = float(np.max(violation))
+    return 0.0 if worst <= 0.0 else worst
 
 
-def _identity_violations(states, trees) -> dict[str, np.ndarray]:
+def _reports(rng, samples: int, violations, tolerances) -> list[VerifyReport]:
+    """One report per check named in ``tolerances``, with its worst
+    violation over ``samples`` samples.  ``violations(rng, indices)`` draws
+    the samples of ``indices`` and values them as one stack; it runs on
+    blocks of ``_VERIFY_BLOCK`` indices in order, so the draws follow the
+    rng's order and only a block's worth of samples is held at once."""
+    worst = {}
+    for first in range(0, samples, _VERIFY_BLOCK):
+        block = violations(rng, range(first, min(first + _VERIFY_BLOCK, samples)))
+        for name, values in block.items():
+            # np.maximum keeps a NaN
+            worst[name] = np.maximum(worst.get(name, -np.inf), np.max(values))
+    return [VerifyReport(name, samples, _worst(worst[name]), tolerance)
+            for name, tolerance in tolerances.items()]
+
+
+def _identity_violations(rng, indices) -> dict[str, np.ndarray]:
     """Every identity's violation on each random 3-qubit state with its
-    tree, valued as one stack, with every side computed from raw
-    definitions."""
+    tree (samples ``indices``), valued as one stack, with every side
+    computed from raw definitions."""
+    states, trees, _ = zip(*(_draw(rng, index) for index in indices))
     rho = np.array([state.matrix for state in states])
     branches1, branches2 = _branch_walk(rho, _QUBITS, trees, 2)
     rho1, rho2 = sum(branches1), sum(branches2)
@@ -310,19 +332,13 @@ _IDENTITY_CHECKS = (
 def identity_suite(seed: int = 0, samples: int = 100) -> tuple[VerifyReport, ...]:
     """Run every entropy identity on ``samples`` random 3-qubit states with
     random trees; reports the worst violation per identity."""
-    rng = np.random.default_rng(seed)
-    states, trees, _ = zip(*(_draw(rng, index) for index in range(samples)))
-    violations = _identity_violations(states, trees)
-    return tuple(
-        VerifyReport(name=name, samples=samples, max_violation=_worst(violations[name]),
-                     tolerance=IDENTITY_TOL)
-        for name in _IDENTITY_CHECKS
-    )
+    return tuple(_reports(np.random.default_rng(seed), samples, _identity_violations,
+                          dict.fromkeys(_IDENTITY_CHECKS, IDENTITY_TOL)))
 
 
-def _nonnegativity_checks(rng, samples: int) -> list[VerifyReport]:
+def _nonnegativity_violations(rng, indices) -> dict[str, np.ndarray]:
     draws = []
-    for index in range(samples):
+    for index in indices:
         state, tree, _ = _draw(rng, index)
         # product of a correlated pair with a third system: the tripartite
         # mutual information change vanishes for every tree
@@ -341,14 +357,18 @@ def _nonnegativity_checks(rng, samples: int) -> list[VerifyReport]:
     product = kron_product([np.array(pairs), np.array(thirds)])
     (product_branches,) = _branch_walk(product, _QUBITS, trees, 1)
     monogamy = abs(_tri(_table(product)) - _tri(_table(sum(product_branches))))
-    return [
-        VerifyReport("objective_non_negativity", samples,
-                     _worst(-reference_objective(states, trees)), IDENTITY_TOL),
-        VerifyReport("conditional_discord_non_negativity", samples, _worst(-deltas),
-                     IDENTITY_TOL),
-        VerifyReport("product_pair_monogamy_zero", samples, _worst(monogamy),
-                     IDENTITY_TOL),
-    ]
+    return {
+        "objective_non_negativity": -reference_objective(states, trees),
+        "conditional_discord_non_negativity": -deltas,
+        "product_pair_monogamy_zero": monogamy,
+    }
+
+
+def _nonnegativity_checks(rng, samples: int) -> list[VerifyReport]:
+    names = ("objective_non_negativity", "conditional_discord_non_negativity",
+             "product_pair_monogamy_zero")
+    return _reports(rng, samples, _nonnegativity_violations,
+                    dict.fromkeys(names, IDENTITY_TOL))
 
 
 def _invariance_check(rng, samples: int) -> VerifyReport:
@@ -368,11 +388,15 @@ def _invariance_check(rng, samples: int) -> VerifyReport:
 def _cross_implementation_check(rng, samples: int) -> VerifyReport:
     from .discord import _MeasuredEntropyObjective
 
-    states, trees, params = zip(*(_draw(rng, index) for index in range(samples)))
-    fast = np.array([_MeasuredEntropyObjective(state, 3)(node_params.to_flat())
-                     for state, node_params in zip(states, params)])
-    return VerifyReport("cross_implementation_objective", samples,
-                        _worst(np.abs(fast - reference_objective(states, trees))), 1e-10)
+    def violations(rng, indices):
+        states, trees, params = zip(*(_draw(rng, index) for index in indices))
+        fast = np.array([_MeasuredEntropyObjective(state, 3)(node_params.to_flat())
+                         for state, node_params in zip(states, params)])
+        return {"cross_implementation_objective":
+                np.abs(fast - reference_objective(states, trees))}
+
+    (report,) = _reports(rng, samples, violations, {"cross_implementation_objective": 1e-10})
+    return report
 
 
 def verification_suite(seed: int = 0, samples: int = 100) -> tuple[VerifyReport, ...]:

@@ -347,7 +347,7 @@ REJECTED = [
     # a level-4 grid whose point count has more digits than an integer may
     # print: refused before any power of the points is formed
     (["discord", "--state", FOUR_QUBITS, "--grid-points", str(10 ** 400)],
-     "points per angle needs more than 100000000 values at once"),
+     "points per angle needs more than 100000000 branch terms"),
     # a node given twice: the later angles would silently win
     (["flux", "--family", "ghz", "--params",
       {"nodes": [{"path": [], "theta": 0.3, "phi": 0.0},

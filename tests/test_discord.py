@@ -290,6 +290,26 @@ def _reference_tables(objective, points):
     return tables
 
 
+def _reference_grid_minimum(objective, points):
+    """Every root cell's least integrand over the rest of the grid, from the
+    projector tables by recursion over the tree: a node's two terms plus
+    its children's least subtrees, over the node's own cell."""
+    tables = _reference_tables(objective, points)
+    cells = points * points
+
+    def subtree(path, q):
+        # node q of depth len(path), its ancestors in cells ``path``
+        table = tables[len(path)][tuple(path)]
+        terms = table[:, 2 * q] + table[:, 2 * q + 1]
+        if len(path) + 1 < len(tables):
+            terms = terms + np.array([
+                subtree(path + [c], 2 * q).min() + subtree(path + [c], 2 * q + 1).min()
+                for c in range(cells)])
+        return terms
+
+    return objective.base + subtree([], 0)
+
+
 CASES = [((2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((2, 2, 2, 2), 3), ((2, 2, 3), 3)]
 
 
@@ -356,12 +376,9 @@ class TestMeasureStep:
         if level == 4 and points == 6:
             points = 2  # 36**3 reference rows would be slow
         objective = _MeasuredEntropyObjective(random_state(dims, 4, 77), level)
-        base, tables = objective.grid_tables(points)
-        assert base == objective.base
-        for table, expected in zip(tables, _reference_tables(objective, points),
-                                   strict=True):
-            assert table.shape == expected.shape
-            assert np.max(np.abs(table - expected)) < 1e-12
+        roots, params = objective.grid_minimum(points)
+        assert np.max(np.abs(roots - _reference_grid_minimum(objective, points))) < 1e-12
+        assert np.max(np.abs(objective.evaluate_many(params) - roots)) < 1e-12
 
 
 def _central_differences(objective, chunk, step=1e-6):

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ class BatchCounter:
     def __init__(self, objective):
         self.objective = objective
         self.n_nodes = objective.n_nodes
-        self.grid_tables = objective.grid_tables
+        self.grid_minimum = objective.grid_minimum
         self.batches = []
 
     @property
@@ -230,15 +232,14 @@ def off_plane(rows, a, b):
 
 
 class TabulatedNode(BatchRecorder):
-    """A 1-node objective: its one table holds the function at every grid
-    cell as branch 0's term and 0 as branch 1's, so the tree minimum is
-    the grid values themselves."""
+    """A 1-node objective: every root cell is one grid point, so the grid
+    minimum is the grid values themselves, each at its own point."""
 
     n_nodes = 1
 
-    def grid_tables(self, points):
-        values = self.evaluate_many(grid_points(1, points))
-        return 0.0, [np.stack([values, np.zeros_like(values)], axis=1)]
+    def grid_minimum(self, points):
+        params = grid_points(1, points)
+        return self.evaluate_many(params), params
 
 
 class TestConfig:
@@ -418,9 +419,40 @@ class TestGridScan:
         assert_allclose(objective.evaluate_many(scan.params), scan.values,
                         rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dims, level, points", [
+        ((2, 2, 2), 3, 5),
+        ((2, 2, 2, 2), 3, 4),   # 2-qubit unmeasured tail: eigh block path
+        ((2, 2, 2, 2), 4, 3),
+    ])
+    def test_block_size_moves_no_bit(self, monkeypatch, dims, level, points):
+        # 1 and 7 branch terms per block mean one ancestor cell per block;
+        # the third size gives the deepest step blocks of 7 ancestor cells
+        # and a shorter last block
+        objective = _MeasuredEntropyObjective(random_state(dims, 5, 19), level)
+        config = OptimizerConfig(grid_points_per_angle=points, refine_starts=points ** 2)
+        default = grid_scan(objective, config)
+        discord_module = importlib.import_module("mdiscord.discord")
+        for block in (1, 7, 7 * 2 ** (level - 1) * points ** 2):
+            monkeypatch.setattr(discord_module, "_GRID_BLOCK", block)
+            scan = grid_scan(objective, config)
+            assert np.array_equal(scan.values, default.values)
+            assert np.array_equal(scan.params, default.params)
+
+    def test_a_level_three_scan_holds_no_term_table(self):
+        # at 30 points per angle the deepest step values 3.24e6 branch terms,
+        # 26 MB as one table; each block is reduced as it is made
+        objective = _MeasuredEntropyObjective(random_state((2, 2, 2), 4, 5), 3)
+        tracemalloc.start()
+        try:
+            grid_scan(objective, OptimizerConfig(grid_points_per_angle=30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
     def test_size_cap_counts_the_largest_table(self, monkeypatch):
-        # a level-3 tree at 6 points holds (2 * 36) ** 2 = 5,184 table
-        # values, not its 46,656 grid values
+        # a level-3 tree at 6 points values (2 * 36) ** 2 = 5,184 branch
+        # terms at its deepest step, not its 46,656 grid values
         objective = _MeasuredEntropyObjective(random_state((2, 2, 2), 3, 5), 3)
         monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 5184)
         grid_scan(objective, OptimizerConfig())

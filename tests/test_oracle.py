@@ -1,5 +1,8 @@
 import ast
+import gc
 import itertools
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +182,54 @@ class TestVerificationSuite:
         calls.clear()
         verification_suite(seed=0, samples=6)
         assert len(calls) == 61 + 2 * 6
+
+
+def _report_bits(reports):
+    return [(r.name, r.samples, r.max_violation.hex(), r.tolerance) for r in reports]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("seed, samples", [(0, 1), (1, 2), (2, 5), (3, 8), (4, 11)])
+    def test_two_sample_blocks_give_the_default_reports(self, monkeypatch, seed, samples):
+        # the draws follow the rng's order and the worst violation is exact,
+        # so the block size moves no bit of any report
+        default = verification_suite(seed=seed, samples=samples)
+        monkeypatch.setattr(oracle, "_VERIFY_BLOCK", 2)
+        assert _report_bits(verification_suite(seed=seed, samples=samples)) == \
+            _report_bits(default)
+
+    def test_peak_memory_does_not_grow_with_the_blocks(self, monkeypatch):
+        # holding every sample at once, 128 samples peaked at 3.6 times the
+        # peak of 32; a block's worth of samples is all a check holds
+        monkeypatch.setattr(oracle, "_VERIFY_BLOCK", 16)
+
+        def peak(samples):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                verification_suite(seed=0, samples=samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(32)  # first-call imports and caches
+        two_blocks, eight_blocks = peak(32), peak(128)
+        assert eight_blocks < 1.5 * two_blocks
+
+    def test_a_nan_violation_fails_its_check_in_any_block(self, monkeypatch):
+        real = oracle._identity_violations
+
+        def nan_at_sample_two(rng, indices):
+            violations = real(rng, indices)
+            violations["probability_normalization"][np.array(indices) == 2] = np.nan
+            return violations
+
+        monkeypatch.setattr(oracle, "_VERIFY_BLOCK", 2)
+        monkeypatch.setattr(oracle, "_identity_violations", nan_at_sample_two)
+        reports = {report.name: report for report in identity_suite(seed=0, samples=5)}
+        assert math.isnan(reports["probability_normalization"].max_violation)
+        assert not reports["probability_normalization"].passed
+        assert reports["conditional_discord_decomposition"].passed
 
 
 def _loop_entropy(matrix):
