@@ -306,45 +306,44 @@ def apply_tree(
 
 
 # Fixed generic probe operators used to recover the conditioning basis of a
-# measured (block diagonal) state; several are tried and the one giving the
-# best-separated qubit spectrum wins.
+# measured (block diagonal) state; each is tried next to the normalized
+# identity and the one giving the best-separated qubit spectrum wins.
 _PROBE_SEEDS = (20_201, 47_111, 90_017)
 
 
-@functools.cache  # three seeds per rest dimension: a few entries
-def _probe_matrix(dim: int, seed: int) -> np.ndarray:
-    """The probe of one (dim, seed), made once and shared read-only."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g + g.conj().T
-    probe = m / np.linalg.norm(m)
-    probe.setflags(write=False)
-    return probe
+@functools.cache  # one stack per rest dimension: a few entries
+def _probes(dim: int) -> np.ndarray:
+    """The normalized identity and the seeded probes of one rest dimension,
+    as one ``(4, dim, dim)`` stack made once and shared read-only."""
+    probes = [np.eye(dim) / dim]
+    for seed in _PROBE_SEEDS:
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        m = g + g.conj().T
+        probes.append(m / np.linalg.norm(m))
+    stack = np.array(probes)
+    stack.setflags(write=False)
+    return stack
 
 
 def _conditioning_basis(state: QState, position: int) -> np.ndarray:
     """Orthonormal qubit basis (rows) diagonalizing ``position`` inside a
-    product-conditional block structure, if the state has one."""
+    product-conditional block structure, if the state has one.
+
+    Every probe of :func:`_probes` is contracted with the state at once, one
+    ``eigh`` diagonalizes the four qubit operators, and the first one with
+    the widest spectral gap gives the basis."""
     rest = [i for i in range(state.n_subsystems) if i != position]
     moved = permute_subsystems(state, [position] + rest)
     rest_dim = moved.side // 2
     sigma = moved.matrix.reshape(2, rest_dim, 2, rest_dim)
-
-    best_vectors = None
-    best_gap = -1.0
-    candidates = [np.eye(rest_dim) / rest_dim]
-    candidates += [_probe_matrix(rest_dim, seed) for seed in _PROBE_SEEDS]
-    for probe in candidates:
-        # W[a, b] = sum_{r r'} probe[r, r'] sigma[a r', b r]; Hermitian whenever
-        # sigma and probe are, and diagonal in the conditioning basis.
-        w = np.einsum("rs,asbr->ab", probe, sigma)
-        w = (w + w.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(w)
-        gap = float(abs(vals[1] - vals[0]))
-        if gap > best_gap:
-            best_gap = gap
-            best_vectors = vecs.T.copy()
-    return best_vectors
+    # w[p, a, b] = sum_{r r'} probe_p[r, r'] sigma[a r', b r]; Hermitian
+    # whenever sigma and the probes are, and diagonal in the conditioning basis.
+    w = np.einsum("prs,asbr->pab", _probes(rest_dim), sigma)
+    w = (w + w.conj().swapaxes(-1, -2)) / 2.0
+    vals, vecs = np.linalg.eigh(w)
+    best = int(np.argmax(np.abs(vals[:, 1] - vals[:, 0])))
+    return vecs[best].T.copy()
 
 
 def optimal_tree_for_measured_state(
@@ -353,37 +352,31 @@ def optimal_tree_for_measured_state(
     """Tree of conditional eigenbases under which a measured state is a fixed
     point: applying the result at full depth reproduces the input.
 
+    The tree grows one level at a time: each node's basis diagonalizes its
+    conditional state, which :func:`apply_tree` gives from the levels built
+    so far (the root's is the state over its trace).  A branch of
+    probability below ``PROB_EPS`` gets the computational basis.
+
     Intended for states produced by :func:`apply_tree` (block diagonal in some
     product-conditional basis); the precondition is not checked.
     """
-    measured = as_subset(measured, state.n_subsystems)
-    bases: dict[tuple[int, ...], ProjectorBasis] = {}
-
+    measured = as_subset(measured, state.n_subsystems).indices
     for pos in measured:
         if state.dims[pos] != 2:
             raise StructuralError(f"measured subsystem {pos} is not a qubit")
 
-    def descend(matrix: np.ndarray, path: tuple[int, ...]):
-        level = len(path)
-        pos = measured.indices[level]
-        prob = float(matrix.trace().real)
-        if prob < PROB_EPS:
-            basis = projector_pair_from_angles(0.0, 0.0)
-        else:
-            conditional = QState(state.dims, matrix / prob)
-            vectors = _conditioning_basis(conditional, pos)
-            basis = ProjectorBasis.from_vectors(vectors)
-        bases[path] = basis
-        if level + 1 < len(measured):
-            for j, proj in enumerate(basis.projectors):
-                factors = [
-                    proj if q == pos else np.eye(state.dims[q])
-                    for q in range(state.n_subsystems)
-                ]
-                embedded = kron_product(factors)
-                descend(embedded @ matrix @ embedded, path + (j,))
-
-    descend(np.array(state.matrix), ())
-    children = {path: basis for path, basis in bases.items() if len(path) > 0}
-    return MeasurementTree(measured=measured.indices, root=bases[()],
-                           children=children)
+    conditionals = [((), QState(state.dims, state.matrix / float(state.matrix.trace().real)))]
+    bases: dict[tuple[int, ...], ProjectorBasis] = {}
+    for depth, pos in enumerate(measured):
+        if depth > 0:
+            children = {path: basis for path, basis in bases.items() if path}
+            tree = MeasurementTree(measured[:depth], bases[()], children)
+            _, branches = apply_tree(state, tree, depth)
+            conditionals = [(branch.path, branch.post_state) for branch in branches]
+        for path, conditional in conditionals:
+            bases[path] = (
+                projector_pair_from_angles(0.0, 0.0) if conditional is None
+                else ProjectorBasis.from_vectors(_conditioning_basis(conditional, pos))
+            )
+    root = bases.pop(())
+    return MeasurementTree(measured=measured, root=root, children=bases)

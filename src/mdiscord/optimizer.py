@@ -73,6 +73,10 @@ class OptimizerConfig:
     refine_starts: int = 4
 
     def __post_init__(self):
+        for name in ("grid_points_per_angle", "refine_starts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.grid_points_per_angle < 2:
             raise ValueError("grid_points_per_angle must be >= 2")
         if self.refine_starts < 1:

@@ -15,8 +15,10 @@ together, and each subset's entropies come from one ``eigvalsh`` call over
 the stack (:func:`_table` values each subset once).  Spectra are summed
 eigenvalue by eigenvalue, so a stack gives the bits of its matrices valued
 one at a time, and a check's worst violation does not depend on the block
-size.  The invariance check alone runs per sample, through the package's
-own tree routines.
+size.  The invariance check alone values its samples one at a time,
+through the package's own tree routines.  Every check runs through
+:func:`_reports`, which names a check after the key of its violations, so
+each name is written once, and which refuses fewer than one sample.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import MeasParams, MeasurementTree, apply_tree, tree_from_params
+from .measure import (MeasParams, MeasurementTree, apply_tree,
+                      optimal_tree_for_measured_state, tree_from_params)
 from .qstate import QState, kron_product, random_state
 
 _CLAMP = 1e-12
@@ -249,12 +252,15 @@ def _worst(violation) -> float:
     return 0.0 if worst <= 0.0 else worst
 
 
-def _reports(rng, samples: int, violations, tolerances) -> list[VerifyReport]:
-    """One report per check named in ``tolerances``, with its worst
-    violation over ``samples`` samples.  ``violations(rng, indices)`` draws
-    the samples of ``indices`` and values them as one stack; it runs on
+def _reports(rng, samples: int, violations, tolerance: float) -> list[VerifyReport]:
+    """One report per check that ``violations`` names, in name order, with
+    its worst violation over ``samples`` samples against ``tolerance``.
+    ``violations(rng, indices)`` draws the samples of ``indices`` and values
+    them as one stack, returning each check's violations by name; it runs on
     blocks of ``_VERIFY_BLOCK`` indices in order, so the draws follow the
     rng's order and only a block's worth of samples is held at once."""
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
     worst = {}
     for first in range(0, samples, _VERIFY_BLOCK):
         block = violations(rng, range(first, min(first + _VERIFY_BLOCK, samples)))
@@ -262,7 +268,7 @@ def _reports(rng, samples: int, violations, tolerances) -> list[VerifyReport]:
             # np.maximum keeps a NaN
             worst[name] = np.maximum(worst.get(name, -np.inf), np.max(values))
     return [VerifyReport(name, samples, _worst(worst[name]), tolerance)
-            for name, tolerance in tolerances.items()]
+            for name in sorted(worst)]
 
 
 def _identity_violations(rng, indices) -> dict[str, np.ndarray]:
@@ -319,21 +325,11 @@ def _identity_violations(rng, indices) -> dict[str, np.ndarray]:
     return violations
 
 
-_IDENTITY_CHECKS = (
-    "conditional_discord_decomposition",
-    "discord_delta_decomposition",
-    "measured_state_conditional_entropy",
-    "post_discord_conditional_entropy_form",
-    "probability_normalization",
-    "second_measurement_entropy_decomposition",
-)
-
-
 def identity_suite(seed: int = 0, samples: int = 100) -> tuple[VerifyReport, ...]:
     """Run every entropy identity on ``samples`` random 3-qubit states with
     random trees; reports the worst violation per identity."""
     return tuple(_reports(np.random.default_rng(seed), samples, _identity_violations,
-                          dict.fromkeys(_IDENTITY_CHECKS, IDENTITY_TOL)))
+                          IDENTITY_TOL))
 
 
 def _nonnegativity_violations(rng, indices) -> dict[str, np.ndarray]:
@@ -364,28 +360,21 @@ def _nonnegativity_violations(rng, indices) -> dict[str, np.ndarray]:
     }
 
 
-def _nonnegativity_checks(rng, samples: int) -> list[VerifyReport]:
-    names = ("objective_non_negativity", "conditional_discord_non_negativity",
-             "product_pair_monogamy_zero")
-    return _reports(rng, samples, _nonnegativity_violations,
-                    dict.fromkeys(names, IDENTITY_TOL))
-
-
-def _invariance_check(rng, samples: int) -> VerifyReport:
-    from .measure import optimal_tree_for_measured_state
-
-    worst = 0.0
-    for index in range(samples):
+def _invariance_violations(rng, indices) -> dict[str, np.ndarray]:
+    """The residual of each sample's state, measured to depth 1 or 2 by its
+    random tree, under the tree :mod:`mdiscord.measure` rebuilds from the
+    measured state alone."""
+    residuals = []
+    for index in indices:
         state, tree, _ = _draw(rng, index)
         depth = 1 + index % 2
         measured_state, _ = apply_tree(state, tree, depth)
         rebuilt = optimal_tree_for_measured_state(measured_state, tuple(range(depth)))
-        post, _ = apply_tree(measured_state, rebuilt, depth)
-        worst = max(worst, float(np.max(np.abs(post.matrix - measured_state.matrix))))
-    return VerifyReport("eigenbasis_tree_invariance", samples, worst, 1e-10)
+        residuals.append(invariance_residual(measured_state, rebuilt))
+    return {"eigenbasis_tree_invariance": np.array(residuals)}
 
 
-def _cross_implementation_check(rng, samples: int) -> VerifyReport:
+def _cross_implementation_check(rng, samples: int) -> list[VerifyReport]:
     from .discord import _MeasuredEntropyObjective
 
     def violations(rng, indices):
@@ -395,8 +384,7 @@ def _cross_implementation_check(rng, samples: int) -> VerifyReport:
         return {"cross_implementation_objective":
                 np.abs(fast - reference_objective(states, trees))}
 
-    (report,) = _reports(rng, samples, violations, {"cross_implementation_objective": 1e-10})
-    return report
+    return _reports(rng, samples, violations, 1e-10)
 
 
 def verification_suite(seed: int = 0, samples: int = 100) -> tuple[VerifyReport, ...]:
@@ -404,7 +392,7 @@ def verification_suite(seed: int = 0, samples: int = 100) -> tuple[VerifyReport,
     cross-implementation checks; report order is fixed by check name."""
     rng = np.random.default_rng(seed)
     reports = list(identity_suite(seed, samples))
-    reports.extend(_nonnegativity_checks(rng, samples))
-    reports.append(_invariance_check(rng, samples))
-    reports.append(_cross_implementation_check(rng, samples))
+    reports += _reports(rng, samples, _nonnegativity_violations, IDENTITY_TOL)
+    reports += _reports(rng, samples, _invariance_violations, 1e-10)
+    reports += _cross_implementation_check(rng, samples)
     return tuple(sorted(reports, key=lambda report: report.name))

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 
@@ -19,6 +20,7 @@ from mdiscord import (
 )
 from mdiscord import measure
 from mdiscord.measure import bfs_paths, node_count, params_from_json, params_to_json
+from mdiscord.qstate import kron_product, permute_subsystems
 
 from conftest import KET0, KET1, PLUS, dm, random_tree
 
@@ -238,9 +240,24 @@ class TestOptimalTree:
 
     def test_probes_are_made_once_and_read_only(self):
         # every conditioning basis of one rest dimension shares its probes
-        first = measure._probe_matrix(4, 20_201)
-        assert measure._probe_matrix(4, 20_201) is first
+        first = measure._probes(4)
+        assert measure._probes(4) is first
         assert not first.flags.writeable
+        assert first.shape == (4, 4, 4)
+        assert np.array_equal(first[0], np.eye(4) / 4)
+
+    def test_leaves_no_reference_cycle(self):
+        # the recursive walk it replaced left 17 unreachable objects per call
+        state = random_state((2, 2, 2), 3, 7)
+        measured, _ = apply_tree(state, random_tree(9, 2), 2)
+        optimal_tree_for_measured_state(measured, (0, 1))  # first-call caches
+        gc.collect()
+        gc.disable()
+        try:
+            optimal_tree_for_measured_state(measured, (0, 1))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_degenerate_probabilities(self, ghz):
         # X-basis root measurement gives equal outcome probabilities with
@@ -254,6 +271,110 @@ class TestOptimalTree:
         tree = optimal_tree_for_measured_state(measured, (0,))
         post, _ = apply_tree(measured, tree, 1)
         assert np.max(np.abs(post.matrix - measured.matrix)) < 1e-10
+
+
+def _loop_conditioning_basis(state, position):
+    """The conditioning basis with each probe diagonalized on its own, the
+    real normalized identity first, the first strictly wider gap winning."""
+    rest = [i for i in range(state.n_subsystems) if i != position]
+    moved = permute_subsystems(state, [position] + rest)
+    rest_dim = moved.side // 2
+    sigma = moved.matrix.reshape(2, rest_dim, 2, rest_dim)
+    best_vectors, best_gap = None, -1.0
+    for probe in [np.eye(rest_dim) / rest_dim, *measure._probes(rest_dim)[1:]]:
+        w = np.einsum("rs,asbr->ab", probe, sigma)
+        w = (w + w.conj().T) / 2.0
+        vals, vecs = np.linalg.eigh(w)
+        gap = float(abs(vals[1] - vals[0]))
+        if gap > best_gap:
+            best_gap, best_vectors = gap, vecs.T.copy()
+    return best_vectors
+
+
+def _recursive_rebuild(state, measured):
+    """The rebuild as a recursive walk: each level sandwiches its parent's
+    branch with that level's projector alone, then normalizes it."""
+    bases = {}
+
+    def descend(matrix, path):
+        pos = measured[len(path)]
+        prob = float(matrix.trace().real)
+        if prob < measure.PROB_EPS:
+            basis = projector_pair_from_angles(0.0, 0.0)
+        else:
+            conditional = QState(state.dims, matrix / prob)
+            basis = ProjectorBasis.from_vectors(_loop_conditioning_basis(conditional, pos))
+        bases[path] = basis
+        if len(path) + 1 < len(measured):
+            for j, proj in enumerate(basis.projectors):
+                embedded = kron_product([proj if q == pos else np.eye(d)
+                                         for q, d in enumerate(state.dims)])
+                descend(embedded @ matrix @ embedded, path + (j,))
+
+    descend(np.array(state.matrix), ())
+    return bases
+
+
+def _measured_state(dims, depth, seed, rank=None):
+    rng = np.random.default_rng(seed)
+    rank = rank or int(rng.integers(1, int(np.prod(dims)) + 1))
+    state = random_state(dims, rank, int(rng.integers(0, 2 ** 31)))
+    tree = random_tree(int(rng.integers(0, 2 ** 31)), depth, dims)
+    return apply_tree(state, tree, depth)[0]
+
+
+class TestRebuildBits:
+    """The level-by-level rebuild through apply_tree gives the recursive
+    walk's bases byte for byte up to depth 2; at depth 3 apply_tree's product
+    projector moves their last bits, so only invariance is asserted there."""
+
+    @staticmethod
+    def assert_same_bytes(state, measured):
+        tree = optimal_tree_for_measured_state(state, measured)
+        reference = _recursive_rebuild(state, measured)
+        assert set(reference) == set(bfs_paths(len(measured)))
+        for path, basis in reference.items():
+            for got, want in zip(tree.basis_at(path).projectors, basis.projectors):
+                assert got.tobytes() == want.tobytes(), path
+        return tree
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_three_qubits(self, depth, seed):
+        self.assert_same_bytes(_measured_state((2, 2, 2), depth, seed), tuple(range(depth)))
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_qubits(self, depth, seed):
+        self.assert_same_bytes(_measured_state((2, 2), depth, 50 + seed), tuple(range(depth)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_qutrit_tail(self, seed):
+        self.assert_same_bytes(_measured_state((2, 2, 3), 2, 80 + seed), (0, 1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_qubit(self, seed):
+        state = random_state((2,), 1 + seed % 2, 90 + seed)
+        self.assert_same_bytes(state, (0,))
+
+    def test_zero_probability_branch(self):
+        # |0><0| on the first qubit: the rebuilt root is the computational
+        # basis, one of its branches is empty and gets the default child
+        rest = random_state((2, 2), 2, 11)
+        state = QState((2, 2, 2), kron_product([np.diag([1.0, 0.0]), rest.matrix]))
+        tree = self.assert_same_bytes(state, (0, 1))
+        _, branches = apply_tree(state, tree, 1)
+        (empty,) = [branch for branch in branches if branch.post_state is None]
+        default = projector_pair_from_angles(0.0, 0.0)
+        for got, want in zip(tree.children[empty.path].projectors, default.projectors):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_depth_three_is_invariant(self, seed):
+        state = _measured_state((2, 2, 2, 2), 3, 120 + seed)
+        tree = optimal_tree_for_measured_state(state, (0, 1, 2))
+        post, _ = apply_tree(state, tree, 3)
+        assert np.max(np.abs(post.matrix - state.matrix)) < 1e-10
 
 
 class TestTreeStructure:

@@ -254,6 +254,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(refine_starts=0)
 
+    # a float failed later inside discord() (linspace, a slice) and True ran
+    # as one start
+    @pytest.mark.parametrize("field, value", [
+        ("grid_points_per_angle", 3.0), ("grid_points_per_angle", True),
+        ("grid_points_per_angle", "6"), ("refine_starts", 2.0),
+        ("refine_starts", True), ("refine_starts", np.float64(4.0)),
+    ])
+    def test_rejects_a_value_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = OptimizerConfig(grid_points_per_angle=np.int64(3), refine_starts=np.int32(2))
+        assert (cfg.grid_points_per_angle, cfg.refine_starts) == (3, 2)
+
     # the simplex cap and tolerance are fixed constants of the optimizer
     # module, so a config refuses any value for them, the defaults included
     @pytest.mark.parametrize("iters", [0, -1])

@@ -128,6 +128,13 @@ class TestIdentitySuite:
             assert report.samples == 40
             assert report.max_violation < 1e-9
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("suite", [identity_suite, verification_suite])
+    def test_refuses_fewer_than_one_sample(self, suite, samples):
+        # with no sample every check's worst violation was missing: KeyError
+        with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples}$"):
+            suite(seed=0, samples=samples)
+
     def test_deterministic(self):
         first = identity_suite(seed=3, samples=10)
         second = identity_suite(seed=3, samples=10)
@@ -143,6 +150,18 @@ class TestVerificationSuite:
                 "cross_implementation_objective"} < set(names)
         for report in reports:
             assert report.passed, report
+
+    def test_leaves_no_reference_cycle(self):
+        # the invariance check's rebuilt trees left 45 unreachable objects
+        # per suite of three samples
+        verification_suite(seed=0, samples=3)  # first-call imports and caches
+        gc.collect()
+        gc.disable()
+        try:
+            verification_suite(seed=0, samples=3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_values_each_entropy_once(self, monkeypatch):
         # per sample: all 7 subsets of rho and of rho1, 4 of rho2 and 10
