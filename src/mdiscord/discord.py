@@ -40,6 +40,7 @@ from .qstate import (
     ENTROPY_EIGENVALUE_CLAMP,
     QState,
     StructuralError,
+    _integer,
     entropy,
     permute_subsystems,
     subsystem_entropy,
@@ -471,7 +472,7 @@ class _ScaledObjective:
 def _normalize_order(measured_order, n: int) -> tuple[int, ...]:
     if measured_order is None:
         return tuple(range(n))
-    order = [int(i) for i in measured_order]
+    order = [_integer(f"measured_order[{k}]", i) for k, i in enumerate(measured_order)]
     if len(set(order)) != len(order) or any(not 0 <= i < n for i in order):
         raise StructuralError(f"measurement order {order} is not a valid selection")
     order += [i for i in range(n) if i not in order]
@@ -532,7 +533,7 @@ def discord(
     refinement did not converge, flagged through ``diagnostics['converged']``.
     """
     n = state.n_subsystems
-    level = n if level is None else int(level)
+    level = n if level is None else _integer("level", level)
     order = _normalize_order(measured_order, n)
     if order != tuple(range(n)):
         state = permute_subsystems(state, order)

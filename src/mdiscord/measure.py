@@ -261,18 +261,6 @@ class BranchOutcome:
     post_state: QState | None
 
 
-def _embedded_projector(dims, tree, path):
-    factors = []
-    position_of = {pos: i for i, pos in enumerate(tree.measured[: len(path)])}
-    for pos, dim in enumerate(dims):
-        i = position_of.get(pos)
-        if i is None:
-            factors.append(np.eye(dim))
-        else:
-            factors.append(tree.basis_at(path[:i]).projectors[path[i]])
-    return kron_product(factors)
-
-
 def apply_tree(
     state: QState, tree: MeasurementTree, depth: int
 ) -> tuple[QState, tuple[BranchOutcome, ...]]:
@@ -281,6 +269,12 @@ def apply_tree(
     Returns the unselected post-measurement state sum_paths Pi rho Pi together
     with one BranchOutcome per depth-length outcome path.  Trace-preserving;
     branch probabilities sum to 1.
+
+    Each measured position gets the stack of its projectors over all
+    2**depth outcome paths, in path order, and every other position its
+    identity, so one ``kron_product`` forms every path's embedded projector
+    and one sandwich every branch; the post state adds the branches in path
+    order, as a running sum would.
     """
     if not 1 <= depth <= tree.depth:
         raise StructuralError(f"depth must lie in [1, {tree.depth}], got {depth}")
@@ -289,20 +283,19 @@ def apply_tree(
             raise StructuralError(f"tree measures position {pos}, state has fewer subsystems")
         if state.dims[pos] != 2:
             raise StructuralError(f"measured subsystem {pos} is not a qubit")
-    post = np.zeros_like(state.matrix)
-    branches = []
-    for path in _paths_at_depth(depth):
-        proj = _embedded_projector(state.dims, tree, path)
-        piece = proj @ state.matrix @ proj
-        prob = float(piece.trace().real)
-        post = post + piece
-        if prob >= PROB_EPS:
-            branch_state = QState(state.dims, piece / prob)
-        else:
-            branch_state = None
-        branches.append(BranchOutcome(path=tuple(path), probability=prob,
-                                      post_state=branch_state))
-    return QState(state.dims, post), tuple(branches)
+    paths = _paths_at_depth(depth)
+    factors = [np.eye(dim) for dim in state.dims]
+    for level, pos in enumerate(tree.measured[:depth]):
+        factors[pos] = np.array([tree.basis_at(path[:level]).projectors[path[level]]
+                                 for path in paths])
+    projectors = kron_product(factors)
+    pieces = projectors @ state.matrix @ projectors
+    probs = np.trace(pieces, axis1=1, axis2=2).real.tolist()  # Python floats
+    branches = tuple(
+        BranchOutcome(path=path, probability=prob,
+                      post_state=QState(state.dims, piece / prob) if prob >= PROB_EPS else None)
+        for path, piece, prob in zip(paths, pieces, probs))
+    return QState(state.dims, sum(pieces)), branches
 
 
 # Fixed generic probe operators used to recover the conditioning basis of a

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import MeasParams
+from .qstate import _integer
 
 _MAX_GRID_TOTAL = 100_000_000  # branch terms a grid scan may value in one step
 _INITIAL_SIMPLEX_EDGE = 0.1
@@ -74,9 +75,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("grid_points_per_angle", "refine_starts"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(name, getattr(self, name))
         if self.grid_points_per_angle < 2:
             raise ValueError("grid_points_per_angle must be >= 2")
         if self.refine_starts < 1:

@@ -10,19 +10,22 @@ and that agreement is itself one of the checks.
 
 Each check draws its random samples in a fixed order and values them in
 stacks of ``_VERIFY_BLOCK`` samples, so that memory does not grow with the
-samples: the branches of every sample's tree in a stack are walked
-together, and each subset's entropies come from one ``eigvalsh`` call over
-the stack (:func:`_table` values each subset once).  Spectra are summed
-eigenvalue by eigenvalue, so a stack gives the bits of its matrices valued
-one at a time, and a check's worst violation does not depend on the block
-size.  The invariance check alone values its samples one at a time,
-through the package's own tree routines.  Every check runs through
-:func:`_reports`, which names a check after the key of its violations, so
-each name is written once, and which refuses fewer than one sample.
+samples: each level of the samples' trees is measured with one projector
+stack over every outcome path, outcome and sample of the stack
+(:func:`_branch_walk`), and each subset's entropies come from one
+``eigvalsh`` call over the stack (:func:`_table` values each subset once).
+Spectra are summed eigenvalue by eigenvalue, so a stack gives the bits of
+its matrices valued one at a time, and a check's worst violation does not
+depend on the block size.  The invariance check alone values its samples
+one at a time, through the package's own tree routines.  Every check runs
+through :func:`_reports`, which names a check after the key of its
+violations, so each name is written once, and which refuses a sample count
+that is not a positive integer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from .measure import (MeasParams, MeasurementTree, apply_tree,
                       optimal_tree_for_measured_state, tree_from_params)
-from .qstate import QState, kron_product, random_state
+from .qstate import QState, _integer, kron_product, random_state
 
 _CLAMP = 1e-12
 _ZERO_PROB = 1e-12
@@ -99,19 +102,20 @@ def _embed(dims, position: int, projector: np.ndarray) -> np.ndarray:
 def _branch_walk(matrices: np.ndarray, dims, trees, depth: int):
     """Unnormalized branches of the first ``depth`` levels of each sample's
     tree, for a stack holding one matrix per tree: entry k-1 stacks the
-    depth-k branches in outcome-path order, ``(2**k, samples, side, side)``."""
-    levels = []
-    branches = [((), matrices)]
-    for position in trees[0].measured[:depth]:
-        measured = []
-        for path, sigma in branches:
-            for outcome in (0, 1):
-                proj = _embed(dims, position, np.array(
-                    [tree.basis_at(path).projectors[outcome] for tree in trees]))
-                measured.append((path + (outcome,), proj @ sigma @ proj))
-        branches = measured
-        levels.append(np.array([sigma for _, sigma in branches]))
-    return levels
+    depth-k branches in outcome-path order, ``(2**k, samples, side, side)``.
+
+    A level measures every branch of the level before with one ``_embed``
+    of its projector stack, ``(2**k, samples, 2, 2)`` with the path slowest
+    and the outcome fastest, against each parent branch repeated once per
+    outcome."""
+    levels = [matrices[None]]
+    for k, position in enumerate(trees[0].measured[:depth]):
+        # pairs[path, sample, outcome]: the projectors of each path's node
+        pairs = np.array([[tree.basis_at(path).projectors for tree in trees]
+                          for path in itertools.product((0, 1), repeat=k)])
+        proj = _embed(dims, position, pairs.swapaxes(1, 2).reshape(-1, len(trees), 2, 2))
+        levels.append(proj @ np.repeat(levels[-1], 2, axis=0) @ proj)
+    return levels[1:]
 
 
 def _table(matrices: np.ndarray):
@@ -170,19 +174,20 @@ def reference_objective(state, tree, level: int | None = None):
 
 def dense_grid_min(state: QState, level: int | None = None, points_per_angle: int = 12) -> float:
     """Exact minimum of the discord integrand over all trees whose node
-    angles lie on the product grid.
+    angles lie on the product grid of ``points_per_angle`` (an integer of
+    at least 2) values per angle.
 
     The child bases of different outcome branches enter the objective through
     disjoint, non-negatively weighted terms, so the product-grid minimum
-    factorizes into a per-branch recursion; the value equals full grid
-    enumeration at a tiny fraction of the cost.  Each grid cell's embedded
-    projector pair is built once per measured position, not per branch; the
-    branches of one node are measured, reduced and diagonalized as one
-    stack, a leaf's branch reduced to the unmeasured tail (its measured
-    qubits are pure), and the node's best cell is one ``min`` over them.
+    factorizes into a per-branch recursion (:func:`_tail_min`); the value
+    equals full grid enumeration at a tiny fraction of the cost.  Each grid
+    cell's embedded projector pair is built once per measured position, not
+    per branch.
     """
-    n = state.n_subsystems
-    level = n if level is None else int(level)
+    points_per_angle = _integer("points_per_angle", points_per_angle)
+    if points_per_angle < 2:
+        raise ValueError("points_per_angle must be >= 2")
+    level = state.n_subsystems if level is None else int(level)
     dims = state.dims
     thetas = np.linspace(0.0, np.pi / 2, points_per_angle)
     phis = np.linspace(0.0, 2 * np.pi, points_per_angle, endpoint=False)
@@ -193,22 +198,27 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
                         for vector in _basis_vectors(theta, phi)])
     pairs = vectors[:, :, None] * vectors.conj()[:, None, :]
     cell_projectors = [_embed(dims, position, pairs) for position in range(level - 1)]
+    return float(base + _tail_min(np.asarray(state.matrix), 1, cell_projectors, dims))
 
-    def tail_min(sigma: np.ndarray, depth: int) -> float:
-        """Minimum over this node's grid of the terms its subtree controls;
-        sigma is the unnormalized branch about to be measured at ``depth``."""
-        if float(sigma.trace().real) < _ZERO_PROB:
-            return 0.0
-        projectors = cell_projectors[depth - 1]
-        branches = projectors @ sigma @ projectors
-        if depth == level - 1:
-            terms = _weighted_entropies(_reduce_matrix(branches, dims, range(depth, n)))
-        else:
-            terms = _weighted_entropies(_reduce_matrix(branches, dims, [depth]))
-            terms += [tail_min(branch, depth + 1) for branch in branches]
-        return float(np.min(terms[0::2] + terms[1::2]))
 
-    return float(base + tail_min(np.asarray(state.matrix), 1))
+def _tail_min(sigma: np.ndarray, depth: int, cell_projectors, dims) -> float:
+    """Minimum over one node's grid of the terms its subtree controls, for
+    the unnormalized branch sigma about to be measured at ``depth``.
+
+    The node's branches over every grid cell are measured, reduced and
+    diagonalized as one stack, a leaf's branch reduced to the unmeasured
+    tail (its measured qubits are pure), and the node's best cell is one
+    ``min`` over them."""
+    if float(sigma.trace().real) < _ZERO_PROB:
+        return 0.0
+    projectors = cell_projectors[depth - 1]
+    branches = projectors @ sigma @ projectors
+    if depth == len(cell_projectors):
+        terms = _weighted_entropies(_reduce_matrix(branches, dims, range(depth, len(dims))))
+    else:
+        terms = _weighted_entropies(_reduce_matrix(branches, dims, [depth]))
+        terms += [_tail_min(branch, depth + 1, cell_projectors, dims) for branch in branches]
+    return float(np.min(terms[0::2] + terms[1::2]))
 
 
 def invariance_residual(state: QState, tree: MeasurementTree) -> float:
@@ -259,6 +269,7 @@ def _reports(rng, samples: int, violations, tolerance: float) -> list[VerifyRepo
     them as one stack, returning each check's violations by name; it runs on
     blocks of ``_VERIFY_BLOCK`` indices in order, so the draws follow the
     rng's order and only a block's worth of samples is held at once."""
+    samples = _integer("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
     worst = {}

@@ -29,6 +29,14 @@ class StructuralError(ValueError):
     merely violating a physical invariant such as unit trace)."""
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` unless it is an
+    integer: a numpy integer counts, a bool or an integral float does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SubsetSpec:
     """A non-empty, strictly increasing selection of subsystem positions."""

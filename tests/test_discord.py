@@ -616,6 +616,29 @@ class TestDiscord:
         with pytest.raises(StructuralError):
             discord(ghz, measured_order=(0, 0, 1))
 
+    # each was truncated: level 2.9 ran level 2, and every order below ran
+    # as [1, 0, 2]
+    @pytest.mark.parametrize("argument, value, message", [
+        ("level", 2.9, "level must be an integer"),
+        ("level", 3.5, "level must be an integer"),
+        ("level", True, "level must be an integer"),
+        ("measured_order", [1.9], r"measured_order\[0\] must be an integer"),
+        ("measured_order", [True], r"measured_order\[0\] must be an integer"),
+        ("measured_order", ["1"], r"measured_order\[0\] must be an integer"),
+    ], ids=["level-2.9", "level-3.5", "level-True",
+            "order-1.9", "order-True", "order-str"])
+    def test_refuses_an_argument_that_is_not_an_integer(self, argument, value, message):
+        with pytest.raises(ValueError, match=message):
+            discord(states.werner_ghz(0.7), **{argument: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = OptimizerConfig(grid_points_per_angle=3, refine_starts=1)
+        state = states.werner_w(0.4)
+        plain = discord(state, measured_order=[1], level=2, config=cfg)
+        numpy = discord(state, measured_order=[np.int64(1)], level=np.int32(2), config=cfg)
+        assert numpy.value.hex() == plain.value.hex()
+        assert numpy.diagnostics == plain.diagnostics
+
 
 class TestDiscordTwoMeasurement:
     def test_matches_single_measurement_form(self):

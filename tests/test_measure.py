@@ -377,6 +377,77 @@ class TestRebuildBits:
         assert np.max(np.abs(post.matrix - state.matrix)) < 1e-10
 
 
+def _per_path_apply_tree(state, tree, depth):
+    """apply_tree as a loop over outcome paths: each path's embedded
+    projector on its own, one sandwich per path, a running post state."""
+    post = np.zeros_like(state.matrix)
+    branches = []
+    for path in measure._paths_at_depth(depth):
+        position_of = {pos: i for i, pos in enumerate(tree.measured[:depth])}
+        proj = kron_product([
+            np.eye(dim) if pos not in position_of
+            else tree.basis_at(path[:position_of[pos]]).projectors[path[position_of[pos]]]
+            for pos, dim in enumerate(state.dims)])
+        piece = proj @ state.matrix @ proj
+        prob = float(piece.trace().real)
+        post = post + piece
+        branches.append((path, prob, piece / prob if prob >= measure.PROB_EPS else None))
+    return post, branches
+
+
+class TestStackedApplyTreeBits:
+    """The stacked walk gives the per-path loop's post state, probabilities
+    and branch states byte for byte."""
+
+    @staticmethod
+    def assert_same_bytes(state, tree, depth):
+        post, branches = apply_tree(state, tree, depth)
+        want_post, want_branches = _per_path_apply_tree(state, tree, depth)
+        assert post.matrix.tobytes() == want_post.tobytes()
+        assert len(branches) == len(want_branches)
+        for branch, (path, prob, matrix) in zip(branches, want_branches):
+            assert branch.path == path
+            assert type(branch.probability) is float
+            assert branch.probability.hex() == prob.hex()
+            if matrix is None:
+                assert branch.post_state is None
+            else:
+                assert branch.post_state.matrix.tobytes() == matrix.tobytes()
+        return branches
+
+    @pytest.mark.parametrize("n, depth", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
+                                          (4, 1), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_qubits(self, n, depth, seed):
+        state = random_state((2,) * n, 1 + seed, 300 + 10 * n + seed)
+        tree = random_tree(400 + 10 * n + seed, depth, (2,) * n)
+        for measured_depth in range(1, depth + 1):
+            self.assert_same_bytes(state, tree, measured_depth)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuted_measured_order(self, seed):
+        tree = random_tree(500 + seed, 2)
+        tree = MeasurementTree((2, 0), tree.root, tree.children)
+        state = random_state((2, 2, 2), 2 + seed, 510 + seed)
+        for depth in (1, 2):
+            self.assert_same_bytes(state, tree, depth)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_qutrit_tail(self, seed):
+        state = random_state((2, 2, 3), 3 + seed, 520 + seed)
+        tree = random_tree(530 + seed, 2, (2, 2, 3))
+        for depth in (1, 2):
+            self.assert_same_bytes(state, tree, depth)
+
+    def test_zero_probability_branch(self):
+        rest = random_state((2, 2), 2, 11)
+        state = QState((2, 2, 2), kron_product([np.diag([1.0, 0.0]), rest.matrix]))
+        tree = tree_from_params((2, 2, 2), (0, 1), MeasParams(((0.0, 0.0),) * 3))
+        for depth in (1, 2):
+            branches = self.assert_same_bytes(state, tree, depth)
+            assert any(branch.post_state is None for branch in branches)
+
+
 class TestTreeStructure:
     def test_children_must_cover_paths(self):
         basis = projector_pair_from_angles(0.0, 0.0)

@@ -101,6 +101,36 @@ class TestDenseGridMin:
         value = dense_grid_min(ghz_state(), level=3, points_per_angle=6)
         assert_allclose(value, 1.0, atol=1e-9)
 
+    # True and 1 valued a one-point grid, and 2.5 ended in a TypeError from
+    # linspace
+    @pytest.mark.parametrize("points", [True, 2.5, np.float64(3.0)],
+                             ids=["True", "2.5", "float64-3.0"])
+    def test_refuses_a_grid_that_is_not_an_integer(self, points):
+        with pytest.raises(ValueError, match="points_per_angle must be an integer"):
+            dense_grid_min(random_state((2, 2, 2), 3, 1), 3, points)
+
+    @pytest.mark.parametrize("points", [1, 0])
+    def test_refuses_fewer_than_two_points(self, points):
+        with pytest.raises(ValueError, match="points_per_angle must be >= 2"):
+            dense_grid_min(random_state((2, 2, 2), 3, 1), 3, points)
+
+    def test_accepts_numpy_integers(self):
+        state = random_state((2, 2, 2), 3, 1)
+        assert dense_grid_min(state, 3, np.int64(4)).hex() == dense_grid_min(state, 3, 4).hex()
+
+    def test_leaves_no_reference_cycle(self):
+        # a recursive closure that referred to itself left 8 unreachable
+        # objects per call
+        state = random_state((2, 2, 2), 3, 1)
+        dense_grid_min(state, 3, 3)  # first-call caches
+        gc.collect()
+        gc.disable()
+        try:
+            dense_grid_min(state, 3, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestInvarianceResidual:
     def test_measured_state_with_generating_tree(self):
@@ -134,6 +164,21 @@ class TestIdentitySuite:
         # with no sample every check's worst violation was missing: KeyError
         with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples}$"):
             suite(seed=0, samples=samples)
+
+    # True ran one sample whose reports carried samples=True, and 2.5 ended
+    # in a TypeError from range
+    @pytest.mark.parametrize("samples", [True, 2.5, np.float64(3.0)],
+                             ids=["True", "2.5", "float64-3.0"])
+    @pytest.mark.parametrize("suite", [identity_suite, verification_suite])
+    def test_refuses_a_value_that_is_not_an_integer(self, suite, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            suite(seed=0, samples=samples)
+
+    @pytest.mark.parametrize("suite", [identity_suite, verification_suite])
+    def test_accepts_numpy_integers(self, suite):
+        reports = suite(seed=0, samples=np.int64(3))
+        assert _report_bits(reports) == _report_bits(suite(seed=0, samples=3))
+        assert all(type(report.samples) is int for report in reports)
 
     def test_deterministic(self):
         first = identity_suite(seed=3, samples=10)
@@ -301,6 +346,37 @@ class TestStackedHelpers:
         (one,) = reference_objective(states[:1], trees[:1], level)
         assert _same_bits(one, values[0])
         assert isinstance(reference_objective(states[0], trees[0], level), float)
+
+
+def _per_path_branch_walk(matrices, dims, trees, depth):
+    """The branch walk as a loop over each level's paths and outcomes, one
+    embedded projector stack and one sandwich per branch."""
+    levels = []
+    branches = [((), matrices)]
+    for position in trees[0].measured[:depth]:
+        measured = []
+        for path, sigma in branches:
+            for outcome in (0, 1):
+                proj = oracle._embed(dims, position, np.array(
+                    [tree.basis_at(path).projectors[outcome] for tree in trees]))
+                measured.append((path + (outcome,), proj @ sigma @ proj))
+        branches = measured
+        levels.append(np.array([sigma for _, sigma in branches]))
+    return levels
+
+
+class TestStackedBranchWalkBits:
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("samples", [1, 7])
+    def test_levels_equal_the_per_path_walk(self, samples, depth):
+        rho = np.array([random_qubits(600 + i, 3, 1 + i % 8).matrix for i in range(samples)])
+        trees = [random_tree(700 + i, 2) for i in range(samples)]
+        levels = oracle._branch_walk(rho, (2, 2, 2), trees, depth)
+        reference = _per_path_branch_walk(rho, (2, 2, 2), trees, depth)
+        assert len(levels) == len(reference) == depth
+        for k, (got, want) in enumerate(zip(levels, reference), start=1):
+            assert got.shape == want.shape == (2 ** k, samples, 8, 8)
+            assert got.tobytes() == want.tobytes()
 
 
 def _imported_names(node):
