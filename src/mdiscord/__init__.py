@@ -6,15 +6,7 @@ entropy-flux ledger, and the optimized discord with its decomposition into
 conditional-discord and monogamy contributions.
 """
 
-from .discord import (
-    DiscordResult,
-    discord,
-    discord_two_measurement,
-    objective_bipartite,
-    objective_bipartite_two_meas,
-    objective_npartite,
-    objective_tripartite,
-)
+from .discord import DiscordResult, discord
 from .entropy_flux import (
     FluxReport,
     cond_entropy,

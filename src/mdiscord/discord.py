@@ -6,9 +6,10 @@ The discord of an N-party state for the measurement ordering A_1 -> A_2 ->
     - S_{A_2..A_N | A_1}(rho) + sum_k S_{A_k | measured prefix}(rho),
 
 which is non-negative for every tree and zero exactly on measured states.
-``objective_*`` evaluate that quantity for a given tree through the readable
-:mod:`mdiscord.entropy_flux` path; :func:`discord` minimizes it with a
-dedicated batched evaluator built on Pauli blocks.  A qubit projector is
+:func:`discord` minimizes it with the one production evaluator,
+:class:`_MeasuredEntropyObjective`, built on Pauli blocks;
+:func:`mdiscord.oracle.reference_objective` values it tree by tree from raw
+definitions as the independent check.  A qubit projector is
 (I +- n . sigma) / 2, so every branch state is a fixed linear combination of
 partial traces of (Pauli product x I) rho, valued once per state (Luo, PRA
 77, 042303, 2008; Girolami & Adesso, PRA 83, 052108, 2011).  A batch of
@@ -29,7 +30,6 @@ import numpy as np
 from . import entropy_flux as flux
 from .measure import (
     MeasParams,
-    MeasurementTree,
     node_count,
     params_from_json,
     params_to_json,
@@ -61,58 +61,6 @@ class DiscordResult:
     @property
     def converged(self) -> bool:
         return bool(self.diagnostics.get("converged", False))
-
-
-def objective_npartite(state: QState, tree: MeasurementTree) -> float:
-    """Discord integrand for the tree's measurement chain; the unmeasured
-    tail of the state counts as the final party."""
-    n = state.n_subsystems
-    measured = tree.measured
-    if measured != tuple(range(len(measured))):
-        raise StructuralError("tree must measure the leading subsystems in order")
-    if len(measured) >= n:
-        raise StructuralError("at least one subsystem must stay unmeasured")
-    rest_of_first = tuple(range(1, n))
-    value = -flux.cond_entropy(state, rest_of_first, (0,))
-    for depth in range(1, len(measured) + 1):
-        if depth < len(measured):
-            value += flux.cond_entropy_measured(state, tree, depth, target=(depth,))
-        else:
-            value += flux.cond_entropy_measured(state, tree, depth)
-    return value
-
-
-def objective_bipartite(state: QState, tree: MeasurementTree) -> float:
-    """S_{B|measured A} - S_{B|A} where B is everything except subsystem 0."""
-    if tree.measured[0] != 0:
-        raise StructuralError("bipartite objective measures subsystem 0")
-    rest = tuple(range(1, state.n_subsystems))
-    return flux.cond_entropy_measured(state, tree, 1) - flux.cond_entropy(
-        state, rest, (0,)
-    )
-
-
-def objective_tripartite(state: QState, tree: MeasurementTree) -> float:
-    """- S_{BC|A} + S_{B|measured A} + S_{C|measured AB} for a 3-subsystem
-    state measured A then B."""
-    if state.n_subsystems != 3:
-        raise StructuralError("tripartite objective needs exactly 3 subsystems")
-    if tree.measured[:2] != (0, 1):
-        raise StructuralError("tripartite objective measures subsystems 0 then 1")
-    return objective_npartite(state, tree)
-
-
-def objective_bipartite_two_meas(state: QState, tree: MeasurementTree) -> float:
-    """Two-measurement bipartite form S_{B|A}(rho_m2) - S_{B|A}(rho);
-    its minimum over trees equals the minimized single-measurement form."""
-    if state.n_subsystems != 2:
-        raise StructuralError("two-measurement objective is bipartite only")
-    if tree.measured != (0, 1):
-        raise StructuralError("two-measurement objective measures both qubits")
-    from .measure import apply_tree
-
-    rho2, _ = apply_tree(state, tree, 2)
-    return flux.cond_entropy(rho2, (1,), (0,)) - flux.cond_entropy(state, (1,), (0,))
 
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
@@ -233,6 +181,23 @@ def _branch_coefficients(factors: np.ndarray, steps: int) -> list[np.ndarray]:
     return coefficients
 
 
+def _step_tensors(rho: np.ndarray, steps: int) -> list[np.ndarray]:
+    """Per step s, the matrix (4**s x components) from a branch's Pauli
+    coefficients to the components its terms read: the Pauli components of
+    the next qubit's block at an intermediate step; at the last step those
+    of the tail if it is one qubit, else the real and imaginary parts of its
+    block's entries."""
+    blocks = _pauli_blocks(rho, steps)
+    tensors = [_traces(blocks[s + 1]).reshape(4 ** s, 4) for s in range(1, steps)]
+    tail = blocks[-1]
+    if tail.shape[-1] == 2:
+        tensors.append((tail.reshape(-1, 4) @ _PAULI_TRACE).real)
+    else:
+        flat = tail.reshape(len(tail), -1)
+        tensors.append(np.concatenate([flat.real, flat.imag], axis=1))
+    return tensors
+
+
 class _MeasuredEntropyObjective:
     """Batched discord integrand over flat angle vectors, on Pauli blocks.
 
@@ -242,12 +207,14 @@ class _MeasuredEntropyObjective:
     valued once per state (``tensors``, one real matrix per measurement
     step); a row's branches after step s are then the products of its
     nodes' coefficients (:func:`_branch_coefficients`) times that step's
-    matrix, one small matmul.  Each branch adds its term by :meth:`_terms`:
-    the entropy of the next qubit at an intermediate step and of the whole
-    unmeasured tail at the last one, both weighted by the branch
-    probability.  :meth:`evaluate_many` and :meth:`grid_minimum` share the
-    matrices and the term rule.  Agrees with :func:`objective_npartite` on
-    the corresponding tree.
+    matrix, one small matmul.  Each branch adds its term, weighted by the
+    branch probability: the entropy of the next qubit at an intermediate
+    step (:func:`_qubit_terms`) and of the whole unmeasured tail at the last
+    one (:func:`_block_terms`, or :func:`_qubit_terms` for a one-qubit
+    tail).  :meth:`evaluate_many` and :meth:`grid_minimum` share the
+    matrices and the term rules.  Agrees with
+    :func:`mdiscord.oracle.reference_objective`, the raw-definition path, on
+    the corresponding tree; ``verify`` checks that to 1e-10.
 
     The exact gradient runs the product backwards: each term's derivative
     in its branch's components (``d Tr f(B) = Tr[f'(B) dB]``, clamped where
@@ -269,33 +236,9 @@ class _MeasuredEntropyObjective:
         self.n_nodes = node_count(self.steps)
         self.rho = np.asarray(state.matrix)
         self.base = -(entropy(state) - subsystem_entropy(state, (0,)))
-        self.tensors = self._tensors()
+        self.tensors = _step_tensors(self.rho, self.steps)
         # whether the last step's terms follow a rule of their own
         self.last_rule = self.tensors[-1].shape[1] != 4
-
-    def _tensors(self) -> list[np.ndarray]:
-        """Per step s, the matrix (4**s x components) from a branch's Pauli
-        coefficients to the components :meth:`_terms` reads: the Pauli
-        components of the next qubit's block at an intermediate step; at the
-        last step those of the tail if it is one qubit, else the real and
-        imaginary parts of its block's entries."""
-        blocks = _pauli_blocks(self.rho, self.steps)
-        tensors = [_traces(blocks[s + 1]).reshape(4 ** s, 4) for s in range(1, self.steps)]
-        tail = blocks[-1]
-        if tail.shape[-1] == 2:
-            tensors.append((tail.reshape(-1, 4) @ _PAULI_TRACE).real)
-        else:
-            flat = tail.reshape(len(tail), -1)
-            tensors.append(np.concatenate([flat.real, flat.imag], axis=1))
-        return tensors
-
-    def _terms(self, comps: np.ndarray, last: bool, slopes: bool = False):
-        """Per-branch entropy terms from components (see :meth:`_tensors`),
-        by the last step's own rule if ``last``, else by the next-qubit
-        rule; with ``slopes``, also their derivatives in the components."""
-        if last:
-            return _block_terms(comps, slopes)
-        return _qubit_terms(comps, slopes)
 
     def __call__(self, x) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -327,10 +270,10 @@ class _MeasuredEntropyObjective:
         shared = self.steps - 1 if self.last_rule else self.steps
         value = np.full(len(chunk), self.base)
         slopes = []
-        for group, last in ((comps[:shared], False), (comps[shared:], True)):
+        for group, rule in ((comps[:shared], _qubit_terms), (comps[shared:], _block_terms)):
             if not group:
                 continue
-            terms = self._terms(np.concatenate(group, axis=1), last, gradient)
+            terms = rule(np.concatenate(group, axis=1), gradient)
             if gradient:
                 terms, slope = terms
                 widths = [c.shape[1] for c in group[:-1]]
@@ -379,9 +322,9 @@ class _MeasuredEntropyObjective:
             p, q = partial.shape[:2]
             best, cell = np.empty((p, q)), np.empty((p, q), dtype=np.intp)
             block = max(1, _GRID_BLOCK // (2 * q * cells))
+            rule = _block_terms if step == self.steps and self.last_rule else _qubit_terms
             for first in range(0, p, block):
-                terms = self._terms(factors @ partial[first:first + block],
-                                    step == self.steps and self.last_rule)
+                terms = rule(factors @ partial[first:first + block], False)
                 terms = terms.reshape(-1, q, cells, 2)
                 node = terms[..., 0] + terms[..., 1]
                 if subtree is not None:
@@ -425,36 +368,6 @@ def _bloch_gradient(factors, coefficients, pulled) -> np.ndarray:
         grad = pulled[step - 1] + (split @ factors[:, nodes, :, :, None])[..., 0].sum(axis=2)
     out[:, 0] = grad
     return (out[:, :, 0, 1:] - out[:, :, 1, 1:]).reshape(rows, -1) / 2.0
-
-
-class _TwoMeasurementObjective(_MeasuredEntropyObjective):
-    """Batched two-measurement bipartite integrand S_{B|A}(rho_m2) - S_{B|A}(rho).
-
-    The walk measures both qubits of a 2-qubit state.  On the fully measured
-    (hence classical) state the conditional entropy is the Shannon
-    conditional entropy H(a, b) - H(a) of the outcome distribution, so the
-    first step's branches add x log2 x of their probability p_a and the
-    second step's subtract x log2 x of p_ab.  A branch's probability is the
-    trace of its block, so each step's matrix holds only the traces.
-    """
-
-    def __init__(self, state: QState):
-        if state.n_subsystems != 2 or state.dims != (2, 2):
-            raise StructuralError("two-measurement objective needs a 2-qubit state")
-        super().__init__(state, 2)
-        self.steps, self.n_nodes = 2, node_count(2)
-        self.last_rule = True
-
-    def _tensors(self) -> list[np.ndarray]:
-        blocks = _pauli_blocks(self.rho, 2)
-        return [_traces(blocks[s])[:, None] for s in (1, 2)]
-
-    def _terms(self, comps: np.ndarray, last: bool, slopes: bool = False):
-        sign = -1.0 if last else 1.0
-        if not slopes:
-            return sign * x_log2_x(comps[..., 0])
-        value, slope = _x_log2_x_and_slope(comps[..., 0])
-        return sign * value, sign * slope[..., None]
 
 
 class _ScaledObjective:
@@ -551,28 +464,6 @@ def discord(
         value=best_value,
         optimal_params=best_params,
         decomposition=decomposition,
-        diagnostics=diagnostics,
-    )
-
-
-def discord_two_measurement(
-    state: QState, config: OptimizerConfig | None = None
-) -> DiscordResult:
-    """Minimize the two-measurement bipartite form over full-depth trees.
-
-    Equivalent after minimization to :func:`discord` at level 2 on the same
-    two-qubit state; kept as an executable equivalence check.  The
-    integrand is the discord walk over two steps with Shannon terms
-    (:class:`_TwoMeasurementObjective`), so it takes the same exact grid
-    minimum, refinement and polish as :func:`discord`.
-    """
-    objective = _TwoMeasurementObjective(state)
-    best_value, best_params, diagnostics = _minimize(objective, config or OptimizerConfig())
-    diagnostics.update({"level": 2, "measured_order": [0, 1]})
-    return DiscordResult(
-        value=best_value,
-        optimal_params=best_params,
-        decomposition=None,
         diagnostics=diagnostics,
     )
 

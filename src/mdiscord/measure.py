@@ -27,6 +27,7 @@ from .qstate import (
     QState,
     StructuralError,
     SubsetSpec,
+    _integer,
     _is_json_number,
     as_subset,
     kron_product,
@@ -74,10 +75,11 @@ class ProjectorBasis:
 class MeasurementTree:
     """Per-outcome-path qubit projector pairs over the measured subsystems.
 
-    ``measured`` lists the measured positions in measurement order,
-    ``root`` is the basis for the first of them, and ``children`` maps each
-    outcome path (j_1, ..., j_{k-1}) to the basis used for the k-th.  Every
-    basis must be a qubit pair.
+    ``measured`` lists the measured positions in measurement order (any
+    order, each an integer, non-negative and named once), ``root`` is the
+    basis for the first of them, and ``children`` maps each outcome path
+    (j_1, ..., j_{k-1}) to the basis used for the k-th.  Every basis must be
+    a qubit pair.
     """
 
     measured: tuple[int, ...]
@@ -85,9 +87,13 @@ class MeasurementTree:
     children: Mapping[tuple[int, ...], ProjectorBasis]
 
     def __post_init__(self):
-        measured = tuple(int(i) for i in self.measured)
+        measured = tuple(_integer(f"measured[{k}]", i) for k, i in enumerate(self.measured))
         if len(measured) == 0:
             raise StructuralError("a tree must measure at least one subsystem")
+        if any(i < 0 for i in measured):
+            raise StructuralError(f"negative measured position in {measured}")
+        if len(set(measured)) != len(measured):
+            raise StructuralError(f"a measured position is repeated in {measured}")
         object.__setattr__(self, "measured", measured)
         object.__setattr__(self, "children", dict(self.children))
         if any(basis.dim != 2 for basis in (self.root, *self.children.values())):

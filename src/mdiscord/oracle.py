@@ -147,19 +147,33 @@ def _base_terms(matrices: np.ndarray, dims) -> np.ndarray:
     return -(_entropies(matrices) - _entropies(_reduce_matrix(matrices, dims, [0])))
 
 
+def _level(n: int, level) -> int:
+    """``level`` (``n`` if None) as an int in [2, n], or a ValueError."""
+    level = n if level is None else _integer("level", level)
+    if not 2 <= level <= n:
+        raise ValueError(f"level must lie in [2, {n}], got {level}")
+    return level
+
+
 def reference_objective(state, tree, level: int | None = None):
     """Discord integrand computed branch by branch from the definitions.
 
     ``state`` and ``tree`` are one QState and its tree, which gives a float,
     or equally long sequences of states of one ``dims`` and their trees,
-    valued as one stack, which gives an array.  Separate code path from
-    :func:`mdiscord.discord.objective_npartite`; the two must agree to 1e-10
-    on any (state, tree) pair.
+    valued as one stack, which gives an array.  ``level`` (the state's
+    subsystem count if None) is an integer in [2, n], and every tree must
+    measure the subsystems 0, ..., level - 2 first, in that order.  The
+    independent path to the integrand that the production evaluator,
+    :class:`mdiscord.discord._MeasuredEntropyObjective`, values on Pauli
+    blocks; the two must agree to 1e-10 on any (state, tree) pair.
     """
     single = isinstance(state, QState)
     states, trees = ([state], [tree]) if single else (state, tree)
-    n = states[0].n_subsystems
-    level = n if level is None else int(level)
+    level = _level(states[0].n_subsystems, level)
+    for item in trees:
+        if item.measured[:level - 1] != tuple(range(level - 1)):
+            raise ValueError(f"a level-{level} tree must measure {tuple(range(level - 1))} "
+                             f"first, got {item.measured}")
     dims = states[0].dims
     matrices = np.array([item.matrix for item in states])
     values = _base_terms(matrices, dims)
@@ -175,7 +189,8 @@ def reference_objective(state, tree, level: int | None = None):
 def dense_grid_min(state: QState, level: int | None = None, points_per_angle: int = 12) -> float:
     """Exact minimum of the discord integrand over all trees whose node
     angles lie on the product grid of ``points_per_angle`` (an integer of
-    at least 2) values per angle.
+    at least 2) values per angle, at ``level`` (the state's subsystem count
+    if None, else an integer in [2, n]).
 
     The child bases of different outcome branches enter the objective through
     disjoint, non-negatively weighted terms, so the product-grid minimum
@@ -187,7 +202,7 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
     points_per_angle = _integer("points_per_angle", points_per_angle)
     if points_per_angle < 2:
         raise ValueError("points_per_angle must be >= 2")
-    level = state.n_subsystems if level is None else int(level)
+    level = _level(state.n_subsystems, level)
     dims = state.dims
     thetas = np.linspace(0.0, np.pi / 2, points_per_angle)
     phis = np.linspace(0.0, 2 * np.pi, points_per_angle, endpoint=False)

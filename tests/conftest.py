@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
 
-from mdiscord import MeasParams, QState, random_state, tree_from_params
+from mdiscord import (
+    MeasParams,
+    MeasurementTree,
+    ProjectorBasis,
+    QState,
+    apply_tree,
+    entropy,
+    partial_trace,
+    projector_pair_from_angles,
+    random_state,
+    subsystem_entropy,
+    tree_from_params,
+)
 
 
 def dm(ket):
@@ -49,3 +61,29 @@ def random_tree(seed, depth, dims=None):
 def random_qubits(seed, n, rank=None):
     side = 2 ** n
     return random_state((2,) * n, rank if rank is not None else side, seed)
+
+
+def two_measurement_integrand(state, tree):
+    """The paper's two-measurement bipartite form S_{B|A}(rho_m2) - S_{B|A}(rho)
+    of a two-party state, rho_m2 being the state after both levels of
+    ``tree`` (A measured, then B conditioned on A's outcome)."""
+    measured, _ = apply_tree(state, tree, 2)
+    return ((entropy(measured) - subsystem_entropy(measured, (0,)))
+            - (entropy(state) - subsystem_entropy(state, (0,))))
+
+
+def eigenbasis_tree(state, root):
+    """The two-level tree measuring A in the basis ``root``, then B, after
+    each outcome, in the eigenbasis of B's conditional state (in the
+    computational basis after an outcome of probability below
+    ``PROB_EPS``): the children under which the two-measurement form
+    equals the one-measurement form of ``root``."""
+    _, branches = apply_tree(state, MeasurementTree((0,), root, {}), 1)
+    children = {}
+    for branch in branches:
+        if branch.post_state is None:
+            children[branch.path] = projector_pair_from_angles(0.0, 0.0)
+        else:
+            _, vectors = np.linalg.eigh(partial_trace(branch.post_state, (1,)).matrix)
+            children[branch.path] = ProjectorBasis.from_vectors(vectors.T)
+    return MeasurementTree((0, 1), root, children)

@@ -18,12 +18,10 @@ from mdiscord import (
     delta_cond_discord,
     delta_post_discord,
     discord,
-    discord_two_measurement,
     identity_suite,
     invariance_residual,
-    objective_npartite,
-    objective_tripartite,
     permute_subsystems,
+    projector_pair_from_angles,
     random_state,
     reference_objective,
     tensor,
@@ -40,7 +38,7 @@ from mdiscord.states import (
     werner_w,
 )
 
-from conftest import random_qubits, random_tree
+from conftest import eigenbasis_tree, random_qubits, random_tree, two_measurement_integrand
 
 
 def report(number, name, detail, started, budget):
@@ -65,7 +63,7 @@ def test_02_non_negativity():
     for index in range(500):
         state = random_qubits(10_000 + index, 3, 1 + index % 8)
         tree = random_tree(20_000 + index, 2)
-        values = [objective_tripartite(state, tree)]
+        values = [reference_objective(state, tree)]
         values.extend(
             d_unminimized(state, tree, (0,), rest) for rest in ((1,), (2,), (1, 2))
         )
@@ -118,16 +116,31 @@ def test_04_bipartite_reduction_three_placements():
 
 
 def test_05_two_measurement_equivalence():
+    # The two-measurement form S_{B|A}(rho_m2) - S_{B|A}(rho), from raw
+    # definitions, at discord's root with each child in the eigenbasis of
+    # B's conditional state equals the minimized one-measurement form, and
+    # no other pair of children goes below it.
     started = time.time()
-    worst = 0.0
+    rng = np.random.default_rng(75_000)
+    worst, least_excess = 0.0, np.inf
     for index in range(20):
         state = random_state((2, 2), 1 + index % 4, 70_000 + index)
-        gap = abs(
-            discord_two_measurement(state).value - discord(state, level=2).value
-        )
+        result = discord(state, level=2)
+        (root,) = result.optimal_params.angles
+        best = two_measurement_integrand(
+            state, eigenbasis_tree(state, projector_pair_from_angles(*root)))
+        gap = abs(best - result.value)
         worst = max(worst, gap)
         assert gap < 1e-5, index
-    report(5, "two-measurement equivalence", f"20 states, worst gap {worst:.1e}",
+        for _ in range(20):
+            children = [(rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi))
+                        for _ in range(2)]
+            tree = tree_from_params((2, 2), (0, 1), MeasParams((root, *children)))
+            excess = two_measurement_integrand(state, tree) - best
+            least_excess = min(least_excess, excess)
+            assert excess > -1e-12, index
+    report(5, "two-measurement equivalence",
+           f"20 states, worst gap {worst:.1e}, least child excess {least_excess:+.3f}",
            started, 120)
 
 
@@ -202,7 +215,7 @@ def test_10_non_convexity_witness():
 def test_11_four_party_smoke():
     started = time.time()
     z_tree = tree_from_params((2,) * 4, (0, 1, 2), MeasParams(((0.0, 0.0),) * 7))
-    ghz4 = objective_npartite(ghz_state(4), z_tree)
+    ghz4 = reference_objective(ghz_state(4), z_tree)
     assert abs(ghz4 - 1.0) < 1e-9
     product4 = tensor(product_state(), random_state((2,), 1, 80_000))
     result = discord(

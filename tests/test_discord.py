@@ -12,11 +12,7 @@ from mdiscord import (
     StructuralError,
     apply_tree,
     discord,
-    discord_two_measurement,
-    objective_bipartite,
-    objective_bipartite_two_meas,
-    objective_npartite,
-    objective_tripartite,
+    projector_pair_from_angles,
     random_state,
     states,
     tensor,
@@ -24,7 +20,6 @@ from mdiscord import (
 )
 from mdiscord.discord import (
     _MeasuredEntropyObjective,
-    _TwoMeasurementObjective,
     _branch_coefficients,
     _projector_coefficients,
     result_from_json,
@@ -42,7 +37,8 @@ from mdiscord.optimizer import (
 from mdiscord.oracle import reference_objective
 from mdiscord.states import bell_mixture, cc_example_state, ghz_state, product_state
 
-from conftest import dm, random_qubits, random_tree
+from conftest import (dm, eigenbasis_tree, random_qubits, random_tree,
+                      two_measurement_integrand)
 
 
 def cc_optimal_tree():
@@ -55,22 +51,22 @@ def cc_optimal_tree():
 
 class TestObjectiveBipartite:
     def test_bell_z(self, bell, z_tree_2q):
-        assert_allclose(objective_bipartite(bell, z_tree_2q), 1.0, atol=1e-12)
+        assert_allclose(reference_objective(bell, z_tree_2q, level=2), 1.0, atol=1e-12)
 
     def test_product_any_tree(self):
         state = tensor(random_state((2,), 2, 1), random_state((2,), 2, 2))
         tree = random_tree(10, 1, dims=(2, 2))
-        assert_allclose(objective_bipartite(state, tree), 0.0, atol=1e-9)
+        assert_allclose(reference_objective(state, tree, level=2), 0.0, atol=1e-9)
 
     def test_classical_pair_z(self, z_tree_2q):
         state = QState((2, 2), np.diag([0.5, 0.0, 0.0, 0.5]))
-        assert_allclose(objective_bipartite(state, z_tree_2q), 0.0, atol=1e-12)
+        assert_allclose(reference_objective(state, z_tree_2q, level=2), 0.0, atol=1e-12)
 
 
 class TestObjectiveTwoMeasurement:
     def test_bell_z_tree(self, bell):
         tree = tree_from_params((2, 2), (0, 1), MeasParams(((0.0, 0.0),) * 3))
-        assert_allclose(objective_bipartite_two_meas(bell, tree), 1.0, atol=1e-12)
+        assert_allclose(two_measurement_integrand(bell, tree), 1.0, atol=1e-12)
 
     def test_cc_pair_with_optimal_tree(self):
         state = QState((2, 2), (dm([1, 0, 0, 0]) + dm([0, 0, 1, 1])) / 2)
@@ -78,64 +74,46 @@ class TestObjectiveTwoMeasurement:
             (2, 2), (0, 1),
             MeasParams(((0.0, 0.0), (0.0, 0.0), (np.pi / 4, 0.0))),
         )
-        assert_allclose(objective_bipartite_two_meas(state, tree), 0.0, atol=1e-12)
+        assert_allclose(two_measurement_integrand(state, tree), 0.0, atol=1e-12)
 
     def test_product(self):
         # with the second measurement along the B factor's own eigenbasis
         # nothing changes, so the integrand vanishes
         state = QState((2, 2), np.kron(np.diag([0.8, 0.2]), np.diag([0.3, 0.7])))
         tree = tree_from_params((2, 2), (0, 1), MeasParams(((0.0, 0.0),) * 3))
-        assert_allclose(objective_bipartite_two_meas(state, tree), 0.0, atol=1e-9)
-        # and the minimized value is zero for any product state
+        assert_allclose(two_measurement_integrand(state, tree), 0.0, atol=1e-9)
+        # and for any product state and any root, the eigenbasis children
+        # bring it to zero, its minimum
         random_product = tensor(random_state((2,), 2, 3), random_state((2,), 2, 4))
-        assert discord_two_measurement(random_product).value < 1e-9
+        root = projector_pair_from_angles(0.4, 1.3)
+        assert abs(two_measurement_integrand(
+            random_product, eigenbasis_tree(random_product, root))) < 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
     def test_dominates_single_measurement_form(self, seed):
-        # convolving with a non-eigenbasis child can only raise the entropy
+        # convolving with a non-eigenbasis child can only raise the entropy;
+        # the level-2 integrand reads the tree's root alone
         state = random_state((2, 2), 1 + seed % 4, 600 + seed)
         tree = random_tree(12 + seed, 2, dims=(2, 2))
-        root_only = tree_from_params(
-            (2, 2), (0,), MeasParams((tuple(_root_angles(tree)),))
-        )
         assert (
-            objective_bipartite_two_meas(state, tree)
-            >= objective_bipartite(state, root_only) - 1e-9
+            two_measurement_integrand(state, tree)
+            >= reference_objective(state, tree, level=2) - 1e-9
         )
-
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    def test_batched_walk_equals_the_tree_integrand(self, rank):
-        # the evaluator discord_two_measurement minimizes: the discord walk
-        # over both qubits with Shannon terms, against the raw tree path
-        state = random_state((2, 2), rank, 610 + rank)
-        objective = _TwoMeasurementObjective(state)
-        chunk = _random_angles(620 + rank, 40, objective.n_nodes)
-        for value, row in zip(objective.evaluate_many(chunk), chunk):
-            tree = tree_from_params((2, 2), (0, 1), MeasParams.from_flat(row))
-            assert abs(value - objective_bipartite_two_meas(state, tree)) < 1e-12
-            assert objective(row) == value
-
-
-def _root_angles(tree):
-    p0 = tree.root.projectors[0]
-    theta = float(np.arccos(np.sqrt(np.clip(p0[0, 0].real, 0.0, 1.0))))
-    phi = float(np.angle(p0[1, 0])) % (2 * np.pi) if abs(p0[1, 0]) > 1e-12 else 0.0
-    return theta, phi
 
 
 class TestObjectiveTripartite:
     def test_ghz_full_z(self, ghz, z_tree_3q):
-        assert_allclose(objective_tripartite(ghz, z_tree_3q), 1.0, atol=1e-12)
+        assert_allclose(reference_objective(ghz, z_tree_3q), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_measured_state_scores_zero_with_its_tree(self, seed):
         tree = random_tree(20 + seed, 2)
         measured, _ = apply_tree(random_qubits(seed, 3, 1 + seed % 8), tree, 2)
-        assert_allclose(objective_tripartite(measured, tree), 0.0, atol=1e-10)
+        assert_allclose(reference_objective(measured, tree), 0.0, atol=1e-10)
 
     def test_cc_example_with_optimal_tree(self):
         assert_allclose(
-            objective_tripartite(cc_example_state(), cc_optimal_tree()),
+            reference_objective(cc_example_state(), cc_optimal_tree()),
             0.0,
             atol=1e-12,
         )
@@ -144,46 +122,38 @@ class TestObjectiveTripartite:
     def test_non_negative_for_every_tree(self, seed):
         state = random_qubits(700 + seed, 3, 1 + seed % 8)
         tree = random_tree(30 + seed, 2)
-        assert objective_tripartite(state, tree) > -1e-9
-
-    def test_matches_batched_evaluator(self):
-        state = random_qubits(3, 3, 6)
-        rng = np.random.default_rng(31)
-        flat = np.stack(
-            [rng.uniform(0, np.pi / 2, 3), rng.uniform(0, 2 * np.pi, 3)], 1
-        ).ravel()
-        tree = tree_from_params((2, 2, 2), (0, 1), MeasParams.from_flat(flat))
-        fast = _MeasuredEntropyObjective(state, 3)
-        assert_allclose(fast(flat), objective_tripartite(state, tree), atol=1e-12)
+        assert reference_objective(state, tree) > -1e-9
 
 
 class TestObjectiveNPartite:
     def test_four_qubit_product(self):
         state = tensor(product_state(), random_state((2,), 1, 77))
         tree = random_tree(40, 3, dims=(2, 2, 2, 2))
-        assert_allclose(objective_npartite(state, tree), 0.0, atol=1e-9)
+        assert_allclose(reference_objective(state, tree), 0.0, atol=1e-9)
 
     def test_four_qubit_ghz_full_z(self):
         tree = tree_from_params((2,) * 4, (0, 1, 2), MeasParams(((0.0, 0.0),) * 7))
-        assert_allclose(objective_npartite(ghz_state(4), tree), 1.0, atol=1e-9)
+        assert_allclose(reference_objective(ghz_state(4), tree), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_four_partite_measured_state_scores_zero(self, seed):
         tree = random_tree(50 + seed, 3, dims=(2,) * 4)
         measured, _ = apply_tree(random_qubits(seed, 4, 1 + seed % 16), tree, 3)
-        assert_allclose(objective_npartite(measured, tree), 0.0, atol=1e-10)
+        assert_allclose(reference_objective(measured, tree), 0.0, atol=1e-10)
 
-    def test_reduces_to_lower_levels(self, ghz, z_tree_3q, bell, z_tree_2q):
-        assert_allclose(
-            objective_npartite(ghz, z_tree_3q),
-            objective_tripartite(ghz, z_tree_3q),
-            atol=1e-12,
-        )
-        assert_allclose(
-            objective_npartite(bell, z_tree_2q),
-            objective_bipartite(bell, z_tree_2q),
-            atol=1e-12,
-        )
+    def test_reduces_to_lower_levels(self):
+        # below the full level the unmeasured subsystems count as one party:
+        # the level-k integrand of four qubits is the full-level integrand
+        # of the state with its tail merged, under the tree's top k - 1 levels
+        state = random_qubits(61, 4, 5)
+        params = MeasParams.from_flat(_random_angles(62, 1, 7)[0])
+        tree = tree_from_params((2,) * 4, (0, 1, 2), params)
+        for level, dims in ((3, (2, 2, 4)), (2, (2, 8))):
+            merged = QState(dims, state.matrix)
+            top = MeasParams(params.angles[:2 ** (level - 1) - 1])
+            merged_tree = tree_from_params(dims, tuple(range(level - 1)), top)
+            assert_allclose(reference_objective(state, tree, level=level),
+                            reference_objective(merged, merged_tree), atol=1e-12)
 
 
 def _random_angles(seed, rows, n_nodes):
@@ -440,16 +410,6 @@ class TestGradient:
         assert np.max(np.abs(_angle_gradient(grads, chunk)
                              - _central_differences(objective, chunk))) < 1e-8
 
-    @pytest.mark.parametrize("rank", [1, 2, 4])
-    def test_two_measurement_equals_central_differences(self, rank):
-        objective = _TwoMeasurementObjective(random_state((2, 2), rank, 84 + rank))
-        chunk = _gradient_rows(85 + rank, 40, objective.n_nodes)
-        values, grads = objective.evaluate_many(chunk, gradient=True)
-        assert np.array_equal(values, objective.evaluate_many(chunk))
-        assert grads.shape == (len(chunk), 3 * objective.n_nodes)
-        assert np.max(np.abs(_angle_gradient(grads, chunk)
-                             - _central_differences(objective, chunk))) < 1e-8
-
     @pytest.mark.parametrize("dims, level", CASES)
     def test_batched_rows_equal_single_row_gradients(self, dims, level):
         # the lockstep refinement relies on this, as on the values
@@ -641,16 +601,20 @@ class TestDiscord:
 
 
 class TestDiscordTwoMeasurement:
+    # the two-measurement form at discord's root, with each child in the
+    # eigenbasis of B's conditional state, is the minimized one-measurement
+    # form, and no child goes lower (TestObjectiveTwoMeasurement)
     def test_matches_single_measurement_form(self):
         state = random_state((2, 2), 3, 506)
-        assert_allclose(
-            discord_two_measurement(state).value,
-            discord(state, level=2).value,
-            atol=1e-5,
-        )
+        result = discord(state, level=2)
+        root = projector_pair_from_angles(*result.optimal_params.angles[0])
+        assert_allclose(two_measurement_integrand(state, eigenbasis_tree(state, root)),
+                        result.value, atol=1e-5)
 
     def test_bell(self, bell):
-        assert_allclose(discord_two_measurement(bell).value, 1.0, atol=1e-4)
+        root = projector_pair_from_angles(*discord(bell, level=2).optimal_params.angles[0])
+        assert_allclose(two_measurement_integrand(bell, eigenbasis_tree(bell, root)),
+                        1.0, atol=1e-4)
 
 
 class TestResultJson:

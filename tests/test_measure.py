@@ -463,6 +463,26 @@ class TestTreeStructure:
             MeasurementTree(measured=(0, 1), root=qubit,
                             children={(0,): qubit, (1,): qutrit})
 
+    # (1.7,) was taken as (1,), (-1,) measured the last subsystem, and a
+    # (0, 0) tree's branch probabilities summed to 2
+    @pytest.mark.parametrize("measured, message", [
+        ((1.7,), r"measured\[0\] must be an integer"),
+        ((0, True), r"measured\[1\] must be an integer"),
+        ((-1,), "negative measured position"),
+        ((0, 0), "repeated"),
+    ], ids=["float", "bool", "negative", "repeated"])
+    def test_refuses_a_position_that_is_not_a_new_non_negative_integer(self, measured, message):
+        basis = projector_pair_from_angles(0.3, 0.1)
+        children = {path: basis for path in bfs_paths(len(measured))[1:]}
+        with pytest.raises(ValueError, match=message):
+            MeasurementTree(measured, basis, children)
+
+    def test_keeps_the_given_order_of_numpy_integers(self):
+        basis = projector_pair_from_angles(0.3, 0.1)
+        tree = MeasurementTree((np.int64(2), np.int32(0)), basis, {(0,): basis, (1,): basis})
+        assert tree.measured == (2, 0)
+        assert all(type(pos) is int for pos in tree.measured)
+
     def test_parameter_count_scaling(self):
         for n_parties in (2, 3, 4):
             depth = n_parties - 1

@@ -18,7 +18,7 @@ from mdiscord import (
     random_state,
     simplex_refine,
 )
-from mdiscord.discord import _MeasuredEntropyObjective, _TwoMeasurementObjective
+from mdiscord.discord import _MeasuredEntropyObjective
 from mdiscord import optimizer
 from mdiscord.optimizer import (
     _PROBE_STEPS,
@@ -354,10 +354,7 @@ class TestGridScan:
         (_MeasuredEntropyObjective(werner_ghz(0.7), 3), 6),
         (_MeasuredEntropyObjective(werner_ghz(0.7), 3), 10),
         (_MeasuredEntropyObjective(random_state((2, 2, 2), 5, 29), 3), 6),
-        (_TwoMeasurementObjective(random_state((2, 2), 3, 31)), 6),
-        (_TwoMeasurementObjective(random_state((2, 2), 3, 31)), 9),
-    ], ids=["constant", "werner_ghz-6", "werner_ghz-10", "random-6",
-            "two-measurement-6", "two-measurement-9"])
+    ], ids=["constant", "werner_ghz-6", "werner_ghz-10", "random-6"])
     def test_starts_equal_stable_sort_of_brute_force(self, objective, points):
         # the start rule: the root cells of least grid minimum, ascending
         # with ties in grid order, each started at its best grid point
@@ -397,16 +394,9 @@ class TestGridScan:
         ((2, 2, 2, 2), 3, 6),   # 2-qubit unmeasured tail: eigvalsh block path
         ((2, 2, 3), 3, 6),      # qutrit tail
         ((2, 2, 2, 2), 4, 2),   # 16,384 points
-        # no level: the two-measurement walk over both qubits of a pair
-        pytest.param((2, 2), None, 6, id="two-measurement-6"),
-        pytest.param((2, 2), None, 9, id="two-measurement-9"),
     ])
     def test_factored_grid_equals_brute_force(self, dims, level, points):
-        state = random_state(dims, 3, 17)
-        if level is None:
-            objective = _TwoMeasurementObjective(state)
-        else:
-            objective = _MeasuredEntropyObjective(state, level)
+        objective = _MeasuredEntropyObjective(random_state(dims, 3, 17), level)
         cell_min = brute_force_by_root_cell(objective, points).min(axis=1)
         cells = points * points
         config = OptimizerConfig(grid_points_per_angle=points, refine_starts=cells)

@@ -11,11 +11,13 @@ from numpy.testing import assert_allclose
 
 from mdiscord import (
     MeasParams,
+    MeasurementTree,
     oracle,
     apply_tree,
     dense_grid_min,
     identity_suite,
     invariance_residual,
+    projector_pair_from_angles,
     random_state,
     reference_objective,
     tree_from_params,
@@ -52,6 +54,42 @@ class TestReferenceObjective:
                                  thetas[ti], phis[(pi_ + 2) % 4]])
                 tree = tree_from_params((2, 2, 2), (0, 1), MeasParams.from_flat(flat))
                 assert abs(reference_objective(state, tree)) < 1e-12
+
+    # level 5 and level 1 returned partial sums (1.1113 and -0.4126), and
+    # True and 2.9 were taken as 1 and 2
+    @pytest.mark.parametrize("level, message", [
+        (1, r"level must lie in \[2, 3\], got 1$"),
+        (5, r"level must lie in \[2, 3\], got 5$"),
+        (True, "level must be an integer"),
+        (2.9, "level must be an integer"),
+    ], ids=["1", "5", "True", "2.9"])
+    def test_refuses_a_level_outside_two_to_n(self, level, message):
+        with pytest.raises(ValueError, match=message):
+            reference_objective(random_state((2, 2, 2), 3, 1), random_tree(5, 2), level)
+
+    # a depth-1 tree at level 3 gave 0.4500, the first level's terms alone
+    @pytest.mark.parametrize("measured, level, stacked", [
+        ((0,), 3, False),
+        ((1, 0), 2, False),
+        ((0, 2), 3, False),
+        ((0,), 3, True),
+    ], ids=["depth-1-at-level-3", "first-1", "second-2", "one-tree-of-a-stack"])
+    def test_refuses_a_tree_that_skips_a_leading_subsystem(self, measured, level, stacked):
+        state = random_state((2, 2, 2), 3, 1)
+        basis = projector_pair_from_angles(0.3, 0.1)
+        tree = MeasurementTree(measured, basis,
+                               {(j,): basis for j in (0, 1)} if len(measured) == 2 else {})
+        with pytest.raises(ValueError, match="must measure"):
+            if stacked:
+                reference_objective([state, state], [random_tree(5, 2), tree], level)
+            else:
+                reference_objective(state, tree, level)
+
+    def test_accepts_numpy_integers(self):
+        state, tree = random_state((2, 2, 2), 3, 1), random_tree(5, 2)
+        for level in (2, 3):
+            assert (reference_objective(state, tree, np.int64(level)).hex()
+                    == reference_objective(state, tree, level).hex())
 
 
 def _grid_trees(dims, level, points):
@@ -114,9 +152,21 @@ class TestDenseGridMin:
         with pytest.raises(ValueError, match="points_per_angle must be >= 2"):
             dense_grid_min(random_state((2, 2, 2), 3, 1), 3, points)
 
+    # level 2.9 gave the level-2 value and level 1 ended in an IndexError
+    @pytest.mark.parametrize("level, message", [
+        (1, r"level must lie in \[2, 3\], got 1$"),
+        (4, r"level must lie in \[2, 3\], got 4$"),
+        (True, "level must be an integer"),
+        (2.9, "level must be an integer"),
+    ], ids=["1", "4", "True", "2.9"])
+    def test_refuses_a_level_outside_two_to_n(self, level, message):
+        with pytest.raises(ValueError, match=message):
+            dense_grid_min(random_state((2, 2, 2), 3, 1), level, 4)
+
     def test_accepts_numpy_integers(self):
         state = random_state((2, 2, 2), 3, 1)
         assert dense_grid_min(state, 3, np.int64(4)).hex() == dense_grid_min(state, 3, 4).hex()
+        assert dense_grid_min(state, np.int32(2), 4).hex() == dense_grid_min(state, 2, 4).hex()
 
     def test_leaves_no_reference_cycle(self):
         # a recursive closure that referred to itself left 8 unreachable
