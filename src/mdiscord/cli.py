@@ -5,10 +5,11 @@ Subcommands: discord, sweep, flux, verify.  Every numeric path is a thin
 adapter over the library; CSV output is RFC-4180 with 12 significant digits
 and is byte-stable for a fixed configuration and seed.  Every setting is
 read through ``SETTINGS``: a config file value, then the flag laid over it.
-The optimizer settings are the grid density and the number of refinement
-starts; the quasi-Newton refinement's iteration cap and step ladder, and
-the polish simplex's cap and tolerance, are fixed constants of
-:mod:`mdiscord.optimizer`.  An ``--out`` path is checked before any work
+The optimizer settings are the grid density (points per angle, of which
+:func:`mdiscord.optimizer.grid_cells` keeps one cell per measurement) and
+the number of refinement starts; the quasi-Newton refinement's iteration
+cap and step ladder, and the cap and tolerance of the one polish simplex
+pass, are fixed constants of :mod:`mdiscord.optimizer`.  An ``--out`` path is checked before any work
 starts.  Exit codes: 0 on success, 1 on verification failure, 2 on bad
 input (configuration errors, an output file that cannot be written, and
 inputs the library rejects).  Run as ``mdiscord`` or ``python -m

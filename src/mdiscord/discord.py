@@ -35,7 +35,7 @@ from .measure import (
     params_to_json,
     tree_from_params,
 )
-from .optimizer import OptimizerConfig, _angle_grids, _bloch_vectors, optimize, simplex_refine
+from .optimizer import OptimizerConfig, _bloch_vectors, grid_cells, optimize, simplex_refine
 from .qstate import (
     ENTROPY_EIGENVALUE_CLAMP,
     QState,
@@ -47,7 +47,6 @@ from .qstate import (
     x_log2_x,
 )
 
-_POLISH_PASSES = 2
 _EVAL_CHUNK = 4096
 
 
@@ -285,11 +284,11 @@ class _MeasuredEntropyObjective:
         return value, _bloch_gradient(factors, coefficients, pulled)
 
     def grid_minimum(self, points: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every root cell's least integrand on :func:`grid_scan`'s angle grid
-        with ``points`` values per angle, and one grid point (a flat angle
-        row) attaining it.
+        """Every root cell's least integrand over the trees whose nodes all
+        sit in :func:`mdiscord.optimizer.grid_cells` of ``points``, and one
+        grid point (a flat angle row) attaining it.
 
-        A cell is a (theta, phi) grid pair, theta slower.  A branch term
+        A cell is one (theta, phi) row of that list.  A branch term
         depends only on the cells of the nodes along its path, so its
         coefficients are a product of one cell's coefficients per depth, and
         each step's matrix is contracted with the cells' coefficients one
@@ -299,15 +298,13 @@ class _MeasuredEntropyObjective:
         first, in blocks of about ``_GRID_BLOCK`` branches; each block is
         reduced as it is made: every node's two terms plus its children's
         subtree minima, minimized over the node's own cell with the argmin
-        kept (ties go to the lowest cell, which is grid order).  The root
+        kept (ties go to the lowest cell, which is cell order).  The root
         step keeps each cell's value, and each root cell's best point is
         decoded from the argmins, so no step's full term table is held.
         """
-        theta_grid, phi_grid = _angle_grids(points)
-        cells = points * points
-        factors = _projector_coefficients(
-            np.repeat(theta_grid, points), np.tile(phi_grid, points)
-        ).reshape(2 * cells, 4)
+        angles = grid_cells(points)
+        cells = len(angles)
+        factors = _projector_coefficients(angles[:, 0], angles[:, 1]).reshape(2 * cells, 4)
         subtree, argmins = None, []
         for step in range(self.steps, 0, -1):
             # partial[p, q, i, k]: the depths before the last contracted, for
@@ -345,10 +342,7 @@ class _MeasuredEntropyObjective:
             q = np.arange(2 ** depth)
             ancestors = tuple(node_cells[k][:, q >> (depth - k)] for k in range(depth))
             node_cells.append(cell[ancestors + (q,)])
-        flat = np.concatenate(node_cells, axis=1)
-        params = np.empty((cells, 2 * flat.shape[1]))
-        params[:, 0::2] = theta_grid[flat // points]
-        params[:, 1::2] = phi_grid[flat % points]
+        params = angles[np.concatenate(node_cells, axis=1)].reshape(cells, -1)
         return roots, params
 
 
@@ -370,18 +364,6 @@ def _bloch_gradient(factors, coefficients, pulled) -> np.ndarray:
     return (out[:, :, 0, 1:] - out[:, :, 1, 1:]).reshape(rows, -1) / 2.0
 
 
-class _ScaledObjective:
-    """Multiply an objective by a constant so refinement near a shallow
-    minimum sees values well above the simplex spread tolerance."""
-
-    def __init__(self, objective, scale: float):
-        self._objective = objective
-        self.scale = scale
-
-    def evaluate_many(self, params_matrix):
-        return self.scale * self._objective.evaluate_many(params_matrix)
-
-
 def _normalize_order(measured_order, n: int) -> tuple[int, ...]:
     if measured_order is None:
         return tuple(range(n))
@@ -394,41 +376,24 @@ def _normalize_order(measured_order, n: int) -> tuple[int, ...]:
 
 def _minimize(objective, cfg: OptimizerConfig):
     """Grid scan and quasi-Newton refinement (:func:`optimize`), followed by
-    rescaled downhill-simplex polish passes.
+    one downhill-simplex polish pass on the objective itself.
 
     Returns the best value and params plus bookkeeping for diagnostics."""
     outcome = optimize(objective, cfg)
-    evaluations = outcome.evaluations
-    trace = [outcome.best_value]
-    best_value = outcome.best_value
-    best_params = outcome.best_params
-    converged = outcome.converged
-    restarts = 0
-    for _ in range(_POLISH_PASSES):
-        # Rescale so a near-zero optimum is resolved far below the simplex
-        # spread tolerance; the reported value is always the true objective.
-        scale = 1.0 / max(abs(best_value), 1e-4)
-        polished = simplex_refine(_ScaledObjective(objective, scale), best_params)
-        evaluations += polished.evaluations
-        restarts += 1
-        polished_value = polished.best_value / scale
-        trace.append(polished_value)
-        # an unconverged pass never replaces a converged point, however
-        # little lower it ends
-        if polished_value < best_value and (polished.converged or not converged):
-            best_value = polished_value
-            best_params = polished.best_params
-            converged = polished.converged
-        else:
-            break
+    polished = simplex_refine(objective, outcome.best_params)
+    # an unconverged pass never replaces a converged point, however little
+    # lower it ends
+    taken = polished.best_value < outcome.best_value and (
+        polished.converged or not outcome.converged)
+    best = polished if taken else outcome
     diagnostics = {
-        "evaluations": evaluations,
-        "restarts": restarts,
-        "converged": converged,
+        "evaluations": outcome.evaluations + polished.evaluations,
+        "restarts": 1,
+        "converged": best.converged,
         "grid_best": outcome.grid_best,
-        "best_objective_trace": trace,
+        "best_objective_trace": [outcome.best_value, polished.best_value],
     }
-    return best_value, best_params, diagnostics
+    return best.best_value, best.best_params, diagnostics
 
 
 def discord(

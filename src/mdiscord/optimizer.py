@@ -1,19 +1,21 @@
 """Minimization over measurement angles: an exact grid minimum, then
 quasi-Newton refinement on the Bloch sphere.
 
-A coarse Cartesian grid scan finds the grid minimum within each cell of the
-root node's (theta, phi) grid and keeps the ``refine_starts`` best of those
-root cells, each with its best grid point; quasi-Newton (BFGS) refinement
-with exact gradients then takes each start downhill (Nocedal & Wright,
-*Numerical Optimization*, 2006, ch. 6 and 8).  Everything is deterministic:
-grids are enumerated lexicographically, value ties keep enumeration order,
-and the refinement uses no randomness.
+Each node's grid is :func:`grid_cells`, one (theta, phi) cell per qubit
+measurement of a Cartesian angle grid.  A grid scan finds the grid minimum
+within each cell of the root node and keeps the ``refine_starts`` best of
+those root cells, each with its best grid point; quasi-Newton (BFGS)
+refinement with exact gradients then takes each start downhill (Nocedal &
+Wright, *Numerical Optimization*, 2006, ch. 6 and 8).  Everything is
+deterministic: cells are enumerated in a fixed order, value ties keep that
+order, and the refinement uses no randomness.
 
 Objectives map a flat angle vector (theta, phi alternating, node-major) to a
 scalar.  Every objective carries ``n_nodes``, the node count of its tree, and
 :func:`optimize` asks every objective for the same two methods.
-``grid_minimum(points)`` returns each root cell's least value on the grid
-and a grid point attaining it: the discord integrand is a constant plus
+``grid_minimum(points)`` returns, for each root cell of :func:`grid_cells`,
+the least value over the trees whose nodes all sit in those cells and a
+grid point attaining it: the discord integrand is a constant plus
 terms that each depend only on one branch's ancestor nodes, so the
 objective takes the grid minimum by dynamic programming over the tree, and
 no grid point is valued on its own.  ``evaluate_many(rows,
@@ -39,8 +41,8 @@ refining the starts one after another.
 The refinement's iteration cap ``QN_MAX_ITERS`` and step ladder
 ``QN_LINE_STEPS`` are fixed.  The downhill simplex of :func:`simplex_refine`
 (Nelder & Mead 1965, capped at ``SIMPLEX_MAX_ITERS`` iterations, converged
-below a value spread of ``SIMPLEX_TOL``) serves the polish passes of
-:func:`mdiscord.discord.discord`, which follow :func:`optimize`.  It is a
+below a value spread of ``SIMPLEX_TOL``) serves the one polish pass of
+:func:`mdiscord.discord.discord`, which follows :func:`optimize`.  It is a
 plain loop that values each iteration's four candidate points in one
 ``evaluate_many`` call, and its convergence probes count a point as lower
 only when it beats the best vertex by more than rounding (``_PROBE_GAIN``,
@@ -70,6 +72,10 @@ QN_LINE_STEPS = tuple(2.0 ** -k for k in range(-1, 12))  # 2, 1, ..., 2**-11
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """The grid density and the number of refinement starts.  A grid with
+    fewer cells (:func:`grid_cells`) than ``refine_starts`` refines one
+    start per cell: 2 points per angle give one cell."""
+
     grid_points_per_angle: int = 6
     refine_starts: int = 4
 
@@ -126,11 +132,27 @@ def _angles(u: np.ndarray) -> np.ndarray:
     return np.stack(angles, axis=-1).reshape(u.shape[:-1] + (-1,))
 
 
-def _angle_grids(points: int):
-    """The theta and phi grids of one node (see :func:`grid_scan`)."""
-    theta_grid = np.linspace(0.0, np.pi / 2, points)
-    phi_grid = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
-    return theta_grid, phi_grid
+def _interior_rows(points: int) -> int:
+    """How many theta rows follow the pole cell in :func:`grid_cells`."""
+    return points // 2 - 1 if points % 2 == 0 else points - 2
+
+
+def grid_cells(points: int) -> np.ndarray:
+    """One node's grid cells, one (theta, phi) row per qubit measurement.
+
+    The angle grid has ``points`` values per angle: theta includes both
+    endpoints of [0, pi/2] and phi excludes 2 pi.  The Bloch vectors n and
+    -n give the same projector pair with the outcomes swapped, so the grid
+    is kept up to sign: first the pole cell (0, 0), which stands for both
+    pole rows (+-z), then the interior theta rows, theta slower, each with
+    every phi.  On an even grid these are rows 1 .. points/2 - 1, since row
+    points - 1 - i at phi + pi holds the antipodes of row i; on an odd grid,
+    whose phi grid holds no phi + pi, they are rows 1 .. points - 2.
+    """
+    theta = np.linspace(0.0, np.pi / 2, points)[1:1 + _interior_rows(points)]
+    phi = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
+    rows = np.stack([np.repeat(theta, points), np.tile(phi, len(theta))], axis=1)
+    return np.vstack([np.zeros((1, 2)), rows])
 
 
 @dataclass(frozen=True)
@@ -144,28 +166,29 @@ class GridScanResult:
 
 
 def grid_scan(objective, config: OptimizerConfig) -> GridScanResult:
-    """The exact minimum of the objective over the full Cartesian angle grid,
-    kept as its ``refine_starts`` best root cells.
+    """The exact minimum of the objective over the grid of trees whose
+    nodes all sit in :func:`grid_cells`, kept as its ``refine_starts`` best
+    root cells.
 
-    theta points include both endpoints of [0, pi/2]; phi points exclude
-    2 pi.  The first parameter varies slowest, so flat index order is
-    lexicographic parameter order.  A root cell is one (theta, phi) pair of
-    the first node; each kept start is its root cell's best grid point, and
-    the kept cells are the first ones of a stable sort of those minima (value
-    ties in grid order, as are ties within a cell).
+    A root cell is one cell of the first node; each kept start is its root
+    cell's best grid point, and the kept cells are the first ones of a
+    stable sort of those minima (value ties in cell order, as are ties
+    within a cell).  Every cell is a distinct measurement, so no two starts
+    refine the same one.
 
     The objective's ``grid_minimum(points)`` gives every root cell's
     minimum and best point over its tree of ``n_nodes`` nodes, by dynamic
     programming over the measurement tree, without valuing any grid point
-    on its own; ``evaluations`` is still the grid size.  ``_MAX_GRID_TOTAL``
-    caps the branch terms the deepest step values, ``(2 * points**2) **
-    depth`` for a tree of that depth; they are reduced block by block as
-    they are made, so memory stays far below them.  The cap is checked on
-    the terms of one node first, so a huge ``points`` is refused before any
-    power of it is formed.
+    on its own; ``evaluations`` is still the grid size, ``cells **
+    n_nodes``.  ``_MAX_GRID_TOTAL`` caps the branch terms the deepest step
+    values, ``(2 * cells) ** depth`` for a tree of that depth; they are
+    reduced block by block as they are made, so memory stays far below
+    them.  The cap is checked in integer arithmetic, on the terms of one
+    node first, so a huge ``points`` is refused before any power of it or
+    any array is formed.
     """
-    points = config.grid_points_per_angle
-    cells = points * points
+    points = int(config.grid_points_per_angle)  # a numpy integer would wrap
+    cells = 1 + points * _interior_rows(points)
     depth = objective.n_nodes.bit_length()  # a tree of depth d has 2**d - 1 nodes
     if 2 * cells > _MAX_GRID_TOTAL or (2 * cells) ** depth > _MAX_GRID_TOTAL:
         raise ValueError(
@@ -384,7 +407,7 @@ def optimize(objective, config: OptimizerConfig) -> OptimizerOutcome:
     The starts are refined together by :func:`_quasi_newton`, one batched
     call per iteration, each for at most ``QN_MAX_ITERS`` iterations.
     Deterministic for fixed config; the refined results are compared in grid
-    rank order so ties keep the earlier (lexicographically smaller) start.
+    rank order so ties keep the better-ranked start.
     ``converged`` describes the point returned: no rung of its last ladder
     along -H g lies below it.
     """

@@ -147,11 +147,17 @@ def _base_terms(matrices: np.ndarray, dims) -> np.ndarray:
     return -(_entropies(matrices) - _entropies(_reduce_matrix(matrices, dims, [0])))
 
 
-def _level(n: int, level) -> int:
-    """``level`` (``n`` if None) as an int in [2, n], or a ValueError."""
+def _level(dims, level) -> int:
+    """``level`` (the subsystem count n if None) as an int in [2, n], or a
+    ValueError, as for a subsystem among the first ``level - 1`` that is not
+    a qubit."""
+    n = len(dims)
     level = n if level is None else _integer("level", level)
     if not 2 <= level <= n:
         raise ValueError(f"level must lie in [2, {n}], got {level}")
+    for pos in range(level - 1):
+        if dims[pos] != 2:
+            raise ValueError(f"measured subsystem {pos} is not a qubit")
     return level
 
 
@@ -161,15 +167,16 @@ def reference_objective(state, tree, level: int | None = None):
     ``state`` and ``tree`` are one QState and its tree, which gives a float,
     or equally long sequences of states of one ``dims`` and their trees,
     valued as one stack, which gives an array.  ``level`` (the state's
-    subsystem count if None) is an integer in [2, n], and every tree must
-    measure the subsystems 0, ..., level - 2 first, in that order.  The
+    subsystem count if None) is an integer in [2, n], the subsystems 0, ...,
+    level - 2 must be qubits, and every tree must measure them first, in
+    that order.  The
     independent path to the integrand that the production evaluator,
     :class:`mdiscord.discord._MeasuredEntropyObjective`, values on Pauli
     blocks; the two must agree to 1e-10 on any (state, tree) pair.
     """
     single = isinstance(state, QState)
     states, trees = ([state], [tree]) if single else (state, tree)
-    level = _level(states[0].n_subsystems, level)
+    level = _level(states[0].dims, level)
     for item in trees:
         if item.measured[:level - 1] != tuple(range(level - 1)):
             raise ValueError(f"a level-{level} tree must measure {tuple(range(level - 1))} "
@@ -190,7 +197,8 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
     """Exact minimum of the discord integrand over all trees whose node
     angles lie on the product grid of ``points_per_angle`` (an integer of
     at least 2) values per angle, at ``level`` (the state's subsystem count
-    if None, else an integer in [2, n]).
+    if None, else an integer in [2, n]); the subsystems 0, ..., level - 2
+    must be qubits.
 
     The child bases of different outcome branches enter the objective through
     disjoint, non-negatively weighted terms, so the product-grid minimum
@@ -202,7 +210,7 @@ def dense_grid_min(state: QState, level: int | None = None, points_per_angle: in
     points_per_angle = _integer("points_per_angle", points_per_angle)
     if points_per_angle < 2:
         raise ValueError("points_per_angle must be >= 2")
-    level = _level(state.n_subsystems, level)
+    level = _level(state.dims, level)
     dims = state.dims
     thetas = np.linspace(0.0, np.pi / 2, points_per_angle)
     phis = np.linspace(0.0, 2 * np.pi, points_per_angle, endpoint=False)

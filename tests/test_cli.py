@@ -230,8 +230,9 @@ REJECTED = [
      "level must lie"),
     (["discord", "--family", "werner_ghz", "--mu", "0.5", "--order", "0,0"],
      "measurement order"),
-    # 80 points per angle: a largest level-3 table of (2 * 80**2) ** 2 values
-    (["discord", "--family", "werner_ghz", "--mu", "0.5", "--grid-points", "80"],
+    # 102 points per angle: 5,101 cells per node, so a largest level-3 table
+    # of (2 * 5101) ** 2 values
+    (["discord", "--family", "werner_ghz", "--mu", "0.5", "--grid-points", "102"],
      "too large"),
     (["verify", "--samples", "0"], "samples must be a positive integer"),
     (["sweep", "--config", {"state": WERNER_GHZ, "sweep": {"points": 3.0}}],
@@ -428,14 +429,15 @@ def test_module_entry_point(tmp_path):
 
 
 # Each integer and number flag with a cheap command around it, the values at
-# its bounds, and the values beyond them.  Level 3 refuses a grid above 70
-# points per angle before it allocates anything, so 71 and up are safe; the
+# its bounds, and the values beyond them.  Level 3 refuses every grid above
+# 100 points per angle, and an odd one from 73 on, before it allocates
+# anything, so 101 and up are safe; the largest grids it accepts and the
 # upper ends of --points and --samples are left out because they only cost time.
 BOUNDED_FLAGS = {
     "--grid-points": (["discord", "--family", "werner_ghz", "--mu", "0.5",
                        "--refine-starts", "1"],
                       st.one_of(st.sampled_from([2, 3]), st.integers(max_value=1),
-                                st.integers(min_value=71))),
+                                st.integers(min_value=101))),
     "--refine-starts": (["discord", "--family", "werner_w", "--mu", "0.5",
                          "--grid-points", "2"],
                         st.one_of(st.sampled_from([1, 4]), st.integers(max_value=0),
@@ -456,7 +458,8 @@ BOUNDED_FLAGS = {
 
 
 # every bound and the first value beyond it, whatever the draws reach
-BOUND_EDGES = [("--grid-points", 1), ("--grid-points", 2), ("--grid-points", 71),
+BOUND_EDGES = [("--grid-points", 1), ("--grid-points", 2), ("--grid-points", 73),
+               ("--grid-points", 102),
                ("--refine-starts", 0), ("--refine-starts", 1), ("--points", 1),
                ("--points", 2), ("--samples", 0), ("--samples", 1), ("--level", 1),
                ("--level", 2), ("--level", 3), ("--level", 4), ("--mu", -5e-324),

@@ -2,7 +2,7 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -30,7 +30,7 @@ from mdiscord.optimizer import (
     SIMPLEX_MAX_ITERS,
     OptimizerConfig,
     OptimizerOutcome,
-    _angle_grids,
+    grid_cells,
     optimize,
     simplex_refine,
 )
@@ -246,9 +246,8 @@ def _blocks_from_components(comps, last):
 def _reference_tables(objective, points):
     """The per-branch grid tables, walked with the projectors: every node of
     depth d sits in cell c_d of its row."""
-    theta_grid, phi_grid = _angle_grids(points)
-    cells = points * points
-    cell_angles = np.stack([np.repeat(theta_grid, points), np.tile(phi_grid, points)], 1)
+    cell_angles = grid_cells(points)
+    cells = len(cell_angles)
     tables = []
     for step in range(1, objective.steps + 1):
         combos = np.stack(np.unravel_index(np.arange(cells ** step), (cells,) * step), 1)
@@ -265,7 +264,7 @@ def _reference_grid_minimum(objective, points):
     projector tables by recursion over the tree: a node's two terms plus
     its children's least subtrees, over the node's own cell."""
     tables = _reference_tables(objective, points)
-    cells = points * points
+    cells = len(grid_cells(points))
 
     def subtree(path, q):
         # node q of depth len(path), its ancestors in cells ``path``
@@ -343,8 +342,6 @@ class TestMeasureStep:
     @pytest.mark.parametrize("points", [3, 6])
     @pytest.mark.parametrize("dims, level", CASES)
     def test_grid_tables_equal_the_projector_tables(self, dims, level, points):
-        if level == 4 and points == 6:
-            points = 2  # 36**3 reference rows would be slow
         objective = _MeasuredEntropyObjective(random_state(dims, 4, 77), level)
         roots, params = objective.grid_minimum(points)
         assert np.max(np.abs(roots - _reference_grid_minimum(objective, points))) < 1e-12
@@ -507,7 +504,24 @@ class TestDiscord:
         tree = tree_from_params(state.dims, (0, 1, 2), result.optimal_params)
         assert abs(result.value - reference_objective(state, tree, level=4)) < 1e-9
         assert result.value >= -1e-12
-        assert result.diagnostics["evaluations"] > 36 ** 7
+        assert result.diagnostics["evaluations"] > 13 ** 7
+
+    # the polish ran on the objective times a scale and reported its value
+    # divided by that scale, a few ulps off the objective at the reported
+    # params: werner_w(0.1), classical_quantum_mix(0.3), ghz and the rank-3
+    # draw below
+    @pytest.mark.parametrize("family, mu", [
+        (family, mu) for family in states.FAMILIES
+        for mu in ((0.1, 0.3, 0.5, 0.7, 0.9) if family in states.MU_FAMILIES else (None,))
+    ] + [("random", rank) for rank in range(1, 9)])
+    def test_value_is_the_objective_at_the_optimal_params(self, family, mu):
+        if family == "random":
+            state = random_state((2, 2, 2), mu, 999 + mu)
+        else:
+            state = states.build(family, mu)
+        result = discord(state)
+        objective = _MeasuredEntropyObjective(state, state.n_subsystems)
+        assert result.value == objective(result.optimal_params.to_flat())
 
     @pytest.mark.parametrize("polished_converged", [False, True])
     def test_polish_keeps_a_converged_point_from_an_unconverged_pass(
@@ -661,6 +675,12 @@ def _base_states(draw):
 
 
 class TestLocalUnitaryInvariance:
+    # each missed its unturned value by 6.2e-3, 2.3e-4 and 1.3e-7 when the
+    # starts could refine one measurement twice, as a grid cell and its
+    # antipode
+    @example(random_state((2, 2, 2), 5, 27062), 1)
+    @example(random_state((2, 2, 2), 7, 1072), 0)
+    @example(bell_mixture(0.99999), 0)
     @settings(max_examples=20, derandomize=True, database=None, deadline=None)
     @given(_base_states(), st.integers(0, 2 ** 31))
     def test_rotated_state_keeps_its_discord(self, state, seed):

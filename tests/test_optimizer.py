@@ -24,12 +24,12 @@ from mdiscord.optimizer import (
     _PROBE_STEPS,
     SIMPLEX_MAX_ITERS,
     SIMPLEX_TOL,
-    _angle_grids,
     _angles,
     _bloch_vectors,
     _quasi_newton,
     _sphere_gradient,
     fold_angles,
+    grid_cells,
 )
 from mdiscord.measure import projector_pair_from_angles
 from mdiscord.states import werner_ghz
@@ -152,24 +152,32 @@ def assert_lockstep_equals_sequential(seed, starts):
 
 
 def grid_points(n_nodes, points):
-    """Every point of the angle grid, one row each, in lexicographic order."""
-    grids = _angle_grids(points) * n_nodes
-    flat = itertools.chain.from_iterable(itertools.product(*grids))
-    return np.fromiter(flat, float).reshape(-1, len(grids))
+    """Every tree whose nodes all sit in grid cells, one angle row each, the
+    first node's cell slowest."""
+    rows = itertools.product(grid_cells(points), repeat=n_nodes)
+    return np.array([np.concatenate(cells) for cells in rows])
 
 
 def brute_force_by_root_cell(objective, points):
     """Every grid value, valued point by point: one row per root cell."""
     values = objective.evaluate_many(grid_points(objective.n_nodes, points))
-    return values.reshape(points * points, -1)
+    return values.reshape(len(grid_cells(points)), -1)
 
 
 def root_cells(params, points):
-    """The root cell (theta index * points + phi index) of each start."""
-    theta_grid, phi_grid = _angle_grids(points)
-    return np.array([np.flatnonzero(theta_grid == theta)[0] * points
-                     + np.flatnonzero(phi_grid == phi)[0]
-                     for theta, phi in params[:, :2]])
+    """The root cell (an index of grid_cells) of each start."""
+    cells = grid_cells(points)
+    return np.array([np.flatnonzero((cells == root).all(axis=1))[0]
+                     for root in params[:, :2]])
+
+
+def canonical_bloch(angles):
+    """Unit Bloch vectors of (theta, phi) rows, each signed so that its
+    first component away from zero is positive: n and -n give one
+    measurement."""
+    n = bloch(angles)[:, 0]
+    lead = np.argmax(np.abs(n) > 1e-9, axis=1)
+    return n * np.sign(n[np.arange(len(n)), lead])[:, None]
 
 
 def bloch(x):
@@ -233,7 +241,7 @@ def off_plane(rows, a, b):
 
 class TabulatedNode(BatchRecorder):
     """A 1-node objective: every root cell is one grid point, so the grid
-    minimum is the grid values themselves, each at its own point."""
+    minimum is the values of the cells themselves, each at its own point."""
 
     n_nodes = 1
 
@@ -314,18 +322,33 @@ class TestFoldAngles:
 
 class TestGridScan:
     def test_two_parameter_grid_size(self):
+        # 6 points per angle: the pole cell and two theta rows of 6 phis
         objective = TabulatedNode(lambda x: float(np.sum(x ** 2)))
         scan = grid_scan(objective, OptimizerConfig())
-        assert scan.evaluations == 36
-        assert sum(len(rows) for rows in objective.batches) == 36
+        assert scan.evaluations == 13
+        assert sum(len(rows) for rows in objective.batches) == 13
 
     def test_six_parameter_grid_size(self):
         # batched objective: still one evaluation per grid point
         state = random_qubits(1, 3, 8)
         objective = _MeasuredEntropyObjective(state, 3)
         scan = grid_scan(objective, OptimizerConfig())
-        assert scan.evaluations == 6 ** 6 == 46656
+        assert scan.evaluations == 13 ** 3 == 2197
         assert len(scan.values) == 4
+
+    @pytest.mark.parametrize("points", range(2, 13))
+    def test_cells_hold_each_grid_measurement_once(self, points):
+        # the full (theta, phi) grid's Bloch vectors, taken up to sign, are
+        # the cells' ones, and no two cells give one measurement
+        theta = np.linspace(0.0, np.pi / 2, points)
+        phi = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
+        full = canonical_bloch(np.stack(np.meshgrid(theta, phi, indexing="ij"), -1).reshape(-1, 2))
+        cells = canonical_bloch(grid_cells(points))
+        apart = np.linalg.norm(full[:, None] - cells[None], axis=-1)
+        assert np.all(apart.min(axis=1) < 1e-12)
+        assert np.all(apart.min(axis=0) < 1e-12)
+        between = np.linalg.norm(cells[:, None] - cells[None], axis=-1)
+        assert np.all(between[~np.eye(len(cells), dtype=bool)] > 1e-3)
 
     def test_constant_objective_tie_break(self):
         objective = TabulatedNode(lambda x: 1.0)
@@ -340,14 +363,15 @@ class TestGridScan:
 
     def test_theta_endpoints_and_phi_open_interval(self):
         objective = TabulatedNode(lambda x: -x[0] + x[1] / 100)
-        # 16 starts keep the whole 4 x 4 grid, down to its worst point
+        # 16 starts keep all 5 cells of a 4-point grid, down to the worst:
+        # the theta row pi/6 at every phi, whose antipodes fill the row
+        # pi/3, and the pole cell, which stands for both theta endpoints
         config = OptimizerConfig(grid_points_per_angle=4, refine_starts=16)
         scan = grid_scan(objective, config)
-        best = scan.params[0]
-        assert_allclose(best[0], np.pi / 2)  # theta hits the upper endpoint
-        assert_allclose(best[1], 0.0)
-        worst = scan.params[-1]
-        assert worst[1] < 2 * np.pi  # 2 pi itself is never on the grid
+        assert len(scan.values) == 5
+        assert_allclose(scan.params[0], [np.pi / 6, 0.0])
+        assert np.array_equal(scan.params[-1], [0.0, 0.0])
+        assert np.all(scan.params[:, 1] < 2 * np.pi)  # 2 pi is never on the grid
 
     @pytest.mark.parametrize("objective, points", [
         (TabulatedNode(lambda x: 1.0), 6),   # every point ties
@@ -357,8 +381,8 @@ class TestGridScan:
     ], ids=["constant", "werner_ghz-6", "werner_ghz-10", "random-6"])
     def test_starts_equal_stable_sort_of_brute_force(self, objective, points):
         # the start rule: the root cells of least grid minimum, ascending
-        # with ties in grid order, each started at its best grid point
-        cells = points * points
+        # with ties in cell order, each started at its best grid point
+        cells = len(grid_cells(points))
         values = brute_force_by_root_cell(objective, points)
         cell_min = values.min(axis=1)
         ranked = np.argsort(cell_min, kind="stable")
@@ -393,12 +417,13 @@ class TestGridScan:
         ((2, 2, 2), 3, 10),
         ((2, 2, 2, 2), 3, 6),   # 2-qubit unmeasured tail: eigvalsh block path
         ((2, 2, 3), 3, 6),      # qutrit tail
-        ((2, 2, 2, 2), 4, 2),   # 16,384 points
+        ((2, 2, 2, 2), 4, 2),   # one cell: one point
+        ((2, 2, 2, 2), 4, 3),   # 16,384 points
     ])
     def test_factored_grid_equals_brute_force(self, dims, level, points):
         objective = _MeasuredEntropyObjective(random_state(dims, 3, 17), level)
         cell_min = brute_force_by_root_cell(objective, points).min(axis=1)
-        cells = points * points
+        cells = len(grid_cells(points))
         config = OptimizerConfig(grid_points_per_angle=points, refine_starts=cells)
         scan = grid_scan(objective, config)
         kept = root_cells(scan.params, points)
@@ -434,10 +459,11 @@ class TestGridScan:
         # the third size gives the deepest step blocks of 7 ancestor cells
         # and a shorter last block
         objective = _MeasuredEntropyObjective(random_state(dims, 5, 19), level)
-        config = OptimizerConfig(grid_points_per_angle=points, refine_starts=points ** 2)
+        config = OptimizerConfig(grid_points_per_angle=points,
+                                 refine_starts=len(grid_cells(points)))
         default = grid_scan(objective, config)
         discord_module = importlib.import_module("mdiscord.discord")
-        for block in (1, 7, 7 * 2 ** (level - 1) * points ** 2):
+        for block in (1, 7, 7 * 2 ** (level - 1) * len(grid_cells(points))):
             monkeypatch.setattr(discord_module, "_GRID_BLOCK", block)
             scan = grid_scan(objective, config)
             assert np.array_equal(scan.values, default.values)
@@ -455,13 +481,20 @@ class TestGridScan:
             tracemalloc.stop()
         assert peak < 20e6
 
+    @pytest.mark.filterwarnings("error")
+    def test_size_cap_holds_for_a_numpy_point_count(self):
+        # 2**40 points give about 6e23 cells, past any 64-bit product
+        objective = _MeasuredEntropyObjective(random_state((2, 2), 2, 5), 2)
+        with pytest.raises(ValueError, match="too large"):
+            grid_scan(objective, OptimizerConfig(grid_points_per_angle=np.int64(2 ** 40)))
+
     def test_size_cap_counts_the_largest_table(self, monkeypatch):
-        # a level-3 tree at 6 points values (2 * 36) ** 2 = 5,184 branch
-        # terms at its deepest step, not its 46,656 grid values
+        # a level-3 tree at 6 points values (2 * 13) ** 2 = 676 branch
+        # terms at its deepest step, not its 2,197 grid values
         objective = _MeasuredEntropyObjective(random_state((2, 2, 2), 3, 5), 3)
-        monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 5184)
+        monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 676)
         grid_scan(objective, OptimizerConfig())
-        monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 5183)
+        monkeypatch.setattr(optimizer, "_MAX_GRID_TOTAL", 675)
         with pytest.raises(ValueError, match="too large"):
             grid_scan(objective, OptimizerConfig())
 
@@ -700,12 +733,13 @@ class TestOptimize:
         assert_lockstep_equals_sequential(seed, starts)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("rank, seed, skipped", [(4, 1003, 4), (2, 1025, 12), (6, 1229, 6)])
+    @pytest.mark.parametrize("rank, seed, skipped", [(4, 1003, 3), (2, 1025, 8), (6, 1229, 5)])
     def test_starts_without_positive_curvature_keep_their_estimates(self, rank, seed, skipped):
         # some steps show s . y <= 0: those starts skip their BFGS update
         # while the others update theirs in the same stacked products; at
-        # seed 1229 two starts skip their first step's, and so the scaling
-        # of their first estimate, which waits for a step that curves up
+        # seed 1229 one start skips its first three steps' updates, and so
+        # the scaling of its first estimate, which waits for a step that
+        # curves up
         objective = _MeasuredEntropyObjective(random_state((2, 2, 2), rank, seed), 3)
         params = grid_scan(objective, OptimizerConfig(refine_starts=8)).params
         reference = [refine_by_vectors(objective, start) for start in params]

@@ -67,6 +67,12 @@ class TestReferenceObjective:
         with pytest.raises(ValueError, match=message):
             reference_objective(random_state((2, 2, 2), 3, 1), random_tree(5, 2), level)
 
+    # each ended in numpy's matmul ValueError on a core dimension mismatch
+    @pytest.mark.parametrize("dims, level, position", [((3, 2, 2), None, 0), ((2, 3, 2), 3, 1)])
+    def test_refuses_a_measured_subsystem_that_is_not_a_qubit(self, dims, level, position):
+        with pytest.raises(ValueError, match=f"measured subsystem {position} is not a qubit"):
+            reference_objective(random_state(dims, 3, 1), random_tree(5, 2), level)
+
     # a depth-1 tree at level 3 gave 0.4500, the first level's terms alone
     @pytest.mark.parametrize("measured, level, stacked", [
         ((0,), 3, False),
@@ -162,6 +168,16 @@ class TestDenseGridMin:
     def test_refuses_a_level_outside_two_to_n(self, level, message):
         with pytest.raises(ValueError, match=message):
             dense_grid_min(random_state((2, 2, 2), 3, 1), level, 4)
+
+    # each ended in numpy's matmul ValueError on a core dimension mismatch;
+    # a qutrit that is never measured stays valid
+    @pytest.mark.parametrize("dims, level, position", [((3, 2, 2), None, 0), ((2, 3, 2), 3, 1)])
+    def test_refuses_a_measured_subsystem_that_is_not_a_qubit(self, dims, level, position):
+        state = random_state(dims, 3, 1)
+        with pytest.raises(ValueError, match=f"measured subsystem {position} is not a qubit"):
+            dense_grid_min(state, level, 3)
+        if position == 1:
+            assert dense_grid_min(state, 2, 3) >= -1e-12
 
     def test_accepts_numpy_integers(self):
         state = random_state((2, 2, 2), 3, 1)
