@@ -69,7 +69,7 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
 _PAULI_TRACE = _PAULIS.transpose(2, 1, 0).reshape(4, 4)
 _LOG2_E = 1.0 / np.log(2.0)
 _SPREAD, _SCALE = np.array([0.0, 1.0, -1.0]), np.array([1.0, 0.5, 0.5])
-_GRID_BLOCK = 1 << 16  # branch terms the grid minimum values at once
+_GRID_BLOCK = 1 << 18  # branch components the grid minimum values at once
 
 
 def _x_log2_x_and_slope(values: np.ndarray):
@@ -142,7 +142,7 @@ def _pauli_blocks(rho: np.ndarray, count: int) -> list[np.ndarray]:
 
 
 def _traces(blocks: np.ndarray) -> np.ndarray:
-    return np.trace(blocks, axis1=-2, axis2=-1).real
+    return blocks.trace(axis1=-2, axis2=-1).real
 
 
 def _projector_coefficients(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -295,12 +295,13 @@ class _MeasuredEntropyObjective:
         depth at a time.  Node ``q`` of a depth owns branches ``2q`` and
         ``2q + 1``, and its children see only their own ancestors' cells,
         so the minimum factorizes over subtrees.  The steps run deepest
-        first, in blocks of about ``_GRID_BLOCK`` branches; each block is
-        reduced as it is made: every node's two terms plus its children's
-        subtree minima, minimized over the node's own cell with the argmin
-        kept (ties go to the lowest cell, which is cell order).  The root
-        step keeps each cell's value, and each root cell's best point is
-        decoded from the argmins, so no step's full term table is held.
+        first, in blocks of about ``_GRID_BLOCK`` branch components; each
+        block is reduced as it is made: every node's two terms plus its
+        children's subtree minima, minimized over the node's own cell with
+        the argmin kept (ties go to the lowest cell, which is cell order).
+        The root step keeps each cell's value, so its blocks split its own
+        cells, and each root cell's best point is decoded from the argmins,
+        so no step's full term table is held.
         """
         angles = grid_cells(points)
         cells = len(angles)
@@ -316,34 +317,55 @@ class _MeasuredEntropyObjective:
                 partial = partial.transpose(0, 2, 1, 3, 4, 5).reshape(
                     p * cells, 2 * q, 4, rest // 4
                 )
-            p, q = partial.shape[:2]
-            best, cell = np.empty((p, q)), np.empty((p, q), dtype=np.intp)
-            block = max(1, _GRID_BLOCK // (2 * q * cells))
+            p, q, _, width = partial.shape
             rule = _block_terms if step == self.steps and self.last_rule else _qubit_terms
+            if step == 1:
+                # the root step keeps each cell's value, so its blocks split
+                # its own cells, about _GRID_BLOCK branch components each
+                block = max(1, _GRID_BLOCK // (2 * width))
+                roots = np.empty(cells)
+                for first in range(0, cells, block):
+                    below = None if subtree is None else subtree[first:first + block]
+                    node = _node_values(rule, factors[2 * first:2 * (first + block)],
+                                        partial, below)
+                    roots[first:first + block] = self.base + node[0, 0]
+                break
+            # blocks of ancestor cells, about _GRID_BLOCK branch components each
+            block = max(1, _GRID_BLOCK // (2 * q * cells * width))
+            best, cell = np.empty((p, q)), np.empty((p, q), dtype=np.intp)
             for first in range(0, p, block):
-                terms = rule(factors @ partial[first:first + block], False)
-                terms = terms.reshape(-1, q, cells, 2)
-                node = terms[..., 0] + terms[..., 1]
-                if subtree is not None:
-                    below = subtree[first * cells:(first + block) * cells].reshape(-1, cells, q, 2)
-                    node = node + (below[..., 0] + below[..., 1]).swapaxes(1, 2)
+                below = None if subtree is None else \
+                    subtree[first * cells:(first + block) * cells]
+                node = _node_values(rule, factors, partial[first:first + block], below)
                 at = node.argmin(axis=-1)
                 cell[first:first + block] = at
                 best[first:first + block] = np.take_along_axis(node, at[..., None], -1)[..., 0]
             subtree = best
             argmins.append(cell.reshape((cells,) * (step - 1) + (q,)))
-        # the root step is one block, whose per-cell values are the roots
-        roots = self.base + node[0, 0]
 
-        # every node's cell, from the root down; the root step's own argmin,
-        # argmins[-1], is not needed, since each root cell is kept
+        # every node's cell, from the root down
         node_cells = [np.arange(cells)[:, None]]
-        for depth, cell in enumerate(argmins[-2::-1], start=1):
+        for depth, cell in enumerate(argmins[::-1], start=1):
             q = np.arange(2 ** depth)
             ancestors = tuple(node_cells[k][:, q >> (depth - k)] for k in range(depth))
             node_cells.append(cell[ancestors + (q,)])
         params = angles[np.concatenate(node_cells, axis=1)].reshape(cells, -1)
         return roots, params
+
+
+def _node_values(rule, factors, partial, below) -> np.ndarray:
+    """Every node's two branch terms plus its children's subtree minima, for
+    the ancestor rows ``partial`` (b x q x 4 x components) and the cells
+    whose projector coefficients ``factors`` holds (2 per cell): b x q x
+    cells.  ``below`` holds the children's minima, a row per (ancestor,
+    cell) and a column per child, or is None at the deepest step."""
+    b, q = partial.shape[:2]
+    terms = rule(factors @ partial, False).reshape(b, q, -1, 2)
+    node = terms[..., 0] + terms[..., 1]
+    if below is not None:
+        below = below.reshape(b, -1, q, 2)
+        node = node + (below[..., 0] + below[..., 1]).swapaxes(1, 2)
+    return node
 
 
 def _bloch_gradient(factors, coefficients, pulled) -> np.ndarray:

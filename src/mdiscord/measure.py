@@ -27,8 +27,10 @@ from .qstate import (
     QState,
     StructuralError,
     SubsetSpec,
+    _fresh_state,
     _integer,
     _is_json_number,
+    _unchecked,
     as_subset,
     kron_product,
     permute_subsystems,
@@ -149,14 +151,6 @@ class MeasParams:
         if flat.size % 2 != 0:
             raise StructuralError("flat angle vector must pair theta with phi")
         return cls(tuple((flat[2 * i], flat[2 * i + 1]) for i in range(flat.size // 2)))
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields``, for
-    values valid by construction: its ``__post_init__`` checks do not run."""
-    instance = object.__new__(cls)
-    instance.__dict__.update(fields)
-    return instance
 
 
 def node_count(depth: int) -> int:
@@ -296,12 +290,12 @@ def apply_tree(
                                  for path in paths])
     projectors = kron_product(factors)
     pieces = projectors @ state.matrix @ projectors
-    probs = np.trace(pieces, axis1=1, axis2=2).real.tolist()  # Python floats
+    probs = pieces.trace(axis1=1, axis2=2).real.tolist()  # Python floats
     branches = tuple(
         BranchOutcome(path=path, probability=prob,
-                      post_state=QState(state.dims, piece / prob) if prob >= PROB_EPS else None)
+                      post_state=_fresh_state(state.dims, piece / prob) if prob >= PROB_EPS else None)
         for path, piece, prob in zip(paths, pieces, probs))
-    return QState(state.dims, sum(pieces)), branches
+    return _fresh_state(state.dims, sum(pieces)), branches
 
 
 # Fixed generic probe operators used to recover the conditioning basis of a

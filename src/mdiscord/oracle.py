@@ -12,8 +12,9 @@ Each check draws its random samples in a fixed order and values them in
 stacks of ``_VERIFY_BLOCK`` samples, so that memory does not grow with the
 samples: each level of the samples' trees is measured with one projector
 stack over every outcome path, outcome and sample of the stack
-(:func:`_branch_walk`), and each subset's entropies come from one
-``eigvalsh`` call over the stack (:func:`_table` values each subset once).
+(:func:`_branch_walk`), and a check's entropy tables come from one
+``eigvalsh`` call per subset size over all its stages' stacks
+(:func:`_tables` reduces and values each subset once per stage).
 Spectra are summed eigenvalue by eigenvalue, so a stack gives the bits of
 its matrices valued one at a time, and a check's worst violation does not
 depend on the block size.  The invariance check alone values its samples
@@ -51,7 +52,7 @@ def _reduce_matrix(matrix: np.ndarray, dims, keep) -> np.ndarray:
     for pos in sorted(set(range(len(dims))) - set(keep), reverse=True):
         shape = lead + tuple(dims + dims)
         out = out.reshape(shape)
-        out = np.trace(out, axis1=len(lead) + pos, axis2=len(lead) + pos + len(dims))
+        out = out.trace(axis1=len(lead) + pos, axis2=len(lead) + pos + len(dims))
         del dims[pos]
         side = math.prod(dims)
         out = out.reshape(lead + (side, side))
@@ -75,7 +76,7 @@ def _entropies(matrices: np.ndarray) -> np.ndarray:
 def _weighted_entropies(branches: np.ndarray) -> np.ndarray:
     """p * S(sigma / p) of every unnormalized branch sigma, of trace p, in a
     stack; a branch with p below ``_ZERO_PROB`` gives 0 and is not valued."""
-    probs = np.trace(branches, axis1=-2, axis2=-1).real
+    probs = branches.trace(axis1=-2, axis2=-1).real
     live = ~(probs < _ZERO_PROB)
     out = np.zeros(probs.shape)
     out[live] = probs[live] * _entropies(branches[live] / probs[live, None, None])
@@ -118,18 +119,20 @@ def _branch_walk(matrices: np.ndarray, dims, trees, depth: int):
     return levels[1:]
 
 
-def _table(matrices: np.ndarray):
-    """``s(keep)``: the entropies of a stack of three-qubit matrices reduced
-    to the positions ``keep``, each subset valued once for the whole stack."""
-    values = {}
-
-    def s(keep) -> np.ndarray:
-        keep = tuple(sorted(keep))
-        if keep not in values:
-            values[keep] = _entropies(_reduce_matrix(matrices, _QUBITS, keep))
-        return values[keep]
-
-    return s
+def _tables(*stacks: np.ndarray):
+    """``s(keep)`` for each of ``stacks`` (equally long stacks of three-qubit
+    matrices): the entropies of that stack reduced to the positions
+    ``keep``.  Every subset is reduced once for all the stacks, and each
+    subset size is valued with one ``_entropies`` call."""
+    matrices = np.stack(stacks)
+    values = [{} for _ in stacks]
+    for size in range(1, len(_QUBITS) + 1):
+        subsets = list(itertools.combinations(range(len(_QUBITS)), size))
+        reduced = np.stack([_reduce_matrix(matrices, _QUBITS, keep) for keep in subsets])
+        for keep, entropies in zip(subsets, _entropies(reduced)):
+            for table, stage in zip(values, entropies):
+                table[keep] = stage
+    return [lambda keep, table=table: table[tuple(sorted(keep))] for table in values]
 
 
 def _cmi(s, a, b, given):
@@ -313,7 +316,7 @@ def _identity_violations(rng, indices) -> dict[str, np.ndarray]:
     rho = np.array([state.matrix for state in states])
     branches1, branches2 = _branch_walk(rho, _QUBITS, trees, 2)
     rho1, rho2 = sum(branches1), sum(branches2)
-    s0, s1, s2 = _table(rho), _table(rho1), _table(rho2)
+    s0, s1, s2 = _tables(rho, rho1, rho2)
 
     # average branch entropies
     s_rest_m1 = sum(_weighted_entropies(branches1))
@@ -354,7 +357,7 @@ def _identity_violations(rng, indices) -> dict[str, np.ndarray]:
     )
     # Bookkeeping identities worth pinning while we are here.
     violations["probability_normalization"] = abs(
-        sum(np.trace(branches2, axis1=-2, axis2=-1).real) - 1.0
+        sum(branches2.trace(axis1=-2, axis2=-1).real) - 1.0
     )
     return violations
 
@@ -378,15 +381,16 @@ def _nonnegativity_violations(rng, indices) -> dict[str, np.ndarray]:
     states, trees, pairs, thirds = zip(*draws)
     rho = np.array([state.matrix for state in states])
     branches1, branches2 = _branch_walk(rho, _QUBITS, trees, 2)
-    s0, s1, s2 = _table(rho), _table(sum(branches1)), _table(sum(branches2))
+    product = kron_product([np.array(pairs), np.array(thirds)])
+    (product_branches,) = _branch_walk(product, _QUBITS, trees, 1)
+    s0, s1, s2, p0, p1 = _tables(rho, sum(branches1), sum(branches2),
+                                 product, sum(product_branches))
     deltas = np.min([
         _cmi(s0, (0,), (1,), (2,)) - _cmi(s1, (0,), (1,), (2,)),
         _cmi(s0, (0,), (2,), (1,)) - _cmi(s1, (0,), (2,), (1,)),
         _cmi(s1, (1,), (2,), (0,)) - _cmi(s2, (1,), (2,), (0,)),
     ], axis=0)
-    product = kron_product([np.array(pairs), np.array(thirds)])
-    (product_branches,) = _branch_walk(product, _QUBITS, trees, 1)
-    monogamy = abs(_tri(_table(product)) - _tri(_table(sum(product_branches))))
+    monogamy = abs(_tri(p0) - _tri(p1))
     return {
         "objective_non_negativity": -reference_objective(states, trees),
         "conditional_discord_non_negativity": -deltas,

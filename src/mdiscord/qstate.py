@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -89,7 +90,7 @@ class QState:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StructuralError(f"matrix must be square, got shape {m.shape}")
-        side = int(np.prod(dims))
+        side = math.prod(dims)
         if m.shape[0] != side:
             raise StructuralError(
                 f"matrix side {m.shape[0]} does not match product of dims {dims}"
@@ -105,6 +106,23 @@ class QState:
     @property
     def n_subsystems(self) -> int:
         return len(self.dims)
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, for
+    values valid by construction: its ``__post_init__`` checks do not run."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
+def _fresh_state(dims: tuple[int, ...], matrix: np.ndarray) -> QState:
+    """The QState of ``matrix``, a complex array of side ``prod(dims)`` that
+    nothing else can write to, as an operation on a valid state makes it:
+    the constructor's checks and copy are skipped, and the matrix is
+    frozen."""
+    matrix.setflags(write=False)
+    return _unchecked(QState, dims=dims, matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -186,8 +204,8 @@ def partial_trace(state: QState, keep: SubsetSpec | Iterable[int]) -> QState:
     col_labels = [n + i if i in kept else i for i in range(n)]
     out_labels = [i for i in keep.indices] + [n + i for i in keep.indices]
     reduced = np.einsum(t, row_labels + col_labels, out_labels)
-    side = int(np.prod([state.dims[i] for i in keep.indices]))
-    return QState(
+    side = math.prod(state.dims[i] for i in keep.indices)
+    return _fresh_state(
         tuple(state.dims[i] for i in keep.indices), reduced.reshape(side, side)
     )
 
@@ -207,7 +225,7 @@ def permute_subsystems(state: QState, order: Sequence[int]) -> QState:
     t = state.matrix.reshape(state.dims + state.dims)
     t = t.transpose(order + tuple(n + i for i in order))
     dims = tuple(state.dims[i] for i in order)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     return QState(dims, t.reshape(side, side))
 
 
@@ -224,7 +242,7 @@ def entropy(state: QState) -> float:
     Eigenvalues below ``ENTROPY_EIGENVALUE_CLAMP`` are treated as exact zeros.
     """
     vals = np.linalg.eigvalsh(state.matrix)
-    return -float(np.sum(x_log2_x(vals)))
+    return -float(x_log2_x(vals).sum())
 
 
 def subsystem_entropy(state: QState, subset: SubsetSpec | Iterable[int]) -> float:
@@ -239,7 +257,7 @@ def random_state(dims: Sequence[int], rank: int, seed: int) -> QState:
     columns; identical seeds give bit-identical output.
     """
     dims = tuple(int(d) for d in dims)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     if not 1 <= rank <= side:
         raise ValueError(f"rank must lie in [1, {side}], got {rank}")
     rng = np.random.default_rng(seed)

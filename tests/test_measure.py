@@ -155,6 +155,18 @@ class TestApplyTree:
         post, _ = apply_tree(state, tree, 2)
         assert_allclose(post.matrix, state.matrix, atol=1e-12)
 
+    def test_states_are_read_only_and_complex(self, ghz, z_tree_3q):
+        # the post state and the branch states skip the constructor, so they
+        # must come out as the constructor would make them
+        post, branches = apply_tree(ghz, z_tree_3q, 2)
+        for state in (post, *(branch.post_state for branch in branches)):
+            if state is None:
+                continue
+            assert state.dims == ghz.dims and state.matrix.shape == (8, 8)
+            assert state.matrix.dtype == complex
+            with pytest.raises(ValueError):
+                state.matrix[0, 0] = 5.0
+
     def test_z_root_on_ghz(self, ghz, z_tree_3q):
         post, branches = apply_tree(ghz, z_tree_3q, 1)
         expected = (dm([1, 0, 0, 0, 0, 0, 0, 0]) + dm([0, 0, 0, 0, 0, 0, 0, 1])) / 2

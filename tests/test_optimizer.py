@@ -453,17 +453,21 @@ class TestGridScan:
         ((2, 2, 2), 3, 5),
         ((2, 2, 2, 2), 3, 4),   # 2-qubit unmeasured tail: eigh block path
         ((2, 2, 2, 2), 4, 3),
+        ((2, 2, 2), 2, 9),      # 64 root cells, an eigh block path
     ])
     def test_block_size_moves_no_bit(self, monkeypatch, dims, level, points):
-        # 1 and 7 branch terms per block mean one ancestor cell per block;
-        # the third size gives the deepest step blocks of 7 ancestor cells
-        # and a shorter last block
+        # 1 and 7 branch components per block mean one ancestor cell, or at
+        # the root one cell, per block; the third size splits a level-2 root
+        # into blocks of 7 cells, and the fourth the deepest step of a
+        # deeper tree into blocks of 7 ancestor cells, each with a shorter
+        # last block
         objective = _MeasuredEntropyObjective(random_state(dims, 5, 19), level)
-        config = OptimizerConfig(grid_points_per_angle=points,
-                                 refine_starts=len(grid_cells(points)))
+        cells = len(grid_cells(points))
+        config = OptimizerConfig(grid_points_per_angle=points, refine_starts=cells)
         default = grid_scan(objective, config)
         discord_module = importlib.import_module("mdiscord.discord")
-        for block in (1, 7, 7 * 2 ** (level - 1) * len(grid_cells(points))):
+        width = objective.tensors[-1].shape[1]  # components of a deepest branch
+        for block in (1, 7, 7 * 2 * width, 7 * 2 ** (level - 1) * cells * width):
             monkeypatch.setattr(discord_module, "_GRID_BLOCK", block)
             scan = grid_scan(objective, config)
             assert np.array_equal(scan.values, default.values)
@@ -476,6 +480,19 @@ class TestGridScan:
         tracemalloc.start()
         try:
             grid_scan(objective, OptimizerConfig(grid_points_per_angle=30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    def test_a_level_two_scan_splits_its_root_cells(self):
+        # the root step of a level-2 grid was one block: 79,601 cells at 400
+        # points peaked at 157 MB; only per-cell values and params remain
+        objective = _MeasuredEntropyObjective(random_state((2, 2, 2), 4, 5), 2)
+        grid_scan(objective, OptimizerConfig())  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            grid_scan(objective, OptimizerConfig(grid_points_per_angle=400))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

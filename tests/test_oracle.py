@@ -275,30 +275,37 @@ class TestVerificationSuite:
             gc.enable()
 
     def test_values_each_entropy_once(self, monkeypatch):
-        # per sample: all 7 subsets of rho and of rho1, 4 of rho2 and 10
-        # branch entropies; valuing each subset at each use took 60 per
-        # sample and 342 per suite.  Each check values its samples as one
-        # stack, so one call values every sample's matrix of one subset.
-        matrices = []
+        # per sample: all 7 subsets of rho, rho1 and rho2 and 10 branch
+        # entropies; valuing each subset at each use took 60 per sample and
+        # 342 per suite.  A check's stages are one stack, so one call values
+        # every stage's and sample's matrix of one subset size.
+        shapes = []
         real_entropies = oracle._entropies
 
         def counting(stack):
-            matrices.append(int(np.prod(stack.shape[:-2])))
+            shapes.append(stack.shape[:-2])
             return real_entropies(stack)
 
         monkeypatch.setattr(oracle, "_entropies", counting)
         identity_suite(seed=0, samples=1)
-        assert sum(matrices) == 28
-        matrices.clear()
+        # the tables stack subsets x stages x samples: each subset is valued
+        # once per stage
+        assert [shape for shape in shapes if len(shape) == 3] == \
+            [(3, 3, 1), (3, 3, 1), (1, 3, 1)]
+        assert sum(math.prod(shape) for shape in shapes) == 31
+        shapes.clear()
         verification_suite(seed=0, samples=3)
-        assert sum(matrices) == 225
-        # 22 stacks for the identities, 35 for the non-negativity checks and
-        # 4 for the cross-implementation references: 61, not one per matrix
-        assert len(matrices) == 61
+        assert [shape for shape in shapes if len(shape) == 3] == \
+            [(3, 3, 3), (3, 3, 3), (1, 3, 3), (3, 5, 3), (3, 5, 3), (1, 5, 3)]
+        assert sum(math.prod(shape) for shape in shapes) == 246
+        # 7 stacks for the identities, 7 for the non-negativity checks and
+        # 4 for the cross-implementation references: 18, not one per matrix
+        assert len(shapes) == 18
 
     def test_eigvalsh_calls_fall_with_stacking(self, monkeypatch):
-        # 231 calls per suite when every matrix was valued on its own; the
-        # evaluator's own calls in the cross-implementation check remain
+        # 231 calls per suite when every matrix was valued on its own and 67
+        # with one call per subset and stage; the evaluator's own calls in
+        # the cross-implementation check remain
         calls = []
         real_eigvalsh = np.linalg.eigvalsh
 
@@ -308,10 +315,10 @@ class TestVerificationSuite:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         verification_suite(seed=0, samples=3)
-        assert len(calls) == 67
+        assert len(calls) == 24
         calls.clear()
         verification_suite(seed=0, samples=6)
-        assert len(calls) == 61 + 2 * 6
+        assert len(calls) == 18 + 2 * 6
 
 
 def _report_bits(reports):
@@ -412,6 +419,36 @@ class TestStackedHelpers:
         (one,) = reference_objective(states[:1], trees[:1], level)
         assert _same_bits(one, values[0])
         assert isinstance(reference_objective(states[0], trees[0], level), float)
+
+
+def _per_subset_table(matrices):
+    """The entropy table of one stack as a lookup that reduces and values
+    each subset on its first read, one ``_entropies`` call per subset."""
+    values = {}
+
+    def s(keep):
+        keep = tuple(sorted(keep))
+        if keep not in values:
+            values[keep] = oracle._entropies(oracle._reduce_matrix(matrices, (2, 2, 2), keep))
+        return values[keep]
+
+    return s
+
+
+class TestStackedTablesBits:
+    @pytest.mark.parametrize("samples", [1, 3, 256])
+    def test_tables_equal_the_per_subset_table(self, samples):
+        # ranks cycle through 1 .. 8, so clamped eigenvalues are covered
+        stacks = [np.array([random_qubits(1000 * stage + i, 3, 1 + (i + stage) % 8).matrix
+                            for i in range(samples)]) for stage in range(3)]
+        tables = oracle._tables(*stacks)
+        assert len(tables) == 3
+        for stack, table in zip(stacks, tables):
+            reference = _per_subset_table(stack)
+            for size in (1, 2, 3):
+                for keep in itertools.permutations(range(3), size):
+                    assert table(keep).shape == (samples,)
+                    assert table(keep).tobytes() == reference(keep).tobytes()
 
 
 def _per_path_branch_walk(matrices, dims, trees, depth):

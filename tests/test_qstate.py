@@ -46,6 +46,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             state.matrix[0, 0] = 5.0
 
+    def test_dims_product_is_exact(self):
+        # a 64-bit product of (2**32, 2**32) wraps to 0, which let an empty
+        # matrix through as a state over two 2**32-level subsystems
+        with pytest.raises(StructuralError, match="does not match"):
+            QState((2 ** 32, 2 ** 32), np.zeros((0, 0)))
+
     def test_subset_spec(self):
         assert SubsetSpec((0, 2)).indices == (0, 2)
         with pytest.raises(StructuralError):
@@ -159,6 +165,20 @@ class TestPartialTrace:
             partial_trace(ghz, [])
         with pytest.raises(StructuralError):
             partial_trace(ghz, [3])
+
+    @pytest.mark.parametrize("keep", [[1], [0, 2], [0, 1, 2]])
+    def test_result_is_a_read_only_complex_state(self, keep):
+        # the result skips the constructor, so it must come out as the
+        # constructor would make it
+        state = random_state((2, 3, 2), 4, 9)
+        reduced = partial_trace(state, keep)
+        side = math.prod(state.dims[i] for i in keep)
+        assert reduced.dims == tuple(state.dims[i] for i in keep)
+        assert reduced.matrix.shape == (side, side)
+        assert reduced.matrix.dtype == complex
+        with pytest.raises(ValueError):
+            reduced.matrix[0, 0] = 5.0
+        assert np.array_equal(partial_trace(state, [0, 1, 2]).matrix, state.matrix)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_preserves_trace_and_psd(self, seed):
