@@ -41,6 +41,7 @@ from .qstate import (
     QState,
     StructuralError,
     _integer,
+    _subset,
     entropy,
     permute_subsystems,
     subsystem_entropy,
@@ -68,16 +69,20 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
 # times it gives Tr[sigma_i M] for i = 0..3
 _PAULI_TRACE = _PAULIS.transpose(2, 1, 0).reshape(4, 4)
 _LOG2_E = 1.0 / np.log(2.0)
-_SPREAD, _SCALE = np.array([0.0, 1.0, -1.0]), np.array([1.0, 0.5, 0.5])
 _GRID_BLOCK = 1 << 18  # branch components the grid minimum values at once
 
 
 def _x_log2_x_and_slope(values: np.ndarray):
     """:func:`x_log2_x` and its derivative log2 x + 1 / ln 2, both 0 where
     ``x_log2_x`` clamps."""
-    keep = values > ENTROPY_EIGENVALUE_CLAMP
-    logs = np.log2(np.where(keep, values, 1.0))
-    return np.where(keep, values * logs, 0.0), np.where(keep, logs + _LOG2_E, 0.0)
+    drop = ~(values > ENTROPY_EIGENVALUE_CLAMP)
+    logs = np.maximum(values, ENTROPY_EIGENVALUE_CLAMP)
+    np.log2(logs, out=logs)
+    parts = values * logs
+    np.copyto(parts, 0.0, where=drop)
+    logs += _LOG2_E
+    np.copyto(logs, 0.0, where=drop)
+    return parts, logs
 
 
 def _qubit_terms(comps: np.ndarray, slopes: bool):
@@ -85,20 +90,37 @@ def _qubit_terms(comps: np.ndarray, slopes: bool):
     given by their Pauli components (t_0, t_x, t_y, t_z), through the
     closed-form eigenvalues (t_0 +- |t|) / 2.  With ``slopes``, also each
     term's derivative in the four components."""
-    radius = np.sqrt(np.sum(comps[..., 1:] ** 2, axis=-1, keepdims=True))
-    # trace, then the eigenvalues (t_0 + |t|) / 2 and (t_0 - |t|) / 2
-    spectrum = (comps[..., :1] + radius * _SPREAD) * _SCALE
+    # the four components as rows, each across every block
+    pauli = comps.reshape(-1, 4).T
+    t_0, t_x, t_y, t_z = pauli
+    radius = t_x * t_x
+    radius += t_y * t_y
+    radius += t_z * t_z
+    np.sqrt(radius, out=radius)
+    # trace, then the eigenvalues (t_0 + |t|) / 2 and (t_0 - |t|) / 2, as
+    # (t_0 + |t| * (0, 1, -1)) * (1, 1/2, 1/2)
+    spectrum = np.empty((3, len(radius)))
+    trace, high, low = spectrum
+    np.multiply(radius, 0.0, out=trace)
+    trace += t_0
+    np.add(t_0, radius, out=high)
+    high *= 0.5
+    np.subtract(t_0, radius, out=low)
+    low *= 0.5
     if not slopes:
         parts = x_log2_x(spectrum)
-        return parts[..., 0] - parts[..., 1] - parts[..., 2]
-    parts, d_parts = _x_log2_x_and_slope(spectrum)
+        return (parts[0] - parts[1] - parts[2]).reshape(comps.shape[:-1])
+    parts, (d_trace, d_high, d_low) = _x_log2_x_and_slope(spectrum)
     # d|t| = t . dt / |t|; at |t| = 0 both eigenvalues share one slope, so
     # the direction drops out
-    direction = np.divide(comps[..., 1:], radius, out=np.zeros_like(comps[..., 1:]),
-                          where=radius > 0)
-    grad = np.concatenate([d_parts[..., :1] - (d_parts[..., 1:2] + d_parts[..., 2:]) / 2.0,
-                           (d_parts[..., 2:] - d_parts[..., 1:2]) / 2.0 * direction], axis=-1)
-    return parts[..., 0] - parts[..., 1] - parts[..., 2], grad
+    grad = np.zeros((4, len(radius)))
+    np.divide(pauli[1:], radius, out=grad[1:], where=radius > 0)
+    grad[1:] *= (d_low - d_high) / 2.0
+    np.add(d_high, d_low, out=grad[0])
+    grad[0] /= 2.0
+    np.subtract(d_trace, grad[0], out=grad[0])
+    terms = (parts[0] - parts[1] - parts[2]).reshape(comps.shape[:-1])
+    return terms, np.ascontiguousarray(grad.T).reshape(comps.shape)
 
 
 def _block_terms(comps: np.ndarray, slopes: bool):
@@ -151,8 +173,9 @@ def _projector_coefficients(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     s_0 = 1, s_1 = -1 and n the node's Bloch vector (:func:`_bloch_vectors`)."""
     out = np.empty(theta.shape + (2, 4))
     out[..., 0] = 0.5
-    out[..., 0, 1:] = _bloch_vectors(theta, phi) / 2.0
-    out[..., 1, 1:] = -out[..., 0, 1:]
+    half = _bloch_vectors(theta, phi, out[..., 0, 1:])
+    half /= 2.0
+    np.negative(half, out=out[..., 1, 1:])
     return out
 
 
@@ -174,7 +197,7 @@ def _branch_coefficients(factors: np.ndarray, steps: int) -> list[np.ndarray]:
         nodes = factors[:, _depth_nodes(step)]
         coefficients.append(
             (prev[:, :, None, :, None] * nodes[:, :, :, None, :]).reshape(
-                rows, 2 ** (step + 1), -1
+                rows, 2 ** (step + 1), 4 ** (step + 1)
             )
         )
     return coefficients
@@ -234,10 +257,14 @@ class _MeasuredEntropyObjective:
         self.steps = level - 1
         self.n_nodes = node_count(self.steps)
         self.rho = np.asarray(state.matrix)
-        self.base = -(entropy(state) - subsystem_entropy(state, (0,)))
+        self.base = -(entropy(state) - subsystem_entropy(state, _subset((0,))))
         self.tensors = _step_tensors(self.rho, self.steps)
         # whether the last step's terms follow a rule of their own
         self.last_rule = self.tensors[-1].shape[1] != 4
+        # the steps of the qubit rule are valued in one call, branches side
+        # by side: the 2**s branches of step s at columns 2**s - 2 on
+        shared = self.steps - 1 if self.last_rule else self.steps
+        self.columns = [slice(2 ** s - 2, 2 ** (s + 1) - 2) for s in range(1, shared + 1)]
 
     def __call__(self, x) -> float:
         return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -245,8 +272,11 @@ class _MeasuredEntropyObjective:
     def evaluate_many(self, params_matrix: np.ndarray, gradient: bool = False):
         """The integrand of every row; with ``gradient``, also its derivative
         in each node's Bloch vector n, as a second array with three columns
-        per node (node-major)."""
+        per node (node-major).  A row holding a non-finite angle is refused
+        with the ValueError of :class:`MeasParams`."""
         params_matrix = np.asarray(params_matrix, dtype=float)
+        if len(params_matrix) <= _EVAL_CHUNK:
+            return self._chunk(params_matrix, gradient)
         out = np.empty(len(params_matrix))
         grads = np.empty((len(params_matrix), 3 * self.n_nodes)) if gradient else None
         for start in range(0, len(params_matrix), _EVAL_CHUNK):
@@ -258,26 +288,31 @@ class _MeasuredEntropyObjective:
         return (out, grads) if gradient else out
 
     def _chunk(self, chunk: np.ndarray, gradient: bool):
+        """:meth:`evaluate_many` of at most ``_EVAL_CHUNK`` rows."""
         if chunk.shape[1] != 2 * self.n_nodes:
             raise StructuralError(
                 f"expected {2 * self.n_nodes} angles per row, got {chunk.shape[1]}"
             )
+        if not np.isfinite(chunk).all():
+            raise ValueError("angles must be finite")
         factors = _projector_coefficients(chunk[:, 0::2], chunk[:, 1::2])
         coefficients = _branch_coefficients(factors, self.steps)
-        comps = [coeff @ tensor for coeff, tensor in zip(coefficients, self.tensors)]
-        # the steps of one rule are valued in one call, branches side by side
-        shared = self.steps - 1 if self.last_rule else self.steps
-        value = np.full(len(chunk), self.base)
-        slopes = []
-        for group, rule in ((comps[:shared], _qubit_terms), (comps[shared:], _block_terms)):
-            if not group:
-                continue
-            terms = rule(np.concatenate(group, axis=1), gradient)
+        value, slopes = self.base, []
+        if self.columns:
+            comps = np.empty((len(chunk), self.columns[-1].stop, 4))
+            for columns, coeff, tensor in zip(self.columns, coefficients, self.tensors):
+                np.matmul(coeff, tensor, out=comps[:, columns])
+            terms = _qubit_terms(comps, gradient)
             if gradient:
                 terms, slope = terms
-                widths = [c.shape[1] for c in group[:-1]]
-                slopes += np.split(slope, np.cumsum(widths), axis=1)
-            value += terms.sum(axis=-1)
+                slopes = [slope[:, columns] for columns in self.columns]
+            value = value + terms.sum(axis=-1)
+        if self.last_rule:
+            terms = _block_terms(coefficients[-1] @ self.tensors[-1], gradient)
+            if gradient:
+                terms, slope = terms
+                slopes.append(slope)
+            value = value + terms.sum(axis=-1)
         if not gradient:
             return value
         pulled = [slope @ tensor.T for slope, tensor in zip(slopes, self.tensors)]
@@ -380,10 +415,14 @@ def _bloch_gradient(factors, coefficients, pulled) -> np.ndarray:
     for step in range(len(coefficients) - 1, 0, -1):
         nodes = _depth_nodes(step)
         split = grad.reshape(rows, 2 ** step, 2, 4 ** step, 4)
-        out[:, nodes] = (coefficients[step - 1][:, :, None, None, :] @ split)[:, :, :, 0]
-        grad = pulled[step - 1] + (split @ factors[:, nodes, :, :, None])[..., 0].sum(axis=2)
+        np.matmul(coefficients[step - 1][:, :, None, None, :], split,
+                  out=out[:, nodes, :, None, :])
+        grad = (split @ factors[:, nodes, :, :, None])[..., 0].sum(axis=2)
+        grad += pulled[step - 1]
     out[:, 0] = grad
-    return (out[:, :, 0, 1:] - out[:, :, 1, 1:]).reshape(rows, -1) / 2.0
+    grad = np.subtract(out[:, :, 0, 1:], out[:, :, 1, 1:]).reshape(rows, 3 * factors.shape[1])
+    grad /= 2.0
+    return grad
 
 
 def _normalize_order(measured_order, n: int) -> tuple[int, ...]:
@@ -443,7 +482,7 @@ def discord(
 
     decomposition = None
     if level == 3 and n == 3:
-        tree = tree_from_params(state.dims, tuple(range(level - 1)), best_params)
+        tree = tree_from_params(state.dims, _subset((0, 1)), best_params)
         decomposition = flux._decomposition(state, tree)
 
     diagnostics.update({"level": level, "measured_order": list(order)})

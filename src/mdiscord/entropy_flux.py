@@ -33,6 +33,7 @@ from .qstate import (
     QState,
     StructuralError,
     SubsetSpec,
+    _subset,
     as_subset,
     entropy,
     subsystem_entropy,
@@ -181,7 +182,7 @@ def _entropy_table(state: QState):
 
     def s(*positions):
         if positions not in values:
-            values[positions] = subsystem_entropy(state, positions)
+            values[positions] = subsystem_entropy(state, _subset(positions))
         return values[positions]
 
     return s

@@ -134,7 +134,7 @@ class MeasParams:
             raise StructuralError(
                 f"node count must be 2^k - 1 for some k >= 1, got {count}"
             )
-        if not all(np.isfinite(a) for pair in angles for a in pair):
+        if not all(math.isfinite(a) for pair in angles for a in pair):
             raise ValueError("angles must be finite")
         object.__setattr__(self, "angles", angles)
 
@@ -150,7 +150,8 @@ class MeasParams:
         flat = np.asarray(flat, dtype=float)
         if flat.size % 2 != 0:
             raise StructuralError("flat angle vector must pair theta with phi")
-        return cls(tuple((flat[2 * i], flat[2 * i + 1]) for i in range(flat.size // 2)))
+        flat = flat.tolist()  # Python floats, equal bit for bit
+        return cls(tuple(zip(flat[0::2], flat[1::2])))
 
 
 def node_count(depth: int) -> int:
@@ -158,6 +159,7 @@ def node_count(depth: int) -> int:
     return 2 ** depth - 1
 
 
+@functools.lru_cache(maxsize=8)  # the tuple is immutable, so callers share it
 def bfs_paths(depth: int) -> tuple[tuple[int, ...], ...]:
     """Outcome paths for all nodes, breadth-first: (), (0,), (1,), (0,0), ..."""
     out = []
@@ -214,11 +216,32 @@ def projector_pair_from_angles(theta: float, phi: float) -> ProjectorBasis:
     """Qubit basis {cos t |0> + e^{i p} sin t |1>, sin t |0> - e^{i p} cos t |1>}."""
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError("angles must be finite")
+    return _angle_bases([(theta, phi)])[0]
+
+
+def _angle_bases(angles) -> list[ProjectorBasis]:
+    """The basis of :func:`projector_pair_from_angles` for every finite
+    (theta, phi) row of ``angles``, all valued as one stack."""
+    theta, phi = np.asarray(angles, dtype=float).T
     phase, cos, sin = np.exp(1j * phi), np.cos(theta), np.sin(theta)
-    vectors = (np.array([cos, phase * sin]), np.array([sin, -phase * cos]))
-    # orthonormal by construction: the outer products from_vectors builds
-    return _unchecked(ProjectorBasis, dim=2,
-                      projectors=tuple(v[:, None] * v.conj() for v in vectors))
+    # vectors[k, j]: basis vector j of row k
+    vectors = np.empty((len(theta), 2, 2), dtype=complex)
+    vectors[:, 0, 0], vectors[:, 1, 0] = cos, sin
+    np.multiply(phase, sin, out=vectors[:, 0, 1])
+    np.multiply(-phase, cos, out=vectors[:, 1, 1])
+    return [_orthonormal_basis(v) for v in _outer_products(vectors)]
+
+
+def _outer_products(vectors: np.ndarray) -> np.ndarray:
+    """|v><v| for every vector v along the last axis of ``vectors``: the
+    products :meth:`ProjectorBasis.from_vectors` forms."""
+    return vectors[..., :, None] * vectors[..., None, :].conj()
+
+
+def _orthonormal_basis(projectors) -> ProjectorBasis:
+    """The basis of the projectors of orthonormal vectors, orthonormal by
+    construction, so the basis checks are skipped."""
+    return _unchecked(ProjectorBasis, dim=len(projectors), projectors=tuple(projectors))
 
 
 def tree_from_params(
@@ -241,8 +264,7 @@ def tree_from_params(
             f"tree over {k} measured qubits needs {node_count(k)} nodes, "
             f"got {len(params.angles)}"
         )
-    paths = bfs_paths(k)
-    bases = {path: projector_pair_from_angles(*pair) for path, pair in zip(paths, params.angles)}
+    bases = dict(zip(bfs_paths(k), _angle_bases(params.angles)))
     root = bases.pop(())
     # a complete tree by construction
     return _unchecked(MeasurementTree, measured=measured.indices, root=root, children=bases)
@@ -366,10 +388,11 @@ def optimal_tree_for_measured_state(
             tree = MeasurementTree(measured[:depth], bases[()], children)
             _, branches = apply_tree(state, tree, depth)
             conditionals = [(branch.path, branch.post_state) for branch in branches]
+        # eigh's vectors are orthonormal, so their bases skip the checks
         for path, conditional in conditionals:
             bases[path] = (
                 projector_pair_from_angles(0.0, 0.0) if conditional is None
-                else ProjectorBasis.from_vectors(_conditioning_basis(conditional, pos))
+                else _orthonormal_basis(_outer_products(_conditioning_basis(conditional, pos)))
             )
     root = bases.pop(())
     return MeasurementTree(measured=measured, root=root, children=bases)

@@ -106,20 +106,32 @@ def fold_angles(x: np.ndarray) -> np.ndarray:
     so reflecting theta shifts the partner phi by pi; folding therefore
     relabels the same projector pair and never distorts the objective.
     """
-    out = np.array(x, dtype=float)
-    theta = np.mod(out[..., 0::2], np.pi)
+    return _fold(np.array(x, dtype=float))
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """:func:`fold_angles` in place, on an array that nothing else holds."""
+    theta, phi = x[..., 0::2], x[..., 1::2]
+    np.mod(theta, np.pi, out=theta)
     reflected = theta > np.pi / 2
-    out[..., 0::2] = np.where(reflected, np.pi - theta, theta)
-    out[..., 1::2] = np.mod(out[..., 1::2] + np.pi * reflected, 2 * np.pi)
-    return out
+    np.copyto(theta, np.pi - theta, where=reflected)
+    np.add(phi, np.pi * reflected, out=phi)
+    np.mod(phi, 2 * np.pi, out=phi)
+    return x
 
 
-def _bloch_vectors(theta, phi) -> np.ndarray:
+def _bloch_vectors(theta, phi, out=None) -> np.ndarray:
     """The Bloch vector n = (sin 2t cos p, sin 2t sin p, cos 2t) of a node's
     outcome-0 projector (I + n . sigma) / 2, for every (theta, phi) pair;
-    the components form a new last axis."""
-    sin2 = np.sin(2.0 * theta)
-    return np.stack([sin2 * np.cos(phi), sin2 * np.sin(phi), np.cos(2.0 * theta)], axis=-1)
+    the components form a new last axis, written to ``out`` when given."""
+    if out is None:
+        out = np.empty(theta.shape + (3,))
+    twice = np.multiply(theta, 2.0)
+    np.cos(twice, out=out[..., 2])
+    sin2 = np.sin(twice, out=twice)
+    np.multiply(sin2, np.cos(phi, out=out[..., 0]), out=out[..., 0])
+    np.multiply(sin2, np.sin(phi, out=out[..., 1]), out=out[..., 1])
+    return out
 
 
 def _angles(u: np.ndarray) -> np.ndarray:
@@ -128,8 +140,12 @@ def _angles(u: np.ndarray) -> np.ndarray:
     atan2(|u_xy|, u_z) / 2 in [0, pi/2], exact next to the poles where
     arccos is not, and phi = atan2(u_y, u_x) mod 2 pi."""
     x, y, z = u[..., 0::3], u[..., 1::3], u[..., 2::3]
-    angles = [np.arctan2(np.hypot(x, y), z) / 2.0, np.mod(np.arctan2(y, x), 2 * np.pi)]
-    return np.stack(angles, axis=-1).reshape(u.shape[:-1] + (-1,))
+    out = np.empty(x.shape + (2,))
+    theta, phi = out[..., 0], out[..., 1]
+    np.arctan2(np.hypot(x, y), z, out=theta)
+    theta /= 2.0
+    np.mod(np.arctan2(y, x, out=phi), 2 * np.pi, out=phi)
+    return out.reshape(u.shape[:-1] + (-1,))
 
 
 def _interior_rows(points: int) -> int:
@@ -225,32 +241,37 @@ def simplex_refine(objective, start) -> OptimizerOutcome:
     from the folded reflection), and keeps at most one of them.  A batched
     row equals the single-row value bit for bit, so the run is the one that
     values only the candidates it compares; ``evaluations`` counts every
-    row valued.
+    row valued.  A start holding a non-finite angle is refused with a
+    ValueError before anything is valued.
     """
     if isinstance(start, MeasParams):
         start = start.to_flat()
-    x0 = fold_angles(np.asarray(start, dtype=float))
+    x0 = np.asarray(start, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError("angles must be finite")
+    x0 = fold_angles(x0)
     n = x0.size
     axes = np.eye(n)
     ring = np.zeros((2 * n, n))  # +e_0, -e_0, +e_1, -e_1, ...
     ring[np.arange(2 * n), np.repeat(np.arange(n), 2)] = np.tile([1.0, -1.0], n)
     moves = np.array([[_REFLECT], [_EXPAND], [-_CONTRACT]])
 
-    vertices = np.vstack([x0, fold_angles(x0 + _INITIAL_SIMPLEX_EDGE * axes)])
+    vertices = np.vstack([x0, x0 + _INITIAL_SIMPLEX_EDGE * axes])
+    _fold(vertices[1:])
     values = objective.evaluate_many(vertices)
     nfe = len(vertices)
     start_value = values[0]
 
     converged = False
     for _ in range(SIMPLEX_MAX_ITERS):
-        order = np.argsort(values, kind="stable")
+        order = values.argsort(kind="stable")
         vertices, values = vertices[order], values[order]
         if values[-1] - values[0] < SIMPLEX_TOL:
             # a point lower by rounding alone is no improvement
             probe_value = values[0] - _PROBE_GAIN * abs(values[0])
             probe_point = None
             for delta in _PROBE_STEPS:
-                candidates = fold_angles(vertices[0] + delta * ring)
+                candidates = _fold(vertices[0] + delta * ring)
                 candidate_values = objective.evaluate_many(candidates)
                 nfe += len(candidates)
                 best = int(np.argmin(candidate_values))
@@ -260,17 +281,20 @@ def simplex_refine(objective, start) -> OptimizerOutcome:
             if probe_point is None:
                 converged = True
                 break
-            rebuilt = fold_angles(probe_point + delta * axes)
+            rebuilt = _fold(probe_point + delta * axes)
             vertices = np.vstack([probe_point, rebuilt])
             values = np.concatenate([[probe_value], objective.evaluate_many(rebuilt)])
             nfe += n
             continue
 
-        centroid = np.mean(vertices[:-1], axis=0)
-        reflected, expanded, inside = fold_angles(centroid + moves * (centroid - vertices[-1]))
-        outside = fold_angles(centroid + _CONTRACT * (reflected - centroid))
-        f_reflected, f_expanded, f_inside, f_outside = objective.evaluate_many(
-            np.vstack([reflected, expanded, inside, outside]))
+        centroid = np.add.reduce(vertices[:-1], axis=0) / n
+        trials = np.empty((4, n))
+        np.add(centroid, moves * (centroid - vertices[-1]), out=trials[:3])
+        _fold(trials[:3])
+        np.add(centroid, _CONTRACT * (trials[0] - centroid), out=trials[3])
+        _fold(trials[3])
+        reflected, expanded, inside, outside = trials
+        f_reflected, f_expanded, f_inside, f_outside = objective.evaluate_many(trials)
         nfe += 4
         if f_reflected < values[0]:
             kept = (expanded, f_expanded) if f_expanded < f_reflected else (reflected, f_reflected)
@@ -283,7 +307,8 @@ def simplex_refine(objective, start) -> OptimizerOutcome:
         if kept is not None:
             vertices[-1], values[-1] = kept
             continue
-        vertices[1:] = fold_angles(vertices[0] + _SHRINK * (vertices[1:] - vertices[0]))
+        np.add(vertices[0], _SHRINK * (vertices[1:] - vertices[0]), out=vertices[1:])
+        _fold(vertices[1:])
         values[1:] = objective.evaluate_many(vertices[1:])
         nfe += n
 
@@ -306,9 +331,11 @@ def _sphere_gradient(u: np.ndarray, bloch_grad: np.ndarray) -> np.ndarray:
     for rows of u (three components per node, node-major, last axis)."""
     rows = u.shape[:-1]
     u, bloch_grad = u.reshape(rows + (-1, 3)), bloch_grad.reshape(rows + (-1, 3))
-    norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    norm = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
     n = u / norm
-    grad = (bloch_grad - np.sum(n * bloch_grad, axis=-1, keepdims=True) * n) / norm
+    grad = (n * bloch_grad).sum(axis=-1, keepdims=True) * n
+    np.subtract(bloch_grad, grad, out=grad)
+    grad /= norm
     return grad.reshape(rows + (-1,))
 
 
@@ -393,9 +420,14 @@ def _quasi_newton(objective, starts) -> list[OptimizerOutcome]:
         # a slice when every start updates: fancy indexing would copy
         update = slice(None) if curved.all() else np.flatnonzero(curved)
         s, y, sy = s[update], y[update], sy[update, None, None]
-        v = eye - s[:, :, None] * y[:, None, :] / sy
-        inverse[update] = (v @ inverse[update] @ v.swapaxes(-1, -2)
-                           + s[:, :, None] * s[:, None, :] / sy)
+        v = s[:, :, None] * y[:, None, :]
+        v /= sy
+        np.subtract(eye, v, out=v)
+        updated = v @ inverse[update] @ v.swapaxes(-1, -2)
+        ss = s[:, :, None] * s[:, None, :]
+        ss /= sy
+        updated += ss
+        inverse[update] = updated
         u, grad = u_next, next_grad
     finish(range(len(live)), False, QN_MAX_ITERS)
     return outcomes

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -59,6 +60,14 @@ class SubsetSpec:
 
     def __len__(self):
         return len(self.indices)
+
+
+@functools.lru_cache(maxsize=256)
+def _subset(indices: tuple[int, ...]) -> SubsetSpec:
+    """The SubsetSpec of a tuple of positions, checked once per distinct
+    tuple and then shared (it is frozen): for positions the package itself
+    forms, again and again."""
+    return SubsetSpec(indices)
 
 
 def as_subset(spec: SubsetSpec | Iterable[int], n_subsystems: int) -> SubsetSpec:
@@ -232,8 +241,15 @@ def permute_subsystems(state: QState, order: Sequence[int]) -> QState:
 def x_log2_x(values: np.ndarray) -> np.ndarray:
     """Elementwise x log2 x, with entries at or below
     ``ENTROPY_EIGENVALUE_CLAMP`` contributing exactly 0."""
-    keep = values > ENTROPY_EIGENVALUE_CLAMP
-    return np.where(keep, values * np.log2(np.where(keep, values, 1.0)), 0.0)
+    # not ~: a Python bool would invert to -2
+    drop = np.logical_not(values > ENTROPY_EIGENVALUE_CLAMP)
+    # the log of each kept value, of the clamp elsewhere; an array even for
+    # a scalar, which the ufunc would return as a numpy scalar
+    out = np.asarray(np.maximum(values, ENTROPY_EIGENVALUE_CLAMP))
+    np.log2(out, out=out)
+    out *= values
+    np.copyto(out, 0.0, where=drop)
+    return out
 
 
 def entropy(state: QState) -> float:

@@ -19,13 +19,16 @@ from mdiscord import (
     tree_from_params,
 )
 from mdiscord.discord import (
+    _EVAL_CHUNK,
     _MeasuredEntropyObjective,
     _branch_coefficients,
     _projector_coefficients,
+    _qubit_terms,
+    _x_log2_x_and_slope,
     result_from_json,
     result_to_json,
 )
-from mdiscord.qstate import kron_product, x_log2_x
+from mdiscord.qstate import ENTROPY_EIGENVALUE_CLAMP, kron_product, x_log2_x
 from mdiscord.optimizer import (
     SIMPLEX_MAX_ITERS,
     OptimizerConfig,
@@ -417,6 +420,166 @@ class TestGradient:
             one_value, one_grad = objective.evaluate_many(row[None, :], gradient=True)
             assert one_value[0] == value
             assert np.array_equal(one_grad[0], grad)
+
+
+def _reference_x_log2_x(values):
+    """:func:`x_log2_x` before it dropped its ``np.where`` temporaries."""
+    keep = values > ENTROPY_EIGENVALUE_CLAMP
+    return np.where(keep, values * np.log2(np.where(keep, values, 1.0)), 0.0)
+
+
+def _reference_x_log2_x_and_slope(values):
+    keep = values > ENTROPY_EIGENVALUE_CLAMP
+    logs = np.log2(np.where(keep, values, 1.0))
+    return np.where(keep, values * logs, 0.0), np.where(keep, logs + 1.0 / np.log(2.0), 0.0)
+
+
+def _reference_projector_coefficients(theta, phi):
+    """:func:`_projector_coefficients` before it wrote the Bloch vectors
+    into its own array."""
+    sin2 = np.sin(2.0 * theta)
+    bloch = np.stack([sin2 * np.cos(phi), sin2 * np.sin(phi), np.cos(2.0 * theta)], axis=-1)
+    out = np.empty(theta.shape + (2, 4))
+    out[..., 0] = 0.5
+    out[..., 0, 1:] = bloch / 2.0
+    out[..., 1, 1:] = -out[..., 0, 1:]
+    return out
+
+
+def _reference_qubit_terms(comps, slopes):
+    """:func:`_qubit_terms` before it worked one component row at a time."""
+    radius = np.sqrt(np.sum(comps[..., 1:] ** 2, axis=-1, keepdims=True))
+    spectrum = (comps[..., :1] + radius * np.array([0.0, 1.0, -1.0])) * np.array([1.0, 0.5, 0.5])
+    if not slopes:
+        parts = _reference_x_log2_x(spectrum)
+        return parts[..., 0] - parts[..., 1] - parts[..., 2]
+    parts, d_parts = _reference_x_log2_x_and_slope(spectrum)
+    direction = np.divide(comps[..., 1:], radius, out=np.zeros_like(comps[..., 1:]),
+                          where=radius > 0)
+    grad = np.concatenate([d_parts[..., :1] - (d_parts[..., 1:2] + d_parts[..., 2:]) / 2.0,
+                           (d_parts[..., 2:] - d_parts[..., 1:2]) / 2.0 * direction], axis=-1)
+    return parts[..., 0] - parts[..., 1] - parts[..., 2], grad
+
+
+def _hexes(values):
+    """float.hex of every entry, so that equal lists are equal bits, signed
+    zeros included."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _eigenvalue_edges():
+    """Eigenvalues at, just above and below the clamp, zeros of both signs,
+    negatives, subnormals and ordinary values."""
+    clamp = ENTROPY_EIGENVALUE_CLAMP
+    return np.array([clamp, np.nextafter(clamp, 0.0), np.nextafter(clamp, 1.0), 2 * clamp,
+                     clamp / 2, 0.0, -0.0, -clamp, -1e-13, -0.3, 5e-324, 1e-300, 1e-12 + 1e-28,
+                     0.25, 0.5, 1.0, 1.5, 1e300])
+
+
+def _qubit_components(seed, rows):
+    """Pauli components (t_0, t_x, t_y, t_z) of rows x 6 branch blocks: random
+    ones, blocks with t = 0, rank-1 blocks (t_0 = |t|, so one eigenvalue
+    rounds to about 0 or below it), zero blocks of both signs and blocks
+    at the clamp."""
+    rng = np.random.default_rng(seed)
+    comps = rng.uniform(-1.0, 1.0, (rows, 6, 4))
+    comps[..., 0] = np.abs(comps[..., 0]) + np.linalg.norm(comps[..., 1:], axis=-1)
+    flat = comps.reshape(-1, 4)
+    flat[0::7, 1:] = 0.0
+    flat[1::7, 0] = np.linalg.norm(flat[1::7, 1:], axis=-1)
+    flat[2::7] = -0.0
+    flat[3::7] = 0.0
+    flat[4::7, 0] = 2 * ENTROPY_EIGENVALUE_CLAMP
+    flat[4::7, 1:] = [0.0, -0.0, ENTROPY_EIGENVALUE_CLAMP]
+    flat[5::7, 1:] *= -1e-7
+    return comps
+
+
+class TestRewrittenHelpersBits:
+    """The helpers that lost their temporaries give their references'
+    results bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(18,), (3, 6), (4, 6, 3)])
+    def test_x_log2_x_and_slope_equal_the_reference(self, shape):
+        values = np.resize(_eigenvalue_edges(), shape)
+        parts, slopes = _x_log2_x_and_slope(values)
+        reference_parts, reference_slopes = _reference_x_log2_x_and_slope(values)
+        assert _hexes(parts) == _hexes(reference_parts)
+        assert _hexes(slopes) == _hexes(reference_slopes)
+        assert _hexes(x_log2_x(values)) == _hexes(_reference_x_log2_x(values))
+
+    @pytest.mark.parametrize("value", [0.25, -0.0, 1e-13], ids=["kept", "zero", "clamped"])
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array, np.float32])
+    def test_x_log2_x_of_a_scalar_equals_the_reference(self, value, kind):
+        got, want = x_log2_x(kind(value)), _reference_x_log2_x(kind(value))
+        assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == want.dtype
+        assert _hexes(got) == _hexes(want)
+
+    @pytest.mark.parametrize("rows", [1, 4, 52])
+    def test_projector_coefficients_equal_the_reference(self, rows):
+        rng = np.random.default_rng(105 + rows)
+        chunk = rng.uniform(-10.0, 10.0, (rows, 14))
+        edge = rng.random(chunk.shape) < 0.5
+        chunk[edge] = rng.choice([0.0, -0.0, np.pi / 2, np.pi, -np.pi, 1e300, -1e300],
+                                 int(edge.sum()))
+        theta, phi = chunk[:, 0::2], chunk[:, 1::2]
+        assert (_hexes(_projector_coefficients(theta, phi))
+                == _hexes(_reference_projector_coefficients(theta, phi)))
+
+    @pytest.mark.parametrize("rows", [1, 4, 52, 700])
+    def test_qubit_terms_equal_the_reference(self, rows):
+        comps = _qubit_components(108 + rows, rows)
+        assert _hexes(_qubit_terms(comps, False)) == _hexes(_reference_qubit_terms(comps, False))
+        terms, grad = _qubit_terms(comps, True)
+        reference_terms, reference_grad = _reference_qubit_terms(comps, True)
+        assert _hexes(terms) == _hexes(reference_terms)
+        assert grad.shape == comps.shape and grad.flags.c_contiguous
+        assert _hexes(grad) == _hexes(reference_grad)
+
+
+class TestEvaluationChunks:
+    @pytest.mark.parametrize("dims, level", [
+        ((2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2, 2), 3),
+    ], ids=["level-2", "level-3", "4x4-tail"])
+    def test_rows_across_the_chunk_boundary_equal_single_rows(self, dims, level):
+        # the first _EVAL_CHUNK rows are one chunk, the last one another
+        objective = _MeasuredEntropyObjective(random_state(dims, 3, 111), level)
+        rows = _random_angles(112, _EVAL_CHUNK + 1, objective.n_nodes)
+        values, grads = objective.evaluate_many(rows, gradient=True)
+        singles = [objective.evaluate_many(row[None, :], gradient=True) for row in rows]
+        assert _hexes(values) == _hexes([value[0] for value, _ in singles])
+        assert _hexes(grads) == _hexes(np.vstack([grad for _, grad in singles]))
+        assert _hexes(objective.evaluate_many(rows)) == _hexes(values)
+
+    @pytest.mark.parametrize("dims, level", [((2, 2), 2), ((2, 2, 2), 3), ((2, 2, 2, 2), 3)])
+    def test_no_rows_give_empty_arrays(self, dims, level):
+        objective = _MeasuredEntropyObjective(random_state(dims, 3, 114), level)
+        rows = np.empty((0, 2 * objective.n_nodes))
+        assert objective.evaluate_many(rows).shape == (0,)
+        values, grads = objective.evaluate_many(rows, gradient=True)
+        assert values.shape == (0,) and grads.shape == (0, 3 * objective.n_nodes)
+
+
+class TestNonFiniteRows:
+    # werner_ghz(0.7) at level 3 once valued this row 0.3476: the NaN
+    # node's branch terms were clamped to 0
+    ROW = [0.1, 0.2, np.nan, 0.3, 0.4, 0.5]
+
+    def test_the_nan_row_is_refused(self):
+        objective = _MeasuredEntropyObjective(states.werner_ghz(0.7), 3)
+        with pytest.raises(ValueError, match="angles must be finite"):
+            objective(self.ROW)
+
+    @pytest.mark.parametrize("gradient", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rows, at", [(1, 0), (13, 7), (_EVAL_CHUNK + 3, _EVAL_CHUNK + 1)],
+                             ids=["one-row", "small-batch", "second-chunk"])
+    def test_a_non_finite_angle_is_refused(self, rows, at, bad, gradient):
+        objective = _MeasuredEntropyObjective(states.werner_ghz(0.7), 3)
+        chunk = _random_angles(113, rows, objective.n_nodes)
+        chunk[at, 3] = bad
+        with pytest.raises(ValueError, match="angles must be finite"):
+            objective.evaluate_many(chunk, gradient=gradient)
 
 
 class TestDiscord:

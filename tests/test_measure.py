@@ -389,6 +389,67 @@ class TestRebuildBits:
         assert np.max(np.abs(post.matrix - state.matrix)) < 1e-10
 
 
+class TestMeasuredStateBases:
+    """The rebuilt tree's bases skip the basis checks; they equal the checked
+    construction byte for byte and pass its checks."""
+
+    @pytest.mark.parametrize("dims, depth", [
+        ((2, 2), 1), ((2, 2, 2), 1), ((2, 2, 2), 2), ((2, 2, 3), 2), ((2, 2, 2, 2), 3),
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bases_equal_the_checked_construction(self, dims, depth, seed):
+        state = _measured_state(dims, depth, 200 + seed)
+        measured = tuple(range(depth))
+        tree = optimal_tree_for_measured_state(state, measured)
+        # every node's conditional state, as the rebuild measures it
+        conditionals = {(): QState(state.dims, state.matrix / float(state.matrix.trace().real))}
+        for level in range(1, depth):
+            _, branches = apply_tree(state, tree, level)
+            conditionals.update((branch.path, branch.post_state) for branch in branches)
+        assert set(conditionals) == set(bfs_paths(depth))
+        for path, conditional in conditionals.items():
+            basis = tree.basis_at(path)
+            ProjectorBasis(dim=2, projectors=basis.projectors)
+            if conditional is None:
+                continue
+            checked = ProjectorBasis.from_vectors(
+                measure._conditioning_basis(conditional, measured[len(path)]))
+            for got, want in zip(basis.projectors, checked.projectors):
+                assert got.tobytes() == want.tobytes(), path
+
+
+def _reference_pair(theta, phi):
+    """The projectors of :func:`projector_pair_from_angles` for one node, as
+    it formed them before the nodes of a tree were stacked."""
+    phase, cos, sin = np.exp(1j * phi), np.cos(theta), np.sin(theta)
+    vectors = (np.array([cos, phase * sin]), np.array([sin, -phase * cos]))
+    return tuple(v[:, None] * v.conj() for v in vectors)
+
+
+class TestStackedBasesBits:
+    EDGES = (0.0, -0.0, np.pi / 4, np.pi / 2, np.pi, -np.pi, 2 * np.pi, -1.0, 1e-300, 1e300)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tree_bases_equal_the_per_node_formula(self, depth, seed):
+        rng = np.random.default_rng(300 + seed)
+        flat = rng.uniform(-7.0, 7.0, 2 * node_count(depth))
+        edge = rng.random(flat.size) < 0.5
+        flat[edge] = rng.choice(self.EDGES, int(edge.sum()))
+        params = MeasParams.from_flat(flat)
+        tree = tree_from_params((2,) * (depth + 1), tuple(range(depth)), params)
+        for path, (theta, phi) in zip(bfs_paths(depth), params.angles):
+            for got, want in zip(tree.basis_at(path).projectors, _reference_pair(theta, phi)):
+                assert got.tobytes() == want.tobytes(), path
+
+    def test_one_pair_equals_the_per_node_formula(self):
+        for theta in self.EDGES:
+            for phi in self.EDGES:
+                for got, want in zip(projector_pair_from_angles(theta, phi).projectors,
+                                     _reference_pair(theta, phi)):
+                    assert got.tobytes() == want.tobytes()
+
+
 def _per_path_apply_tree(state, tree, depth):
     """apply_tree as a loop over outcome paths: each path's embedded
     projector on its own, one sandwich per path, a running post state."""

@@ -320,6 +320,105 @@ class TestFoldAngles:
         assert_allclose(folded, [0.2, 0.5], atol=1e-12)
 
 
+def _reference_fold_angles(x):
+    """:func:`fold_angles` before it folded in place, kept as its reference."""
+    out = np.array(x, dtype=float)
+    theta = np.mod(out[..., 0::2], np.pi)
+    reflected = theta > np.pi / 2
+    out[..., 0::2] = np.where(reflected, np.pi - theta, theta)
+    out[..., 1::2] = np.mod(out[..., 1::2] + np.pi * reflected, 2 * np.pi)
+    return out
+
+
+def _reference_bloch_vectors(theta, phi):
+    """:func:`_bloch_vectors` before it wrote into one array."""
+    sin2 = np.sin(2.0 * theta)
+    return np.stack([sin2 * np.cos(phi), sin2 * np.sin(phi), np.cos(2.0 * theta)], axis=-1)
+
+
+def _reference_angles(u):
+    """:func:`_angles` before it wrote into one array."""
+    x, y, z = u[..., 0::3], u[..., 1::3], u[..., 2::3]
+    angles = [np.arctan2(np.hypot(x, y), z) / 2.0, np.mod(np.arctan2(y, x), 2 * np.pi)]
+    return np.stack(angles, axis=-1).reshape(u.shape[:-1] + (-1,))
+
+
+def _reference_sphere_gradient(u, bloch_grad):
+    """:func:`_sphere_gradient` before it dropped its temporaries."""
+    rows = u.shape[:-1]
+    u, bloch_grad = u.reshape(rows + (-1, 3)), bloch_grad.reshape(rows + (-1, 3))
+    norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    n = u / norm
+    grad = (bloch_grad - np.sum(n * bloch_grad, axis=-1, keepdims=True) * n) / norm
+    return grad.reshape(rows + (-1,))
+
+
+# signed zeros, the folds' edges, negative and huge angles
+EDGE_ANGLES = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3 * np.pi / 2,
+               2 * np.pi, -2 * np.pi, -1.0, -3.7, 1e-300, 1e300, -1e300)
+
+
+def edge_rows(seed, rows, width):
+    """Random angles in [-10, 10] with about half the entries drawn from
+    EDGE_ANGLES."""
+    rng = np.random.default_rng(seed)
+    out = rng.uniform(-10.0, 10.0, (rows, width))
+    edge = rng.random((rows, width)) < 0.5
+    out[edge] = rng.choice(EDGE_ANGLES, int(edge.sum()))
+    return out
+
+
+def hexes(values):
+    """float.hex of every entry: equal lists are equal bits, signed zeros
+    included."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestRewrittenHelpersBits:
+    """The in-place helpers give their references' results bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(2,), (6,), (4, 6), (13, 14)])
+    def test_fold_angles_equals_the_reference(self, shape):
+        x = edge_rows(90 + len(shape), 1, math.prod(shape)).reshape(shape)
+        before = x.copy()
+        assert hexes(fold_angles(x)) == hexes(_reference_fold_angles(x))
+        assert hexes(x) == hexes(before)  # the input is left alone
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_fold_angles_of_a_non_contiguous_matrix(self, layout):
+        # np.array keeps a Fortran layout, where the rows' angle pairs are
+        # no view of a flat buffer
+        x = edge_rows(97, 8, 12)
+        x = np.asfortranarray(x) if layout == "fortran" else x[::2, :6]
+        assert hexes(fold_angles(x)) == hexes(_reference_fold_angles(x))
+
+    def test_fold_angles_of_every_edge_pair(self):
+        x = np.array([[t, p] for t in EDGE_ANGLES for p in EDGE_ANGLES]).ravel()
+        assert hexes(fold_angles(x)) == hexes(_reference_fold_angles(x))
+
+    @pytest.mark.parametrize("rows", [1, 4, 52])
+    def test_bloch_vectors_equal_the_reference(self, rows):
+        chunk = edge_rows(93 + rows, rows, 14)
+        theta, phi = chunk[:, 0::2], chunk[:, 1::2]
+        assert hexes(_bloch_vectors(theta, phi)) == hexes(_reference_bloch_vectors(theta, phi))
+
+    @pytest.mark.parametrize("rows", [1, 13, 52])
+    def test_angles_equal_the_reference(self, rows):
+        u = edge_rows(96 + rows, rows, 9)
+        u[0, :3] = 0.0  # a pole and a zero vector
+        u[-1, 3:5] = -0.0
+        assert hexes(_angles(u)) == hexes(_reference_angles(u))
+
+    @pytest.mark.parametrize("rows", [1, 4, 52])
+    def test_sphere_gradient_equals_the_reference(self, rows):
+        u = edge_rows(99 + rows, rows, 9)
+        u[np.abs(u) > 1e10] = 1.5  # finite norms
+        bloch_grad = edge_rows(102 + rows, rows, 9)
+        bloch_grad[np.abs(bloch_grad) > 1e10] = -0.25
+        assert (hexes(_sphere_gradient(u, bloch_grad))
+                == hexes(_reference_sphere_gradient(u, bloch_grad)))
+
+
 class TestGridScan:
     def test_two_parameter_grid_size(self):
         # 6 points per angle: the pole cell and two theta rows of 6 phis
@@ -562,6 +661,14 @@ class TestSimplexRefine:
         assert outcome.converged
         assert [len(rows) for rows in recorder.batches] == [3] + [4] * len(_PROBE_STEPS)
         assert outcome.evaluations == 3 + 4 * len(_PROBE_STEPS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_a_non_finite_start_before_any_evaluation(self, bad):
+        counter = BatchCounter(_MeasuredEntropyObjective(werner_ghz(0.7), 3))
+        start = np.array([0.1, 0.2, bad, 0.3, 0.4, 0.5])
+        with pytest.raises(ValueError, match="angles must be finite"):
+            simplex_refine(counter, start)
+        assert counter.calls == 0
 
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_batched_iterations_equal_row_by_row_values(self, seed):
