@@ -30,6 +30,7 @@ import numpy as np
 from . import entropy_flux as flux
 from .measure import (
     MeasParams,
+    _level,
     node_count,
     params_from_json,
     params_to_json,
@@ -37,7 +38,6 @@ from .measure import (
 )
 from .optimizer import OptimizerConfig, _bloch_vectors, grid_cells, optimize, simplex_refine
 from .qstate import (
-    ENTROPY_EIGENVALUE_CLAMP,
     QState,
     StructuralError,
     _integer,
@@ -68,21 +68,7 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
 # row 2x + y, column i: sigma_i[y, x]; a 2x2 block M flattened row-major
 # times it gives Tr[sigma_i M] for i = 0..3
 _PAULI_TRACE = _PAULIS.transpose(2, 1, 0).reshape(4, 4)
-_LOG2_E = 1.0 / np.log(2.0)
 _GRID_BLOCK = 1 << 18  # branch components the grid minimum values at once
-
-
-def _x_log2_x_and_slope(values: np.ndarray):
-    """:func:`x_log2_x` and its derivative log2 x + 1 / ln 2, both 0 where
-    ``x_log2_x`` clamps."""
-    drop = ~(values > ENTROPY_EIGENVALUE_CLAMP)
-    logs = np.maximum(values, ENTROPY_EIGENVALUE_CLAMP)
-    np.log2(logs, out=logs)
-    parts = values * logs
-    np.copyto(parts, 0.0, where=drop)
-    logs += _LOG2_E
-    np.copyto(logs, 0.0, where=drop)
-    return parts, logs
 
 
 def _qubit_terms(comps: np.ndarray, slopes: bool):
@@ -110,7 +96,7 @@ def _qubit_terms(comps: np.ndarray, slopes: bool):
     if not slopes:
         parts = x_log2_x(spectrum)
         return (parts[0] - parts[1] - parts[2]).reshape(comps.shape[:-1])
-    parts, (d_trace, d_high, d_low) = _x_log2_x_and_slope(spectrum)
+    parts, (d_trace, d_high, d_low) = x_log2_x(spectrum, slope=True)
     # d|t| = t . dt / |t|; at |t| = 0 both eigenvalues share one slope, so
     # the direction drops out
     grad = np.zeros((4, len(radius)))
@@ -136,8 +122,8 @@ def _block_terms(comps: np.ndarray, slopes: bool):
     # eigh for values too, so that a value never depends on whether its
     # gradient was asked for
     vals, vecs = np.linalg.eigh(blocks)
-    whole, d_whole = _x_log2_x_and_slope(vals.sum(axis=-1))
-    parts, d_parts = _x_log2_x_and_slope(vals)
+    whole, d_whole = x_log2_x(vals.sum(axis=-1), slope=True)
+    parts, d_parts = x_log2_x(vals, slope=True)
     if not slopes:
         return whole - parts.sum(axis=-1)
     slope = (vecs * d_parts[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
@@ -161,10 +147,6 @@ def _pauli_blocks(rho: np.ndarray, count: int) -> list[np.ndarray]:
         traced = (split.reshape(-1, 4) @ _PAULI_TRACE).reshape(-1, rest, rest, 4)
         blocks.append(traced.transpose(0, 3, 1, 2).reshape(-1, rest, rest))
     return blocks
-
-
-def _traces(blocks: np.ndarray) -> np.ndarray:
-    return blocks.trace(axis1=-2, axis2=-1).real
 
 
 def _projector_coefficients(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -210,7 +192,8 @@ def _step_tensors(rho: np.ndarray, steps: int) -> list[np.ndarray]:
     of the tail if it is one qubit, else the real and imaginary parts of its
     block's entries."""
     blocks = _pauli_blocks(rho, steps)
-    tensors = [_traces(blocks[s + 1]).reshape(4 ** s, 4) for s in range(1, steps)]
+    tensors = [blocks[s + 1].trace(axis1=-2, axis2=-1).real.reshape(4 ** s, 4)
+               for s in range(1, steps)]
     tail = blocks[-1]
     if tail.shape[-1] == 2:
         tensors.append((tail.reshape(-1, 4) @ _PAULI_TRACE).real)
@@ -244,20 +227,15 @@ class _MeasuredEntropyObjective:
     every node's coefficients, and from there to its Bloch vector.
     """
 
-    def __init__(self, state: QState, level: int):
-        n = state.n_subsystems
-        if n < 2:
-            raise StructuralError(
-                f"discord needs at least two subsystems, the state has {n}")
-        if not 2 <= level <= n:
-            raise StructuralError(f"level must lie in [2, {n}], got {level}")
-        for pos in range(level - 1):
-            if state.dims[pos] != 2:
-                raise StructuralError(f"measured subsystem {pos} is not a qubit")
-        self.steps = level - 1
+    def __init__(self, state: QState, level: int | None):
+        self.steps = _level(state.dims, level) - 1
         self.n_nodes = node_count(self.steps)
         self.rho = np.asarray(state.matrix)
-        self.base = -(entropy(state) - subsystem_entropy(state, _subset((0,))))
+        # S(rho) and S(rho_A), keyed as the entropy table of the decomposition
+        # (entropy_flux._decomposition), which reads them too
+        whole = tuple(range(state.n_subsystems))
+        self.entropies = {whole: entropy(state), (0,): subsystem_entropy(state, _subset((0,)))}
+        self.base = -(self.entropies[whole] - self.entropies[(0,)])
         self.tensors = _step_tensors(self.rho, self.steps)
         # whether the last step's terms follow a rule of their own
         self.last_rule = self.tensors[-1].shape[1] != 4
@@ -472,18 +450,18 @@ def discord(
     refinement did not converge, flagged through ``diagnostics['converged']``.
     """
     n = state.n_subsystems
-    level = n if level is None else _integer("level", level)
     order = _normalize_order(measured_order, n)
     if order != tuple(range(n)):
         state = permute_subsystems(state, order)
     objective = _MeasuredEntropyObjective(state, level)
+    level = objective.steps + 1
     cfg = config or OptimizerConfig()
     best_value, best_params, diagnostics = _minimize(objective, cfg)
 
     decomposition = None
     if level == 3 and n == 3:
         tree = tree_from_params(state.dims, _subset((0, 1)), best_params)
-        decomposition = flux._decomposition(state, tree)
+        decomposition = flux._decomposition(state, tree, objective.entropies)
 
     diagnostics.update({"level": level, "measured_order": list(order)})
     return DiscordResult(

@@ -9,11 +9,12 @@ stage suffixes m1 and m2.
 Every "delta" is computed two independent ways, as a difference of mutual
 informations across a measurement and as a combination of unminimized
 discords; :func:`flux_report` cross-checks the two routes on every call.  It
-measures each stage once: both routes read the same once- and twice-measured
-states and depth-1 branches.  The tripartite decomposition that
-:func:`~mdiscord.discord.discord` reports, and that the ``delta_*`` functions
-read, likewise measures each stage once and takes its four terms from the
-same ledger differences as :func:`flux_report`.
+measures each stage once, in :func:`_stages`: both routes read the same
+once- and twice-measured states and depth-1 branches.  The tripartite
+decomposition that :func:`~mdiscord.discord.discord` reports, and that the
+``delta_*`` functions read, likewise measures each stage once there and
+takes its four terms from the same ledger differences as
+:func:`flux_report`.
 
 Each formula is written once, over the entropy table of the state it
 describes (:func:`_entropy_table`), which values each subsystem entropy of
@@ -174,11 +175,11 @@ def _require_two_level_tree(tree: MeasurementTree):
         )
 
 
-def _entropy_table(state: QState):
+def _entropy_table(state: QState, known=None):
     """``s(*positions)``: the entropy of ``state`` reduced to those
     positions (ascending), valued once per subset however often it is
-    read."""
-    values = {}
+    read; ``known`` maps position tuples to entropies already valued."""
+    values = dict(known or {})
 
     def s(*positions):
         if positions not in values:
@@ -242,18 +243,27 @@ def _terms(pre, m1, m2) -> dict[str, float]:
     }
 
 
-def _decomposition(state: QState, tree: MeasurementTree) -> dict[str, float]:
+def _stages(state: QState, tree: MeasurementTree, depth: int, known=None):
+    """The entropy tables of ``state`` measured by the first 0, 1, ...,
+    ``depth`` levels of ``tree``, each stage measured once, and the depth-1
+    branches.  ``known`` seeds the stage-0 table (see
+    :func:`_entropy_table`)."""
+    stages = [apply_tree(state, tree, level) for level in range(1, depth + 1)]
+    tables = [_entropy_table(state, known)] + [_entropy_table(rho) for rho, _ in stages]
+    return tables, stages[0][1]
+
+
+def _decomposition(state: QState, tree: MeasurementTree, known=None) -> dict[str, float]:
     """The four terms of :func:`_terms` for a tripartite state and a tree
-    measuring subsystems 0 then 1, measuring each stage once and valuing
-    each of its subsystem entropies once; the twice-measured state is
-    valued only for the I_{B:C|A} they read."""
+    measuring subsystems 0 then 1, from :func:`_stages`, so each subsystem
+    entropy is valued once (``known`` holds those of ``state`` its caller
+    already has); the twice-measured state is valued only for the
+    I_{B:C|A} they read."""
     _require_tripartite(state)
     _require_two_level_tree(tree)
-    rho1, _ = apply_tree(state, tree, 1)
-    rho2, _ = apply_tree(state, tree, 2)
-    m2 = {"I_BC_A": _cmi(_entropy_table(rho2), (1,), (2,), (0,))}
-    pre = _cmi_family(_entropy_table(state))
-    return _terms(pre, _cmi_family(_entropy_table(rho1)), m2)
+    (s0, s1, s2), _ = _stages(state, tree, 2, known)
+    m2 = {"I_BC_A": _cmi(s2, (1,), (2,), (0,))}
+    return _terms(_cmi_family(s0), _cmi_family(s1), m2)
 
 
 def d_unminimized(
@@ -303,9 +313,7 @@ def _check(label: str, first: float, second: float):
 
 
 def _tripartite_reports(state, tree) -> tuple[FluxReport, ...]:
-    rho1, branches = apply_tree(state, tree, 1)
-    rho2, _ = apply_tree(state, tree, 2)
-    s0, s1, s2 = (_entropy_table(rho) for rho in (state, rho1, rho2))
+    (s0, s1, s2), branches = _stages(state, tree, 2)
     pre, m1, m2 = (_tripartite_ledger(s) for s in (s0, s1, s2))
 
     def change(target, given):
@@ -351,8 +359,7 @@ def _tripartite_reports(state, tree) -> tuple[FluxReport, ...]:
 
 
 def _bipartite_reports(state, tree) -> tuple[FluxReport, ...]:
-    rho1, branches = apply_tree(state, tree, 1)
-    s0, s1 = _entropy_table(state), _entropy_table(rho1)
+    (s0, s1), branches = _stages(state, tree, 1)
     pre, m1 = (
         {"S_A_B": _cond(s, (0,), (1,)), "S_B_A": _cond(s, (1,), (0,)),
          "I_AB": _mutual(s, (0,), (1,))}

@@ -6,7 +6,8 @@ the next measured subsystem.  Applying a tree to depth d realizes the
 conditional measurement Pi_{j_1} ox Pi_{j_2|j_1} ox ... ox Pi_{j_d|j_1..j_{d-1}}.
 
 Measured subsystems must be qubits: a tree refuses any basis that is not a
-qubit pair, and :func:`apply_tree` any measured position that is not a qubit.
+qubit pair, and every function here that measures a state's positions
+refuses one that is not a qubit, through :func:`_require_qubits`.
 Measurement order is explicit: callers who want a different ordering relabel
 the state first with :func:`mdiscord.qstate.permute_subsystems`.
 """
@@ -244,6 +245,28 @@ def _orthonormal_basis(projectors) -> ProjectorBasis:
     return _unchecked(ProjectorBasis, dim=len(projectors), projectors=tuple(projectors))
 
 
+def _require_qubits(dims, positions):
+    """Refuse a measured position whose subsystem in ``dims`` is not a qubit."""
+    for pos in positions:
+        if dims[pos] != 2:
+            raise StructuralError(f"measured subsystem {pos} is not a qubit")
+
+
+def _level(dims, level) -> int:
+    """``level`` (the subsystem count n if None) as an int in [2, n] for a
+    state of ``dims``, whose first ``level - 1`` subsystems a level-``level``
+    tree measures; a StructuralError, which is a ValueError, unless the
+    state has two subsystems at least and those are qubits."""
+    n = len(dims)
+    level = n if level is None else _integer("level", level)
+    if n < 2:
+        raise StructuralError(f"discord needs at least two subsystems, the state has {n}")
+    if not 2 <= level <= n:
+        raise StructuralError(f"level must lie in [2, {n}], got {level}")
+    _require_qubits(dims, range(level - 1))
+    return level
+
+
 def tree_from_params(
     dims: Iterable[int],
     measured: SubsetSpec | Iterable[int],
@@ -252,12 +275,7 @@ def tree_from_params(
     """Build the complete qubit tree whose node bases come from ``params``."""
     dims = tuple(int(d) for d in dims)
     measured = as_subset(measured, len(dims))
-    for pos in measured:
-        if dims[pos] != 2:
-            raise StructuralError(
-                f"measured subsystem {pos} has dimension {dims[pos]}, only qubits "
-                "can be parameterized by angles"
-            )
+    _require_qubits(dims, measured)
     k = len(measured)
     if len(params.angles) != node_count(k):
         raise StructuralError(
@@ -303,8 +321,7 @@ def apply_tree(
     for pos in tree.measured[:depth]:
         if pos >= state.n_subsystems:
             raise StructuralError(f"tree measures position {pos}, state has fewer subsystems")
-        if state.dims[pos] != 2:
-            raise StructuralError(f"measured subsystem {pos} is not a qubit")
+    _require_qubits(state.dims, tree.measured[:depth])
     paths = _paths_at_depth(depth)
     factors = [np.eye(dim) for dim in state.dims]
     for level, pos in enumerate(tree.measured[:depth]):
@@ -376,10 +393,7 @@ def optimal_tree_for_measured_state(
     product-conditional basis); the precondition is not checked.
     """
     measured = as_subset(measured, state.n_subsystems).indices
-    for pos in measured:
-        if state.dims[pos] != 2:
-            raise StructuralError(f"measured subsystem {pos} is not a qubit")
-
+    _require_qubits(state.dims, measured)
     conditionals = [((), QState(state.dims, state.matrix / float(state.matrix.trace().real)))]
     bases: dict[tuple[int, ...], ProjectorBasis] = {}
     for depth, pos in enumerate(measured):

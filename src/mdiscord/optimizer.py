@@ -60,6 +60,7 @@ from .measure import MeasParams
 from .qstate import _integer
 
 _MAX_GRID_TOTAL = 100_000_000  # branch terms a grid scan may value in one step
+_MAX_GRID_CELLS = 2_000_000  # cells per node: a level-2 scan keeps about 120 bytes each
 _INITIAL_SIMPLEX_EDGE = 0.1
 _PROBE_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _PROBE_GAIN = 1e-12  # relative drop below the best vertex a probe ring must beat
@@ -199,17 +200,21 @@ def grid_scan(objective, config: OptimizerConfig) -> GridScanResult:
     n_nodes``.  ``_MAX_GRID_TOTAL`` caps the branch terms the deepest step
     values, ``(2 * cells) ** depth`` for a tree of that depth; they are
     reduced block by block as they are made, so memory stays far below
-    them.  The cap is checked in integer arithmetic, on the terms of one
-    node first, so a huge ``points`` is refused before any power of it or
-    any array is formed.
+    them.  What does grow with the cells, each root cell's value and grid
+    point and the cells' own coefficients, is capped by
+    ``_MAX_GRID_CELLS``, which binds at level 2 alone.  Both caps are
+    checked in integer arithmetic, on the cells of one node first, so a
+    huge ``points`` is refused before any power of it or any array is
+    formed.
     """
     points = int(config.grid_points_per_angle)  # a numpy integer would wrap
     cells = 1 + points * _interior_rows(points)
     depth = objective.n_nodes.bit_length()  # a tree of depth d has 2**d - 1 nodes
-    if 2 * cells > _MAX_GRID_TOTAL or (2 * cells) ** depth > _MAX_GRID_TOTAL:
+    if cells > _MAX_GRID_CELLS or (2 * cells) ** depth > _MAX_GRID_TOTAL:
         raise ValueError(
             f"a grid of {points} points per angle needs more than {_MAX_GRID_TOTAL} "
-            "branch terms, which is too large; lower grid_points_per_angle"
+            f"branch terms or {_MAX_GRID_CELLS} cells per node, which is too large; "
+            "lower grid_points_per_angle"
         )
     roots, params = objective.grid_minimum(points)
     kept = np.argsort(roots, kind="stable")[:config.refine_starts]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import (MeasParams, MeasurementTree, apply_tree,
+from .measure import (MeasParams, MeasurementTree, _level, apply_tree,
                       optimal_tree_for_measured_state, tree_from_params)
 from .qstate import QState, _integer, kron_product, random_state
 
@@ -148,20 +148,6 @@ def _tri(s):
 def _base_terms(matrices: np.ndarray, dims) -> np.ndarray:
     """-(S(rho) - S(rho_A)) of every matrix in a stack."""
     return -(_entropies(matrices) - _entropies(_reduce_matrix(matrices, dims, [0])))
-
-
-def _level(dims, level) -> int:
-    """``level`` (the subsystem count n if None) as an int in [2, n], or a
-    ValueError, as for a subsystem among the first ``level - 1`` that is not
-    a qubit."""
-    n = len(dims)
-    level = n if level is None else _integer("level", level)
-    if not 2 <= level <= n:
-        raise ValueError(f"level must lie in [2, {n}], got {level}")
-    for pos in range(level - 1):
-        if dims[pos] != 2:
-            raise ValueError(f"measured subsystem {pos} is not a qubit")
-    return level
 
 
 def reference_objective(state, tree, level: int | None = None):

@@ -24,6 +24,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 ENTROPY_EIGENVALUE_CLAMP = 1e-12
+_LOG2_E = 1.0 / np.log(2.0)
 
 
 class StructuralError(ValueError):
@@ -238,18 +239,25 @@ def permute_subsystems(state: QState, order: Sequence[int]) -> QState:
     return QState(dims, t.reshape(side, side))
 
 
-def x_log2_x(values: np.ndarray) -> np.ndarray:
+def x_log2_x(values: np.ndarray, slope: bool = False):
     """Elementwise x log2 x, with entries at or below
-    ``ENTROPY_EIGENVALUE_CLAMP`` contributing exactly 0."""
+    ``ENTROPY_EIGENVALUE_CLAMP`` contributing exactly 0.  With ``slope``,
+    also its derivative log2 x + 1 / ln 2, likewise 0 where x log2 x is
+    clamped, as a second array."""
     # not ~: a Python bool would invert to -2
     drop = np.logical_not(values > ENTROPY_EIGENVALUE_CLAMP)
     # the log of each kept value, of the clamp elsewhere; an array even for
     # a scalar, which the ufunc would return as a numpy scalar
-    out = np.asarray(np.maximum(values, ENTROPY_EIGENVALUE_CLAMP))
-    np.log2(out, out=out)
-    out *= values
-    np.copyto(out, 0.0, where=drop)
-    return out
+    logs = np.asarray(np.maximum(values, ENTROPY_EIGENVALUE_CLAMP))
+    np.log2(logs, out=logs)
+    # in place, unless the logs are kept for the slope
+    parts = np.multiply(logs, values, out=np.empty_like(logs) if slope else logs)
+    np.copyto(parts, 0.0, where=drop)
+    if not slope:
+        return parts
+    logs += _LOG2_E
+    np.copyto(logs, 0.0, where=drop)
+    return parts, logs
 
 
 def entropy(state: QState) -> float:

@@ -24,11 +24,11 @@ from mdiscord.discord import (
     _branch_coefficients,
     _projector_coefficients,
     _qubit_terms,
-    _x_log2_x_and_slope,
     result_from_json,
     result_to_json,
 )
-from mdiscord.qstate import ENTROPY_EIGENVALUE_CLAMP, kron_product, x_log2_x
+from mdiscord import entropy_flux as flux
+from mdiscord.qstate import ENTROPY_EIGENVALUE_CLAMP, entropy, kron_product, x_log2_x
 from mdiscord.optimizer import (
     SIMPLEX_MAX_ITERS,
     OptimizerConfig,
@@ -502,11 +502,24 @@ class TestRewrittenHelpersBits:
     @pytest.mark.parametrize("shape", [(18,), (3, 6), (4, 6, 3)])
     def test_x_log2_x_and_slope_equal_the_reference(self, shape):
         values = np.resize(_eigenvalue_edges(), shape)
-        parts, slopes = _x_log2_x_and_slope(values)
+        parts, slopes = x_log2_x(values, slope=True)
         reference_parts, reference_slopes = _reference_x_log2_x_and_slope(values)
         assert _hexes(parts) == _hexes(reference_parts)
         assert _hexes(slopes) == _hexes(reference_slopes)
         assert _hexes(x_log2_x(values)) == _hexes(_reference_x_log2_x(values))
+
+    @pytest.mark.parametrize("values", [
+        *_eigenvalue_edges().tolist(),
+        *map(np.array, _eigenvalue_edges()),
+        _eigenvalue_edges(),
+        np.resize(_eigenvalue_edges(), (4, 6, 3)),
+    ])
+    def test_x_log2_x_is_the_first_part_of_its_slope_form(self, values):
+        # scalars and 0-d arrays too: both forms give 0-d arrays for them
+        parts, slopes = x_log2_x(values, slope=True)
+        alone = x_log2_x(values)
+        assert isinstance(parts, np.ndarray) and parts.shape == slopes.shape == alone.shape
+        assert _hexes(alone) == _hexes(parts)
 
     @pytest.mark.parametrize("value", [0.25, -0.0, 1e-13], ids=["kept", "zero", "clamped"])
     @pytest.mark.parametrize("kind", [float, np.float64, np.array, np.float32])
@@ -775,6 +788,34 @@ class TestDiscord:
         numpy = discord(state, measured_order=[np.int64(1)], level=np.int32(2), config=cfg)
         assert numpy.value.hex() == plain.value.hex()
         assert numpy.diagnostics == plain.diagnostics
+
+
+class TestSharedEntropies:
+    """A level-3 discord() values S(rho) and S(rho_A) once: the
+    decomposition's pre-measurement table takes them from the objective."""
+
+    def test_a_level_three_discord_values_eighteen_entropies(self, monkeypatch):
+        calls = []
+
+        def counted(state):  # entropy is this module's own, unpatched binding
+            calls.append(state.dims)
+            return entropy(state)
+
+        for name in ("mdiscord.qstate", "mdiscord.discord", "mdiscord.entropy_flux"):
+            monkeypatch.setattr(importlib.import_module(name), "entropy", counted)
+        config = OptimizerConfig(grid_points_per_angle=3, refine_starts=1)
+        assert discord(states.werner_ghz(0.7), level=3, config=config).decomposition
+        # the objective's 2, then 5, 7 and 4 for the pre, once- and
+        # twice-measured tables; the pre table used to value all 7
+        assert len(calls) == 18
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_the_objective_entropies_equal_the_table_bits(self, seed):
+        state = random_state((2, 2, 2), 1 + seed % 8, 3100 + seed)
+        tree = random_tree(seed, 2)
+        shared = flux._decomposition(state, tree, _MeasuredEntropyObjective(state, 3).entropies)
+        assert _hexes(list(shared.values())) == _hexes(
+            list(flux._decomposition(state, tree).values()))
 
 
 class TestDiscordTwoMeasurement:

@@ -13,12 +13,16 @@ from mdiscord import (
     QState,
     StructuralError,
     apply_tree,
+    dense_grid_min,
+    discord,
     optimal_tree_for_measured_state,
     projector_pair_from_angles,
     random_state,
+    reference_objective,
     tree_from_params,
 )
 from mdiscord import measure
+from mdiscord.discord import _MeasuredEntropyObjective
 from mdiscord.measure import bfs_paths, node_count, params_from_json, params_to_json
 from mdiscord.qstate import kron_product, permute_subsystems
 
@@ -519,6 +523,55 @@ class TestStackedApplyTreeBits:
         for depth in (1, 2):
             branches = self.assert_same_bytes(state, tree, depth)
             assert any(branch.post_state is None for branch in branches)
+
+
+# every entry point that takes a level, as a function of the state and level
+_LEVEL_CALLS = {
+    "objective": _MeasuredEntropyObjective,
+    "discord": lambda state, level: discord(state, level=level),
+    "reference_objective": lambda state, level: reference_objective(
+        state, random_tree(5, 2), level),
+    "dense_grid_min": lambda state, level: dense_grid_min(state, level, 3),
+}
+# every entry point that measures subsystems 0 and 1 of a three-party state
+_MEASURING_CALLS = {
+    **{name: lambda state, call=call: call(state, 3) for name, call in _LEVEL_CALLS.items()},
+    "apply_tree": lambda state: apply_tree(state, random_tree(5, 2), 2),
+    "tree_from_params": lambda state: tree_from_params(
+        state.dims, (0, 1), MeasParams(((0.0, 0.0),) * 3)),
+    "optimal_tree_for_measured_state": lambda state: optimal_tree_for_measured_state(
+        state, (0, 1)),
+}
+
+
+class TestMeasuredQubitChecks:
+    """Each entry point refuses a measured subsystem that is not a qubit,
+    and each that takes a level refuses a level outside [2, n], with one
+    message each."""
+
+    @pytest.mark.parametrize("call", list(_MEASURING_CALLS))
+    @pytest.mark.parametrize("dims, position", [((3, 2, 2), 0), ((2, 3, 2), 1)])
+    def test_refuses_a_measured_subsystem_that_is_not_a_qubit(self, call, dims, position):
+        with pytest.raises(StructuralError, match=f"^measured subsystem {position} is not a qubit$"):
+            _MEASURING_CALLS[call](random_state(dims, 3, 1))
+
+    @pytest.mark.parametrize("call", list(_LEVEL_CALLS))
+    @pytest.mark.parametrize("level, message", [
+        (1, r"^level must lie in \[2, 3\], got 1$"),
+        (4, r"^level must lie in \[2, 3\], got 4$"),
+        (2.9, "^level must be an integer, got 2.9$"),
+        (True, "^level must be an integer, got True$"),
+    ], ids=["1", "n+1", "2.9", "True"])
+    def test_refuses_a_level_outside_two_to_n(self, call, level, message):
+        with pytest.raises(ValueError, match=message):
+            _LEVEL_CALLS[call](random_state((2, 2, 2), 3, 1), level)
+
+    # the oracle said "level must lie in [2, 1], got 1"
+    @pytest.mark.parametrize("call", list(_LEVEL_CALLS))
+    def test_refuses_a_state_of_one_subsystem(self, call):
+        with pytest.raises(StructuralError,
+                           match="^discord needs at least two subsystems, the state has 1$"):
+            _LEVEL_CALLS[call](random_state((2,), 2, 1), None)
 
 
 class TestTreeStructure:

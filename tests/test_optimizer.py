@@ -604,6 +604,30 @@ class TestGridScan:
         with pytest.raises(ValueError, match="too large"):
             grid_scan(objective, OptimizerConfig(grid_points_per_angle=np.int64(2 ** 40)))
 
+    # a level-2 scan keeps about 120 bytes per cell: 2,000 points took a
+    # discord run to about 260 MB of RSS, and 10,000 points, which the term
+    # cap alone admitted, would need about 6 GB
+    @pytest.mark.parametrize("points, cells", [
+        (2000, 1_998_001), (1415, 1_999_396), (2002, 2_002_001), (1417, 2_005_056),
+    ])
+    def test_cell_cap_bounds_a_level_two_scan(self, monkeypatch, points, cells):
+        admitted = cells <= 2_000_000
+        objective = _MeasuredEntropyObjective(random_state((2, 2), 2, 5), 2)
+        scanned = []
+
+        def stub(points):  # no scan runs: one root cell at the origin
+            scanned.append(points)
+            return np.zeros(1), np.zeros((1, 2))
+
+        monkeypatch.setattr(objective, "grid_minimum", stub)
+        config = OptimizerConfig(grid_points_per_angle=points, refine_starts=1)
+        if admitted:
+            assert grid_scan(objective, config).evaluations == cells
+        else:
+            with pytest.raises(ValueError, match="too large"):
+                grid_scan(objective, config)
+        assert scanned == ([points] if admitted else [])
+
     def test_size_cap_counts_the_largest_table(self, monkeypatch):
         # a level-3 tree at 6 points values (2 * 13) ** 2 = 676 branch
         # terms at its deepest step, not its 2,197 grid values
