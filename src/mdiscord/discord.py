@@ -32,7 +32,6 @@ from .measure import (
     MeasParams,
     _level,
     node_count,
-    params_from_json,
     params_to_json,
     tree_from_params,
 )
@@ -417,9 +416,9 @@ def _minimize(objective, cfg: OptimizerConfig):
     """Grid scan and quasi-Newton refinement (:func:`optimize`), followed by
     one downhill-simplex polish pass on the objective itself.
 
-    Returns the best value and params plus bookkeeping for diagnostics."""
+    Returns the best value and its params plus bookkeeping for diagnostics."""
     outcome = optimize(objective, cfg)
-    polished = simplex_refine(objective, outcome.best_params)
+    polished = simplex_refine(objective, outcome.best_row)
     # an unconverged pass never replaces a converged point, however little
     # lower it ends
     taken = polished.best_value < outcome.best_value and (
@@ -432,7 +431,7 @@ def _minimize(objective, cfg: OptimizerConfig):
         "grid_best": outcome.grid_best,
         "best_objective_trace": [outcome.best_value, polished.best_value],
     }
-    return best.best_value, best.best_params, diagnostics
+    return best.best_value, MeasParams.from_flat(best.best_row), diagnostics
 
 
 def discord(
@@ -481,12 +480,3 @@ def result_to_json(result: DiscordResult) -> str:
     }
     return json.dumps(payload, indent=2)
 
-
-def result_from_json(text: str) -> DiscordResult:
-    payload = json.loads(text)
-    return DiscordResult(
-        value=payload["value"],
-        optimal_params=params_from_json(json.dumps(payload["params"])),
-        decomposition=payload["decomposition"],
-        diagnostics=payload["diagnostics"],
-    )

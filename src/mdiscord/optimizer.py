@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import MeasParams
 from .qstate import _integer
 
 _MAX_GRID_TOTAL = 100_000_000  # branch terms a grid scan may value in one step
@@ -92,10 +91,17 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptimizerOutcome:
     best_value: float
-    best_params: MeasParams
+    best_row: np.ndarray  # the flat angle row valued at best_value, read-only
     evaluations: int
     converged: bool
     grid_best: float
+
+
+def _frozen(row) -> np.ndarray:
+    """A read-only copy of one flat angle row."""
+    row = np.array(row, dtype=float)
+    row.flags.writeable = False
+    return row
 
 
 def fold_angles(x: np.ndarray) -> np.ndarray:
@@ -223,7 +229,7 @@ def grid_scan(objective, config: OptimizerConfig) -> GridScanResult:
 
 
 def simplex_refine(objective, start) -> OptimizerOutcome:
-    """Downhill simplex (Nelder-Mead) from ``start``.
+    """Downhill simplex (Nelder-Mead) from ``start``, a flat angle row.
 
     Coefficients are the classic (1, 2, 0.5, 0.5); every trial point is
     folded back into the angle ranges before evaluation; converged when the
@@ -249,8 +255,6 @@ def simplex_refine(objective, start) -> OptimizerOutcome:
     row valued.  A start holding a non-finite angle is refused with a
     ValueError before anything is valued.
     """
-    if isinstance(start, MeasParams):
-        start = start.to_flat()
     x0 = np.asarray(start, dtype=float)
     if not np.isfinite(x0).all():
         raise ValueError("angles must be finite")
@@ -323,7 +327,7 @@ def simplex_refine(objective, start) -> OptimizerOutcome:
         best_value, best_vertex = float(start_value), x0
     return OptimizerOutcome(
         best_value=best_value,
-        best_params=MeasParams.from_flat(best_vertex),
+        best_row=_frozen(best_vertex),
         evaluations=nfe,
         converged=converged,
         grid_best=float(start_value),
@@ -388,7 +392,7 @@ def _quasi_newton(objective, starts) -> list[OptimizerOutcome]:
         for k in index:
             outcomes[live[k]] = OptimizerOutcome(
                 best_value=float(value[k]),
-                best_params=MeasParams.from_flat(row[k]),
+                best_row=_frozen(row[k]),
                 evaluations=1 + iterations * rungs,
                 converged=converged,
                 grid_best=float(start_value[k]),
@@ -457,7 +461,7 @@ def optimize(objective, config: OptimizerConfig) -> OptimizerOutcome:
             best = outcome
     return OptimizerOutcome(
         best_value=best.best_value,
-        best_params=best.best_params,
+        best_row=best.best_row,
         evaluations=evaluations,
         converged=best.converged,
         grid_best=float(scan.values[0]),

@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mdiscord import (
-    MeasParams,
     OptimizerConfig,
     apply_tree,
     dense_grid_min,
@@ -110,9 +109,16 @@ def refine_by_vectors(objective, start):
             skipped += 1
         u, grad = u_next, next_grad
     outcome = optimizer.OptimizerOutcome(
-        best_value=value, best_params=MeasParams.from_flat(row), evaluations=nfe,
+        best_value=value, best_row=row, evaluations=nfe,
         converged=converged, grid_best=start_value)
     return outcome, skipped
+
+
+def fields(outcome):
+    """An outcome's fields with its row as bytes, so that outcomes compare
+    with ``==`` bit for bit."""
+    return (outcome.best_value, outcome.best_row.tobytes(), outcome.evaluations,
+            outcome.converged, outcome.grid_best)
 
 
 def sequential_optimize(objective, config):
@@ -140,15 +146,15 @@ def assert_lockstep_equals_sequential(seed, starts):
     outcome = optimize(lockstep, config)
     best, evaluations = sequential_optimize(sequential, config)
     assert outcome.best_value == best.best_value
-    assert np.array_equal(outcome.best_params.to_flat(), best.best_params.to_flat())
+    assert np.array_equal(outcome.best_row, best.best_row)
     assert outcome.evaluations == evaluations
     assert outcome.converged == best.converged
     if starts > 1:
         assert lockstep.calls < sequential.calls
     objective = lockstep.objective
     params = grid_scan(objective, config).params
-    assert _quasi_newton(objective, params) == [
-        refine_by_vectors(objective, start)[0] for start in params]
+    assert [fields(o) for o in _quasi_newton(objective, params)] == [
+        fields(refine_by_vectors(objective, start)[0]) for start in params]
 
 
 def grid_points(n_nodes, points):
@@ -653,7 +659,7 @@ class TestSimplexRefine:
             return float((x[0] - 0.3) ** 2 + (x[1] - 1.1) ** 2)
 
         outcome = simplex_refine(BatchRecorder(bowl), np.array([0.5, 0.5]))
-        assert_allclose(outcome.best_params.to_flat(), [0.3, 1.1], atol=1e-6)
+        assert_allclose(outcome.best_row, [0.3, 1.1], atol=1e-6)
 
     def test_bell_objective_from_offset_start(self, bell):
         objective = _MeasuredEntropyObjective(bell, 2)
@@ -667,11 +673,6 @@ class TestSimplexRefine:
 
         outcome = simplex_refine(BatchRecorder(spiky), np.array([0.2, 0.3]))
         assert outcome.best_value <= 0.0 + 1e-15
-
-    def test_accepts_measparams_start(self, bell):
-        objective = _MeasuredEntropyObjective(bell, 2)
-        outcome = simplex_refine(objective, MeasParams(((0.2, 0.4),)))
-        assert_allclose(outcome.best_value, 1.0, atol=1e-6)
 
     def test_a_floor_flat_up_to_rounding_converges_at_once(self):
         # a tilt of a few ulps per probe step: counted as a descent, every
@@ -705,7 +706,7 @@ class TestSimplexRefine:
         outcome = simplex_refine(batched, start)
         alone = simplex_refine(RowByRow(_MeasuredEntropyObjective(state, 3)), start)
         assert outcome.best_value == alone.best_value
-        assert np.array_equal(outcome.best_params.to_flat(), alone.best_params.to_flat())
+        assert np.array_equal(outcome.best_row, alone.best_row)
         assert outcome.converged == alone.converged
         assert outcome.evaluations == alone.evaluations == sum(batched.sizes)
         # the start, then iterations, shrinks or rebuilds, and probe rings
@@ -733,7 +734,7 @@ class TestQuasiNewton:
         outcome = refine_alone(recorder, start)
         assert outcome.converged
         assert outcome.best_value < 1e-12
-        assert_allclose(bloch(outcome.best_params.to_flat())[0], target, atol=1e-6)
+        assert_allclose(bloch(outcome.best_row)[0], target, atol=1e-6)
         rows = np.concatenate(recorder.batches)
         assert np.max(off_plane(rows, target, [0.0, 0.0, 1.0])) < 1e-6
 
@@ -782,7 +783,7 @@ class TestQuasiNewton:
         outcome = refine_alone(recorder, np.array([0.0, phi]))
         assert outcome.converged
         assert outcome.best_value < 1e-12
-        assert_allclose(bloch(outcome.best_params.to_flat())[0], target, atol=1e-6)
+        assert_allclose(bloch(outcome.best_row)[0], target, atol=1e-6)
         assert np.max(off_plane(recorder.batches[1], target, [0.0, 0.0, 1.0])) < 1e-6
 
     def test_minimum_at_the_pole(self):
@@ -794,7 +795,7 @@ class TestQuasiNewton:
         outcome = refine_alone(recorder, np.array([0.6, 2.0]))
         assert outcome.converged
         assert outcome.best_value < 1e-12
-        assert outcome.best_params.to_flat()[0] < 1e-6
+        assert outcome.best_row[0] < 1e-6
         # the start, then ladders alone
         assert all(len(rows) == len(optimizer.QN_LINE_STEPS)
                    for rows in recorder.batches[1:])
@@ -850,10 +851,17 @@ class TestOptimize:
         first = optimize(objective, OptimizerConfig())
         second = optimize(objective, OptimizerConfig())
         assert first.best_value == second.best_value
-        assert np.array_equal(
-            first.best_params.to_flat(), second.best_params.to_flat()
-        )
+        assert np.array_equal(first.best_row, second.best_row)
         assert first.evaluations == second.evaluations
+
+    def test_best_rows_are_read_only(self):
+        # the row an outcome reports is the one valued at its best_value
+        objective = _MeasuredEntropyObjective(random_qubits(10, 3, 3), 3)
+        refined = optimize(objective, OptimizerConfig())
+        polished = simplex_refine(objective, refined.best_row)
+        for outcome in (refined, polished):
+            with pytest.raises(ValueError, match="read-only"):
+                outcome.best_row[0] = 0.0
 
     def test_pair_spectator_matches_bipartite(self):
         from mdiscord import tensor
@@ -891,7 +899,8 @@ class TestOptimize:
         objective = _MeasuredEntropyObjective(random_state((2, 2, 2), rank, seed), 3)
         params = grid_scan(objective, OptimizerConfig(refine_starts=8)).params
         reference = [refine_by_vectors(objective, start) for start in params]
-        assert _quasi_newton(objective, params) == [outcome for outcome, _ in reference]
+        assert [fields(o) for o in _quasi_newton(objective, params)] == [
+            fields(outcome) for outcome, _ in reference]
         assert sum(count for _, count in reference) == skipped
 
     @pytest.mark.parametrize("seed", range(20))
