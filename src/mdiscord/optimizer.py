@@ -39,7 +39,8 @@ refining the starts one after another.
 
 :class:`OptimizerConfig` sets the grid density and the number of starts.
 The refinement's iteration cap ``QN_MAX_ITERS`` and step ladder
-``QN_LINE_STEPS`` are fixed.  The downhill simplex of :func:`simplex_refine`
+``QN_LINE_STEPS`` are fixed; a start's ladder doubles while its longest
+rung wins.  The downhill simplex of :func:`simplex_refine`
 (Nelder & Mead 1965, capped at ``SIMPLEX_MAX_ITERS`` iterations, converged
 below a value spread of ``SIMPLEX_TOL``) serves the one polish pass of
 :func:`mdiscord.discord.discord`, which follows :func:`optimize`.  It is a
@@ -359,14 +360,19 @@ def _quasi_newton(objective, starts) -> list[OptimizerOutcome]:
     gradients in u, their inverse Hessian estimates H and their values are
     arrays with one entry per unfinished start.  The starts are valued as
     given, in one ``evaluate_many`` call with gradients.  Each iteration
-    then values the ladder of ``QN_LINE_STEPS`` along -H g of every
-    unfinished start in one call, moves each to its lowest rung, whose
-    gradient came with it, and updates each H in u by stacked products
-    (skipped for a start whose step shows no positive curvature, s . y <=
-    0).  A start none of whose rungs lies below its current value has
-    converged and leaves the arrays.  At most ``QN_MAX_ITERS`` iterations
-    run.  The point returned is a row that was valued, so its value is the
-    one reported; never returns a value above the start's.
+    then values a ladder of step lengths along -H g of every unfinished
+    start in one call, moves each to its lowest rung, whose gradient came
+    with it, and updates each H in u by stacked products (skipped for a
+    start whose step shows no positive curvature, s . y <= 0).  A start's
+    ladder is ``QN_LINE_STEPS`` times 2**k after k wins of its longest
+    rung in a row, the expansion of a bracketing line search (Nocedal &
+    Wright, ch. 3.5): near a pure branch state x log x curves as 1/x, the
+    BFGS step can be far too short, and a ladder that stops at twice it
+    would creep along a valley.  A start none of whose rungs lies below
+    its current value has converged and leaves the arrays.  At most
+    ``QN_MAX_ITERS`` iterations run.  The point returned is a row that was
+    valued, so its value is the one reported; never returns a value above
+    the start's.
 
     Each start compares only its own values, and a batched row (value and
     gradient) equals the single-row one bit for bit, as do the stacked
@@ -384,6 +390,7 @@ def _quasi_newton(objective, starts) -> list[OptimizerOutcome]:
     start_value = value
     inverse = np.repeat(eye[None], len(row), axis=0)
     scaled = np.zeros(len(row), dtype=bool)
+    stretch = np.ones(len(row))  # 2**k after k wins of the longest rung in a row
     live = np.arange(len(row))  # the original index of each unfinished start
     outcomes = [None] * len(row)
 
@@ -399,7 +406,7 @@ def _quasi_newton(objective, starts) -> list[OptimizerOutcome]:
             )
 
     for iteration in range(1, QN_MAX_ITERS + 1):
-        step = ((-inverse) @ grad[:, :, None]).swapaxes(-1, -2)
+        step = ((-inverse) @ grad[:, :, None]).swapaxes(-1, -2) * stretch[:, None, None]
         candidates = (u[:, None, :] + ladder * step).reshape(-1, u.shape[1])
         rows = _angles(candidates)
         values, grads = objective.evaluate_many(rows, gradient=True)
@@ -411,8 +418,12 @@ def _quasi_newton(objective, starts) -> list[OptimizerOutcome]:
             at = np.flatnonzero(lower)
             if not at.size:
                 return outcomes
-            live, u, grad, inverse, scaled, start_value, pick = (
-                a[at] for a in (live, u, grad, inverse, scaled, start_value, pick))
+            live, u, grad, inverse, scaled, start_value, pick, stretch = (
+                a[at] for a in (live, u, grad, inverse, scaled, start_value, pick, stretch))
+        # the next ladder doubles when the longest rung wins, so that a step
+        # far too short is bracketed in a few iterations instead of crept
+        # along, and is QN_LINE_STEPS again once a shorter rung wins
+        stretch = np.where(pick % rungs == 0, 2.0 * stretch, 1.0)
         u_next, row, value = candidates.take(pick, 0), rows.take(pick, 0), values.take(pick)
         next_grad = _sphere_gradient(u_next, grads.take(pick, 0))
         s, y = u_next - u, next_grad - grad
@@ -450,7 +461,9 @@ def optimize(objective, config: OptimizerConfig) -> OptimizerOutcome:
     Deterministic for fixed config; the refined results are compared in grid
     rank order so ties keep the better-ranked start.
     ``converged`` describes the point returned: no rung of its last ladder
-    along -H g lies below it.
+    along -H g lies below it.  That ladder is ``QN_LINE_STEPS`` stretched
+    by 2**k after k wins of the longest rung, so after such wins its
+    shortest rung is longer than ``QN_LINE_STEPS[-1]`` times -H g.
     """
     scan = grid_scan(objective, config)
     evaluations = scan.evaluations

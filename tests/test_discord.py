@@ -39,7 +39,8 @@ from mdiscord.optimizer import (
 )
 from mdiscord.measure import params_from_json
 from mdiscord.oracle import reference_objective
-from mdiscord.states import bell_mixture, cc_example_state, ghz_state, product_state
+from mdiscord.states import (bell_mixture, cc_example_state, classical_quantum_mix, ghz_state,
+                             product_state)
 
 from conftest import (dm, eigenbasis_tree, random_qubits, random_tree,
                       two_measurement_integrand)
@@ -757,6 +758,13 @@ class TestDiscord:
                            for before, size in zip(sizes, sizes[1:]))
             assert sizes.count(4) + rebuilds + 1 < SIMPLEX_MAX_ITERS
 
+    def test_a_near_pure_state_reaches_the_dense_minimum(self):
+        # the default config gave 2.873e-5, converged, while its ladder,
+        # which stopped at twice the quasi-Newton step, crept along a valley
+        state = classical_quantum_mix(1e-5)
+        dense = discord(state, config=OptimizerConfig(grid_points_per_angle=20, refine_starts=32))
+        assert abs(discord(state).value - dense.value) <= 1e-9, dense.value
+
     def test_level_bounds(self, bell):
         with pytest.raises(StructuralError):
             discord(bell, level=3)
@@ -886,6 +894,15 @@ class TestLocalUnitaryInvariance:
     @example(random_state((2, 2, 2), 5, 27062), 1)
     @example(random_state((2, 2, 2), 7, 1072), 0)
     @example(bell_mixture(0.99999), 0)
+    # near-pure states: each missed by 4.1e-8 to 5.9e-5, or did not converge,
+    # while the refinement's ladder stopped at twice its step and crept
+    @example(bell_mixture(0.99999), 1)
+    @example(bell_mixture(0.99999), 2)
+    @example(bell_mixture(0.99999), 3)
+    @example(bell_mixture(0.99999), 6)
+    @example(classical_quantum_mix(1e-5), 0)
+    @example(classical_quantum_mix(0.99999), 1)
+    @example(classical_quantum_mix(0.99999), 6)
     @settings(max_examples=20, derandomize=True, database=None, deadline=None)
     @given(_base_states(), st.integers(0, 2 ** 31))
     def test_rotated_state_keeps_its_discord(self, state, seed):

@@ -76,19 +76,22 @@ def refine_alone(objective, start):
 
 def refine_by_vectors(objective, start):
     """Quasi-Newton refinement of one start with one-start vector products
-    (``np.outer``, 1-D ``@``), as a reference for the stacked refinement;
-    also returns how many BFGS updates were skipped for want of positive
-    curvature (s . y <= 0)."""
+    (``np.outer``, 1-D ``@``) and a scalar ladder stretch, as a reference
+    for the stacked refinement.  Also counts, by name, the BFGS updates
+    skipped for want of positive curvature (s . y <= 0, "skipped") and the
+    iterations whose longest rung won, doubling the next ladder
+    ("stretched")."""
     row = np.array(start, dtype=float)
     u = _bloch_vectors(row[0::2], row[1::2]).ravel()
     eye = np.eye(u.size)
     values, grads = objective.evaluate_many(row[None, :], gradient=True)
-    nfe, skipped = 1, 0
+    nfe, counts = 1, dict(skipped=0, stretched=0)
     value = start_value = float(values[0])
     grad = _sphere_gradient(u, grads[0])
-    inverse, scaled, converged = eye, False, False
+    inverse, scaled, stretch, converged = eye, False, 1.0, False
     for _ in range(optimizer.QN_MAX_ITERS):
-        candidates = u + np.outer(optimizer.QN_LINE_STEPS, -inverse @ grad)
+        ladder = stretch * np.array(optimizer.QN_LINE_STEPS)
+        candidates = u + np.outer(ladder, -inverse @ grad)
         rows = _angles(candidates)
         values, grads = objective.evaluate_many(rows, gradient=True)
         nfe += len(rows)
@@ -96,6 +99,8 @@ def refine_by_vectors(objective, start):
         if not values[best] < value:
             converged = True
             break
+        stretch = 2.0 * stretch if best == 0 else 1.0
+        counts["stretched"] += best == 0
         u_next, row, value = candidates[best], rows[best], float(values[best])
         next_grad = _sphere_gradient(u_next, grads[best])
         s, y = u_next - u, next_grad - grad
@@ -106,12 +111,12 @@ def refine_by_vectors(objective, start):
             v = eye - np.outer(s, y) / sy
             inverse = v @ inverse @ v.T + np.outer(s, s) / sy
         else:
-            skipped += 1
+            counts["skipped"] += 1
         u, grad = u_next, next_grad
     outcome = optimizer.OptimizerOutcome(
         best_value=value, best_row=row, evaluations=nfe,
         converged=converged, grid_best=start_value)
-    return outcome, skipped
+    return outcome, counts
 
 
 def fields(outcome):
@@ -889,19 +894,20 @@ class TestOptimize:
         assert_lockstep_equals_sequential(seed, starts)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("rank, seed, skipped", [(4, 1003, 3), (2, 1025, 8), (6, 1229, 5)])
+    @pytest.mark.parametrize("rank, seed, skipped", [(4, 1003, 1), (2, 1025, 3), (6, 1229, 3)])
     def test_starts_without_positive_curvature_keep_their_estimates(self, rank, seed, skipped):
         # some steps show s . y <= 0: those starts skip their BFGS update
         # while the others update theirs in the same stacked products; at
-        # seed 1229 one start skips its first three steps' updates, and so
+        # seed 1229 one start skips its first two steps' updates, and so
         # the scaling of its first estimate, which waits for a step that
-        # curves up
+        # curves up.  At seeds 1025 and 1229 some starts converge on a
+        # stretched ladder while the others refine on
         objective = _MeasuredEntropyObjective(random_state((2, 2, 2), rank, seed), 3)
         params = grid_scan(objective, OptimizerConfig(refine_starts=8)).params
         reference = [refine_by_vectors(objective, start) for start in params]
         assert [fields(o) for o in _quasi_newton(objective, params)] == [
             fields(outcome) for outcome, _ in reference]
-        assert sum(count for _, count in reference) == skipped
+        assert sum(counts["skipped"] for _, counts in reference) == skipped
 
     @pytest.mark.parametrize("seed", range(20))
     def test_dense_grid_oracle_dominance(self, seed):
