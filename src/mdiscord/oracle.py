@@ -350,7 +350,11 @@ def _identity_violations(rng, indices) -> dict[str, np.ndarray]:
 
 def identity_suite(seed: int = 0, samples: int = 100) -> tuple[VerifyReport, ...]:
     """Run every entropy identity on ``samples`` random 3-qubit states with
-    random trees; reports the worst violation per identity."""
+    random trees; reports the worst violation per identity.  ``seed`` must
+    be a non-negative integer."""
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return tuple(_reports(np.random.default_rng(seed), samples, _identity_violations,
                           IDENTITY_TOL))
 
@@ -414,8 +418,8 @@ def _cross_implementation_check(rng, samples: int) -> list[VerifyReport]:
 def verification_suite(seed: int = 0, samples: int = 100) -> tuple[VerifyReport, ...]:
     """Identity suite plus invariance, non-negativity, and
     cross-implementation checks; report order is fixed by check name."""
+    reports = list(identity_suite(seed, samples))  # checks the seed before any draw
     rng = np.random.default_rng(seed)
-    reports = list(identity_suite(seed, samples))
     reports += _reports(rng, samples, _nonnegativity_violations, IDENTITY_TOL)
     reports += _reports(rng, samples, _invariance_violations, 1e-10)
     reports += _cross_implementation_check(rng, samples)

@@ -240,9 +240,25 @@ class TestIdentitySuite:
         with pytest.raises(ValueError, match="samples must be an integer"):
             suite(seed=0, samples=samples)
 
+    # 1.5 ended in numpy's TypeError, True ran as seed 1 and -1 raised
+    # numpy's own message
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer"), (1.5, "seed must be an integer"),
+        ("0", "seed must be an integer"), (-1, "seed must be a non-negative integer, got -1$"),
+    ], ids=["True", "1.5", "str", "-1"])
+    @pytest.mark.parametrize("suite", [identity_suite, verification_suite])
+    def test_refuses_a_seed_that_is_not_a_non_negative_integer(
+            self, monkeypatch, suite, seed, message):
+        def drawn(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(oracle, "_draw", drawn)
+        with pytest.raises(ValueError, match=message):
+            suite(seed=seed, samples=1)
+
     @pytest.mark.parametrize("suite", [identity_suite, verification_suite])
     def test_accepts_numpy_integers(self, suite):
-        reports = suite(seed=0, samples=np.int64(3))
+        reports = suite(seed=np.int64(0), samples=np.int64(3))
         assert _report_bits(reports) == _report_bits(suite(seed=0, samples=3))
         assert all(type(report.samples) is int for report in reports)
 
