@@ -416,7 +416,8 @@ def _minimize(objective, cfg: OptimizerConfig):
     """Grid scan and quasi-Newton refinement (:func:`optimize`), followed by
     one downhill-simplex polish pass on the objective itself.
 
-    Returns the best value and its params plus bookkeeping for diagnostics."""
+    Returns the best value, the one MeasParams of its flat row, and
+    bookkeeping for diagnostics."""
     outcome = optimize(objective, cfg)
     polished = simplex_refine(objective, outcome.best_row)
     # an unconverged pass never replaces a converged point, however little

@@ -420,9 +420,8 @@ def _quasi_newton(objective, starts) -> list[OptimizerOutcome]:
                 return outcomes
             live, u, grad, inverse, scaled, start_value, pick, stretch = (
                 a[at] for a in (live, u, grad, inverse, scaled, start_value, pick, stretch))
-        # the next ladder doubles when the longest rung wins, so that a step
-        # far too short is bracketed in a few iterations instead of crept
-        # along, and is QN_LINE_STEPS again once a shorter rung wins
+        # the next ladder doubles while the longest rung wins, so that a
+        # step far too short is bracketed in a few iterations, not crept along
         stretch = np.where(pick % rungs == 0, 2.0 * stretch, 1.0)
         u_next, row, value = candidates.take(pick, 0), rows.take(pick, 0), values.take(pick)
         next_grad = _sphere_gradient(u_next, grads.take(pick, 0))

@@ -894,20 +894,23 @@ class TestOptimize:
         assert_lockstep_equals_sequential(seed, starts)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("rank, seed, skipped", [(4, 1003, 1), (2, 1025, 3), (6, 1229, 3)])
-    def test_starts_without_positive_curvature_keep_their_estimates(self, rank, seed, skipped):
+    @pytest.mark.parametrize("rank, seed, skipped, stretched",
+                             [(4, 1003, 1, 59), (2, 1025, 3, 47), (6, 1229, 3, 57)])
+    def test_starts_without_positive_curvature_keep_their_estimates(
+            self, rank, seed, skipped, stretched):
         # some steps show s . y <= 0: those starts skip their BFGS update
         # while the others update theirs in the same stacked products; at
         # seed 1229 one start skips its first two steps' updates, and so
         # the scaling of its first estimate, which waits for a step that
-        # curves up.  At seeds 1025 and 1229 some starts converge on a
-        # stretched ladder while the others refine on
+        # curves up.  Ladders stretch too, and at seeds 1025 and 1229 some
+        # starts converge on a stretched ladder while the others refine on
         objective = _MeasuredEntropyObjective(random_state((2, 2, 2), rank, seed), 3)
         params = grid_scan(objective, OptimizerConfig(refine_starts=8)).params
         reference = [refine_by_vectors(objective, start) for start in params]
         assert [fields(o) for o in _quasi_newton(objective, params)] == [
             fields(outcome) for outcome, _ in reference]
         assert sum(counts["skipped"] for _, counts in reference) == skipped
+        assert sum(counts["stretched"] for _, counts in reference) == stretched
 
     @pytest.mark.parametrize("seed", range(20))
     def test_dense_grid_oracle_dominance(self, seed):
